@@ -23,6 +23,7 @@ from .engine import (
     luders_update,
     no_signaling_residual,
     run_sequence,
+    run_stack,
 )
 from .inequality import (
     NS2_BOUND,
@@ -34,6 +35,7 @@ from .inequality import (
     is_violation,
     ns2_relabelings,
     ns2_value,
+    ns2_values,
 )
 from .linalg import (
     BlochEffect,
@@ -41,14 +43,10 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    adjoint,
     bloch_operator,
     effect_matrix,
     effect_sqrt,
-    is_hermitian,
     kron,
-    multiply,
-    trace,
 )
 from .measurements import (
     GammaSchedule,

@@ -8,15 +8,12 @@ shortest round-trip decimals, so export -> import -> export is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from itertools import product
 
-from .engine import ENTRY_FLOOR, NORMALIZATION_ATOL, BehaviorTable
-
-_ALL_KEYS = tuple(
-    f"{x}{y}{z};{a}{b}{c}" for x, y, z, a, b, c in product((0, 1), repeat=6)
-)
+from .engine import ENTRY_FLOOR, NORMALIZATION_ATOL, TABLE_KEYS, BehaviorTable
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -36,7 +33,7 @@ def atomic_write_text(path: str, text: str) -> None:
 def export_behavior(table: BehaviorTable, path: str) -> None:
     probs = {}
     flat = table.probs.reshape(64)
-    for key, value in zip(_ALL_KEYS, flat):
+    for key, value in zip(TABLE_KEYS, flat):
         probs[key] = float(value)
     payload = {"round": int(table.round_index), "probs": probs}
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -54,15 +51,17 @@ def import_behavior(path: str) -> BehaviorTable:
     if not isinstance(probs, dict):
         raise ValueError(f"{path}: 'probs' must be a mapping")
     for key in probs:
-        if key not in _ALL_KEYS:
+        if key not in TABLE_KEYS:
             raise ValueError(f"{path}: unknown probability key {key!r}")
     values = []
-    for key in _ALL_KEYS:
+    for key in TABLE_KEYS:
         if key not in probs:
             raise ValueError(f"{path}: missing probability for ({key})")
         value = probs[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{path}: probability ({key}) is not a number: {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: probability ({key}) is not finite: {value!r}")
         if value < ENTRY_FLOOR:
             raise ValueError(f"{path}: probability ({key}) = {value!r} is negative")
         values.append(float(value))

@@ -16,12 +16,14 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .behavior_io import atomic_write_text, import_behavior
 from .certifier import check_no_signaling, lp_feasible
-from .engine import SequentialScenario, run_sequence
-from .inequality import closed_form_ns2, is_violation, ns2_value
+# run_sequence stays importable from here: perfbench/layers.py wraps cli.run_sequence
+from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
+from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
 from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
 from .states import build_gghz
 
@@ -195,25 +197,32 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float):
     return delta, schedule
 
 
-def _round_rows(config: ExperimentConfig, schedule, theta: float, alpha: float,
-                rounds: int) -> list[dict]:
-    scenario = SequentialScenario(build_gghz(alpha), theta, schedule, rounds)
-    tables = run_sequence(scenario)
-    rows = []
-    for k, table in enumerate(tables, start=1):
-        oracle = ns2_value(table)
-        closed = closed_form_ns2(k, alpha, theta, schedule.gammas)
-        entry = {
-            "k": k,
-            "gamma": schedule.gammas[k - 1],
-            "ns2_oracle": oracle,
-            "ns2_closed_form": closed,
-            "discrepancy": abs(oracle - closed),
-            "violated": is_violation(oracle),
-            "lp_feasible": lp_feasible(table).feasible if config.certify else None,
-        }
-        rows.append(entry)
-    return rows
+def _round_rows(config: ExperimentConfig, schedule, thetas, alpha: float,
+                rounds: int) -> Iterator[list[dict]]:
+    """Yields, per theta, the rows of rounds 1..rounds; all thetas run as one engine stack."""
+    oracles, tables = [], []
+    for round_tables in run_stack(build_gghz(alpha), thetas, schedule, rounds):
+        oracles.append(ns2_values(round_tables).tolist())
+        if config.certify:
+            tables.append(round_tables)
+    for n, theta in enumerate(thetas):
+        rows = []
+        for k in range(1, rounds + 1):
+            oracle = oracles[k - 1][n]
+            closed = closed_form_ns2(k, alpha, theta, schedule.gammas)
+            verdict = None
+            if config.certify:
+                verdict = lp_feasible(BehaviorTable(tables[k - 1][n], k)).feasible
+            rows.append({
+                "k": k,
+                "gamma": schedule.gammas[k - 1],
+                "ns2_oracle": oracle,
+                "ns2_closed_form": closed,
+                "discrepancy": abs(oracle - closed),
+                "violated": is_violation(oracle),
+                "lp_feasible": verdict,
+            })
+        yield rows
 
 
 def _csv_line(entry: dict) -> str:
@@ -256,7 +265,7 @@ def _run_point(config: ExperimentConfig) -> tuple[list[str], dict]:
                 f"[0, 1] at delta={delta:.6g} ({variant}); valid_upto={schedule.valid_upto}. "
                 f"Reduce --n or pass --auto-delta."
             )
-        rows = _round_rows(config, schedule, config.theta, config.alpha, config.n)
+        rows = next(_round_rows(config, schedule, (config.theta,), config.alpha, config.n))
         csv_lines.extend(_csv_line(row) for row in rows)
         violating = [row["k"] for row in rows if row["violated"]]
         summary = {
@@ -291,10 +300,11 @@ def _run_sweep(config: ExperimentConfig) -> tuple[list[str], dict]:
         for delta in deltas:
             resolved_delta, schedule = _resolve_schedule(config, variant, delta)
             rounds = min(config.n, schedule.valid_upto)
-            for theta in thetas:
-                for alpha in alphas:
+            # one engine stack per (delta, variant, alpha) row, over the theta axis
+            stacks = [_round_rows(config, schedule, thetas, alpha, rounds) for alpha in alphas]
+            for theta, *alpha_rows in zip(thetas, *stacks):
+                for alpha, rows in zip(alphas, alpha_rows):
                     points += 1
-                    rows = _round_rows(config, schedule, theta, alpha, rounds)
                     total_rows += len(rows)
                     csv_lines.extend(_csv_line(row) for row in rows)
                     for row in rows:
@@ -403,7 +413,7 @@ def main(argv=None) -> int:
             return _certify_table_command(args.certify_table, args.out_json)
         config = build_config(args)
         summary = run_experiment(config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for variant, data in summary["variants"].items():

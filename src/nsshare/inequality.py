@@ -22,6 +22,7 @@ from .engine import (
     BehaviorTable,
     SequentialScenario,
     no_signaling_residual,
+    no_signaling_residuals,
     run_sequence,
 )
 
@@ -63,12 +64,24 @@ def _require_no_signaling(table: BehaviorTable) -> None:
         raise SignalingTableError(residual, label)
 
 
-def _correlator_unchecked(table: BehaviorTable, parties: str, inputs) -> float:
-    index: list = [0] * 3  # excluded parties' inputs fixed to 0
-    for party, input_bit in zip(parties, inputs):
-        index[_PARTY_AXES[party][0]] = int(input_bit)
-    block = table.probs[tuple(index)]  # shape (2, 2, 2) over (a, b, c)
-    return float(np.sum(block * _SIGNS[parties]))
+def _gather(terms) -> tuple[tuple, np.ndarray]:
+    """Block index and sign tensors that pick out the given (parties, inputs) correlators."""
+    index = np.zeros((3, len(terms)), dtype=int)  # excluded parties' inputs fixed to 0
+    for j, (parties, inputs) in enumerate(terms):
+        for party, input_bit in zip(parties, inputs):
+            index[_PARTY_AXES[party][0], j] = int(input_bit)
+    return (slice(None), *index), np.stack([_SIGNS[parties] for parties, _ in terms])
+
+
+def _correlators(probs: np.ndarray, gather: tuple[tuple, np.ndarray]) -> np.ndarray:
+    """Correlators of every table in a stack (N, 2, 2, 2, 2, 2, 2), unchecked: shape (N, terms)."""
+    index, signs = gather
+    blocks = probs[index] * signs  # shape (N, terms, 2, 2, 2) over (a, b, c)
+    return blocks.reshape(len(probs), len(signs), 8).sum(axis=2)
+
+
+_NS2_TERMS = _gather((("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
+                      ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1))))
 
 
 def correlator(table: BehaviorTable, parties: str, inputs) -> float:
@@ -84,19 +97,27 @@ def correlator(table: BehaviorTable, parties: str, inputs) -> float:
     if len(inputs) != len(parties) or any(i not in (0, 1) for i in inputs):
         raise ValueError(f"inputs must supply one bit per party, got {inputs!r}")
     _require_no_signaling(table)
-    return _correlator_unchecked(table, parties, inputs)
+    return float(_correlators(table.probs[None], _gather(((parties, inputs),)))[0, 0])
+
+
+def ns2_values(probs: np.ndarray) -> np.ndarray:
+    """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2).
+
+    Each table must be non-signaling; the first that is not raises
+    SignalingTableError.
+    """
+    residuals, labels = no_signaling_residuals(probs)
+    signaling = residuals >= NO_SIGNALING_ATOL
+    if signaling.any():
+        n = signaling.argmax()
+        raise SignalingTableError(float(residuals[n]), labels[n])
+    ab, ac, bc, abc0, abc1 = _correlators(probs, _NS2_TERMS).T
+    return ab + ac + bc - abc0 + abc1
 
 
 def ns2_value(table: BehaviorTable) -> float:
     """The five-term combination; hybrid-model behaviors satisfy <= 3."""
-    _require_no_signaling(table)
-    return (
-        _correlator_unchecked(table, "AB", (0, 0))
-        + _correlator_unchecked(table, "AC", (0, 0))
-        + _correlator_unchecked(table, "BC", (0, 1))
-        - _correlator_unchecked(table, "ABC", (1, 1, 0))
-        + _correlator_unchecked(table, "ABC", (1, 1, 1))
-    )
+    return float(ns2_values(table.probs[None])[0])
 
 
 def is_violation(value: float) -> bool:

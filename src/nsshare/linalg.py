@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
-
 
 def _frozen(values) -> np.ndarray:
     arr = np.asarray(values, dtype=complex).copy()
@@ -27,38 +25,12 @@ PAULI_Y = _frozen([[0, -1j], [1j, 0]])
 PAULI_Z = _frozen([[1, 0], [0, -1]])
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for matrix product: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
-
-
 def kron(a: np.ndarray, b: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Kronecker product of two or more matrices, left to right."""
     out = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
     for m in rest:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
 def bloch_operator(direction) -> np.ndarray:
@@ -109,9 +81,12 @@ def effect_sqrt(effect: BlochEffect) -> np.ndarray:
     a*I + b*(n.sigma) with a = (sqrt((1+g)/2) + sqrt((1-g)/2)) / 2 and
     b = (sqrt((1+g)/2) - sqrt((1-g)/2)) / 2.
     """
-    g = effect.sharpness
-    hi = math.sqrt((1 + g) / 2)
-    lo = math.sqrt((1 - g) / 2)
-    a = (hi + lo) / 2
-    b = (hi - lo) / 2
+    a, b = sqrt_coefficients(effect.sharpness)
     return a * IDENTITY_2 + b * bloch_operator(effect.direction)
+
+
+def sqrt_coefficients(gamma: float) -> tuple[float, float]:
+    """(a, b) with sqrt((I + gamma n.sigma) / 2) = a*I + b*(n.sigma), for every unit n."""
+    hi = math.sqrt((1 + gamma) / 2)
+    lo = math.sqrt((1 - gamma) / 2)
+    return (hi + lo) / 2, (hi - lo) / 2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlochEffect, effect_matrix
+from .linalg import IDENTITY_2, BlochEffect, effect_matrix, sqrt_coefficients
 
 RECURSION_VARIANTS = ("printed", "normalized")
 
@@ -60,6 +60,29 @@ def charlie_setting(theta: float, gamma_k: float, input_bit: int) -> PartySettin
     else:
         outcome0 = BlochEffect((np.sin(theta), 0.0, np.cos(theta)), gamma_k)
     return PartySetting("C", input_bit, (outcome0, outcome0.complement()))
+
+
+def charlie_stacks(thetas, gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Charlie's effects F_{c|z} and their square roots for a vector of angles.
+
+    Both arrays have shape (N, 2, 2, 2, 2), indexed [n, z, c, i, j].  Entry for
+    entry the arithmetic is that of charlie_setting with effect_matrix and
+    effect_sqrt, so every matrix equals its single-angle counterpart bit for bit.
+    """
+    if not 0.0 <= gamma_k <= 1.0:
+        raise ValueError(f"gamma_k must lie in [0, 1], got {gamma_k!r}")
+    thetas = np.asarray(thetas, dtype=float)
+    sin, cos = np.sin(thetas), np.cos(thetas)
+    # n.sigma = [[nz, nx], [nx, -nz]]; outcome 0 points along n = (-sin, 0, cos)
+    # for z=0 and (sin, 0, cos) for z=1, outcome 1 along -n
+    outcome0 = np.array([[[cos, -sin], [-sin, -cos]], [[cos, sin], [sin, -cos]]])  # [z, i, j, n]
+    ops = np.stack([outcome0, -outcome0], axis=1).transpose(4, 0, 1, 2, 3)  # [n, z, c, i, j]
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    sharpness = np.array([1.0, gamma_k])[:, None, None, None]  # per z
+    effects = (IDENTITY_2 + sharpness * ops) / 2
+    a, b = np.array([sqrt_coefficients(1.0), sqrt_coefficients(gamma_k)]).T[:, :, None, None, None]
+    roots = a * IDENTITY_2 + b * ops
+    return effects, roots
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,25 @@ class TripartiteState:
         rho = np.asarray(self.rho, dtype=complex).copy()
         if rho.shape != (DIM, DIM):
             raise ValueError(f"tripartite state must be {DIM}x{DIM}, got {rho.shape}")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density operator must have unit trace, got {tr!r}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_ATOL:
-            raise ValueError("density operator must be Hermitian")
+        check_densities(rho[None])
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
+
+
+def check_densities(rhos: np.ndarray) -> None:
+    """TripartiteState's unit-trace and Hermiticity checks on a stack of shape (N, 8, 8).
+
+    Raises for the first operator that fails.
+    """
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    bad = np.abs(traces - 1.0) > TRACE_ATOL
+    if bad.any():
+        raise ValueError(f"density operator must have unit trace, got {traces[bad.argmax()]!r}")
+    if np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1))) > HERMITIAN_ATOL:
+        raise ValueError("density operator must be Hermitian")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from nsshare.engine import (
     luders_update,
     no_signaling_residual,
     run_sequence,
+    run_stack,
 )
 from nsshare.inequality import (
     closed_form_ns2,
@@ -27,6 +28,7 @@ from nsshare.inequality import (
     is_violation,
     ns2_relabelings,
     ns2_value,
+    ns2_values,
 )
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz, validate_density
@@ -262,15 +264,10 @@ def test_claim_audit_scan_soundness():
     for delta in deltas:
         schedule = gamma_sequence(delta, 0.001, 5)
         rounds = min(5, schedule.valid_upto)
-        for theta in thetas:
-            state = initial
-            for k in range(1, rounds + 1):
-                gamma = schedule.gammas[k - 1]
-                table = behavior(state, theta, gamma, k)
-                if is_violation(ns2_value(table)):
-                    violating_tables.append(table)
-                if k < rounds:
-                    state = luders_update(state, theta, gamma)
+        for k, tables in enumerate(run_stack(initial, thetas, schedule, rounds), start=1):
+            for probs, value in zip(tables, ns2_values(tables)):
+                if is_violation(value):
+                    violating_tables.append(BehaviorTable(probs, k))
     assert len(violating_tables) == 360
     for table in violating_tables:
         result = lp_feasible(table, vertices)

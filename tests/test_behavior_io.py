@@ -88,3 +88,15 @@ def test_import_rejects_wrong_shape(tmp_path):
     path.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError, match="probs"):
         import_behavior(str(path))
+
+
+def test_import_non_finite_entry_named(tmp_path):
+    path = tmp_path / "table.json"
+    for key, value in (("000;000", float("nan")), ("011;101", float("nan")),
+                       ("110;010", float("inf")), ("111;111", float("nan"))):
+        export_behavior(ghz_table(), str(path))
+        data = json.loads(path.read_text())
+        data["probs"][key] = value
+        path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
+        with pytest.raises(ValueError, match=rf"{path}: probability \({key}\) is not finite"):
+            import_behavior(str(path))

@@ -222,6 +222,40 @@ def test_cli_certify_table_refuses_signaling(tmp_path, capsys):
     assert "varies by" in err
 
 
+def test_cli_certify_table_refuses_nan(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 0.5), str(path))
+    data = json.loads(path.read_text())
+    data["probs"]["101;011"] = float("nan")
+    path.write_text(json.dumps(data))
+    code = main(["--certify-table", str(path), "--out-json", str(tmp_path / "verdict.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "(101;011)" in err
+    assert not (tmp_path / "verdict.json").exists()
+
+
+def test_cli_exits_cleanly_on_lp_failure(tmp_path, capsys, monkeypatch):
+    from nsshare import simplex
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("simplex did not terminate within 0 iterations")
+
+    monkeypatch.setattr(simplex, "solve", failing)
+    path = tmp_path / "table.json"
+    export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0), str(path))
+    assert main(["--certify-table", str(path)]) == 1
+    assert main(["--n", "1", "--certify"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: simplex did not terminate") == 2
+
+
+def test_cli_refuses_theta_axis_touching_zero(capsys):
+    code = main(["--n", "2", "--sweep-theta", "0:pi/2:0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: theta must lie in (0, pi/2), got 0.0\n"
+
+
 def test_cli_reports_config_errors(capsys):
     code = main(["--delta", "nonsense"])
     assert code == 1

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from nsshare.engine import (
+    TABLE_KEYS,
     BehaviorTable,
     SequentialScenario,
     behavior,
     luders_update,
     no_signaling_residual,
     run_sequence,
+    run_stack,
 )
+from nsshare.inequality import ns2_value, ns2_values
 from nsshare.linalg import PAULI_X, kron
 from nsshare.measurements import gamma_sequence
 from nsshare.states import TripartiteState, build_gghz, expectation, maximally_mixed
@@ -164,6 +167,42 @@ def test_scenario_rejects_bad_theta():
             SequentialScenario(build_gghz(np.pi / 4), theta, schedule, 1)
 
 
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("variant", ["printed", "normalized"])
+def test_stack_equals_single_runs_bitwise(variant):
+    # a stacked run must reproduce every N=1 run exactly, not just closely:
+    # reports print values whose last bits would change under reordering
+    thetas = (1e-12, 1e-6, 0.01, 0.33, np.pi / 4, 1.3, np.pi / 2 - 1e-6, np.pi / 2 - 1e-12)
+    for delta in (0.01, 0.2825, 0.5, np.pi / 4):
+        schedule = gamma_sequence(delta, 0.001, 5, variant)
+        rounds = min(5, schedule.valid_upto)
+        for alpha in (np.pi / 8, np.pi / 4, 3 * np.pi / 8):
+            tables = list(run_stack(build_gghz(alpha), thetas, schedule, rounds))
+            assert len(tables) == rounds
+            assert all(t.shape == (len(thetas),) + (2,) * 6 for t in tables)
+            values = [ns2_values(t) for t in tables]
+            for n, theta in enumerate(thetas):
+                scenario = SequentialScenario(build_gghz(alpha), theta, schedule, rounds)
+                for k, single in enumerate(run_sequence(scenario)):
+                    assert np.array_equal(bits(tables[k][n]), bits(single.probs))
+                    assert bits(values[k][n]) == bits(ns2_value(single))
+
+
+def test_stack_refuses_theta_axis_touching_the_ends():
+    schedule = gamma_sequence(np.pi / 4, 0.001, 2)
+    state = build_gghz(np.pi / 4)
+    for thetas in ((0.0, 0.5, 1.0), (0.5, 1.0, np.pi / 2)):
+        bad = thetas[0] if thetas[0] == 0.0 else thetas[-1]
+        with pytest.raises(ValueError) as single:
+            SequentialScenario(state, bad, schedule, 2)
+        with pytest.raises(ValueError) as stacked:
+            next(run_stack(state, thetas, schedule, 2))
+        assert str(stacked.value) == str(single.value) == f"theta must lie in (0, pi/2), got {bad!r}"
+
+
 def test_alice_bob_marginals_round_invariant():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
     scenario = SequentialScenario(build_gghz(np.pi / 3), 0.9, schedule, 2)
@@ -193,6 +232,14 @@ def test_behavior_table_rejects_negative_entries():
     probs[0, 0, 0, 1, 1, 1] += 1e-3
     with pytest.raises(ValueError, match=">="):
         BehaviorTable(probs)
+
+
+def test_behavior_table_rejects_non_finite_entries():
+    for position, value in ((0, np.nan), (21, np.nan), (42, np.inf), (63, np.nan)):
+        probs = np.full(64, 0.125)
+        probs[position] = value
+        with pytest.raises(ValueError, match=rf"\({TABLE_KEYS[position]}\) must be finite"):
+            BehaviorTable.from_vector(probs)
 
 
 def test_behavior_table_rejects_bad_normalization():
