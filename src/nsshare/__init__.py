@@ -27,31 +27,16 @@ from .engine import (
 )
 from .inequality import (
     NS2_BOUND,
-    NS2Report,
     SignalingTableError,
     closed_form_ns2,
-    compare,
     correlator,
     is_violation,
     ns2_relabelings,
     ns2_value,
     ns2_values,
 )
-from .linalg import (
-    BlochEffect,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    bloch_operator,
-    effect_matrix,
-    effect_sqrt,
-    kron,
-)
 from .measurements import (
     GammaSchedule,
-    PartySetting,
-    alice_bob_setting,
     charlie_setting,
     gamma_sequence,
     validity_region,
@@ -61,7 +46,6 @@ from .states import (
     TripartiteState,
     build_gghz,
     expectation,
-    jacobi_eigenvalues,
     maximally_mixed,
     validate_density,
 )

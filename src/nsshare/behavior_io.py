@@ -8,12 +8,10 @@ shortest round-trip decimals, so export -> import -> export is byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
-from itertools import product
 
-from .engine import ENTRY_FLOOR, NORMALIZATION_ATOL, TABLE_KEYS, BehaviorTable
+from .engine import TABLE_KEYS, BehaviorTable
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -40,12 +38,13 @@ def export_behavior(table: BehaviorTable, path: str) -> None:
 
 
 def import_behavior(path: str) -> BehaviorTable:
+    """Read a table file; BehaviorTable checks the values, and errors name the file."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "probs" not in data:
         raise ValueError(f"{path}: expected an object with a 'probs' mapping")
     round_index = data.get("round", 1)
-    if not isinstance(round_index, int) or round_index < 1:
+    if isinstance(round_index, bool) or not isinstance(round_index, int) or round_index < 1:
         raise ValueError(f"{path}: 'round' must be a positive integer, got {round_index!r}")
     probs = data["probs"]
     if not isinstance(probs, dict):
@@ -60,19 +59,11 @@ def import_behavior(path: str) -> BehaviorTable:
         value = probs[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"{path}: probability ({key}) is not a number: {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: probability ({key}) is not finite: {value!r}")
-        if value < ENTRY_FLOOR:
-            raise ValueError(f"{path}: probability ({key}) = {value!r} is negative")
-        values.append(float(value))
-
-    # locate the first non-normalized block before handing off to the table type
-    for x, y, z in product((0, 1), repeat=3):
-        offset = (4 * x + 2 * y + z) * 8
-        block_sum = sum(values[offset:offset + 8])
-        if abs(block_sum - 1.0) > NORMALIZATION_ATOL:
-            raise ValueError(
-                f"{path}: block (xyz)=({x}{y}{z}) sums to {block_sum!r}, expected 1"
-            )
-    table = BehaviorTable.from_vector(values, round_index=round_index)
-    return table
+        try:
+            values.append(float(value))
+        except OverflowError:  # an integer literal beyond the float range
+            raise ValueError(f"{path}: probability ({key}) is too large for a float") from None
+    try:
+        return BehaviorTable.from_vector(values, round_index=round_index)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import simplex
 from .engine import NO_SIGNALING_ATOL, BehaviorTable, no_signaling_residual
-from .inequality import SignalingTableError
+from .inequality import is_violation, ns2_relabelings
 
 RESIDUAL_ATOL = 1e-9
 
@@ -62,9 +62,6 @@ class VertexSet:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def table(self, index: int) -> BehaviorTable:
-        return BehaviorTable.from_vector(self.vectors[index])
 
 
 def _bipartite_boxes() -> list[tuple[str, int, np.ndarray]]:
@@ -172,35 +169,41 @@ def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None) -> De
 
     Feasible: returns the mixture weights and their reconstruction residual
     (< 1e-9).  Infeasible: reports the minimal achievable max-abs residual so
-    near-boundary verdicts stay auditable.
+    near-boundary verdicts stay auditable.  The inequality under its 8 outcome
+    relabelings is a set of facets of the polytope, so a table that violates
+    any of them is infeasible without the feasibility LP, and its certificate
+    names the relabeling.  A signaling table raises SignalingTableError.
     """
     if vertex_set is None:
         vertex_set = hybrid_vertices()
-    report = check_no_signaling(table)
-    if not report.passed:
-        raise SignalingTableError(report.residual, report.worst_marginal)
-
+    relabelings = ns2_relabelings(table)
     target = table.as_vector()
-    n = len(vertex_set)
-    a_eq = np.vstack([vertex_set.vectors.T, np.ones((1, n))])
-    b_eq = np.append(target, 1.0)
-    result = simplex.solve(np.zeros(n), a_eq=a_eq, b_eq=b_eq, tol=RESIDUAL_ATOL)
-
-    if result.status == "optimal":
-        weights = result.x
-        residual = _reconstruction_residual(vertex_set, weights, target)
-        if residual < RESIDUAL_ATOL:
-            groups = _group_weights(weights, vertex_set)
-            certificate = (
-                f"nonsignal-local: decomposition with residual {residual:.3e}; "
-                + ", ".join(f"{k} mass {v:.6f}" for k, v in groups.items())
-            )
-            return DecompositionResult(True, weights, residual, certificate, groups)
+    worst = int(np.argmax(relabelings))
+    if is_violation(relabelings[worst]):
+        flipped = ",".join(party for party, bit in zip("abc", f"{worst:03b}") if bit == "1")
+        reason = (f"relabeling {'flip ' + flipped if flipped else 'identity'} gives "
+                  f"NS2 = {relabelings[worst]:.12g} > 3")
+    else:
+        n = len(vertex_set)
+        a_eq = np.vstack([vertex_set.vectors.T, np.ones((1, n))])
+        b_eq = np.append(target, 1.0)
+        result = simplex.solve(np.zeros(n), a_eq=a_eq, b_eq=b_eq, tol=RESIDUAL_ATOL)
+        if result.status == "optimal":
+            weights = result.x
+            residual = _reconstruction_residual(vertex_set, weights, target)
+            if residual < RESIDUAL_ATOL:
+                groups = _group_weights(weights, vertex_set)
+                certificate = (
+                    f"nonsignal-local: decomposition with residual {residual:.3e}; "
+                    + ", ".join(f"{k} mass {v:.6f}" for k, v in groups.items())
+                )
+                return DecompositionResult(True, weights, residual, certificate, groups)
+        reason = f"no decomposition within {RESIDUAL_ATOL}"
 
     min_residual, weights = _min_linf_residual(vertex_set, target)
     residual = _reconstruction_residual(vertex_set, weights, target)
     certificate = (
-        f"genuinely nonsignal nonlocal: no decomposition within {RESIDUAL_ATOL}; "
+        f"genuinely nonsignal nonlocal: {reason}; "
         f"minimal max-abs residual {min_residual:.6e}"
     )
     return DecompositionResult(False, weights, residual, certificate,

@@ -73,6 +73,9 @@ def parse_sweep(value) -> tuple[float, float, float] | None:
         if len(parts) != 3:
             raise ConfigError(f"sweep spec must be start:stop:step, got {value!r}")
         start, stop, step = (parse_angle(p) for p in parts)
+    for name, bound in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"sweep {name} must be finite, got {bound!r} in {value!r}")
     if step <= 0:
         raise ConfigError(f"sweep step must be positive, got {step!r}")
     if stop < start:
@@ -110,6 +113,9 @@ class ExperimentConfig:
     out_json: str | None = None
 
     def validate(self) -> None:
+        for name in ("alpha", "theta", "delta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n!r}")
         if self.epsilon <= 0:
@@ -185,8 +191,11 @@ def _bool(value) -> str:
     return "true" if value else "false"
 
 
-def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float):
-    """Schedule for one variant; --auto-delta replaces delta by the search result."""
+def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, rounds: int):
+    """Schedule for one variant; --auto-delta replaces delta by the search result.
+
+    Refuses a schedule whose valid prefix is shorter than rounds.
+    """
     if config.auto_delta:
         delta = validity_region(config.n, config.epsilon, variant)
         if delta is None:
@@ -194,6 +203,12 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float):
                 f"auto_delta: no valid delta exists for n={config.n} ({variant})"
             )
     schedule = gamma_sequence(delta, config.epsilon, config.n, variant)
+    if schedule.valid_upto < rounds:
+        raise ConfigError(
+            f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]:.6f} "
+            f"leaves [0, 1] at delta={delta:.6g} ({variant}); valid_upto={schedule.valid_upto}. "
+            f"Reduce --n or pass --auto-delta."
+        )
     return delta, schedule
 
 
@@ -257,14 +272,7 @@ def _run_point(config: ExperimentConfig) -> tuple[list[str], dict]:
     csv_lines = []
     variants_summary = {}
     for variant in config.variants:
-        delta, schedule = _resolve_schedule(config, variant, config.delta)
-        if schedule.valid_upto < config.n:
-            bad = schedule.gammas[-1]
-            raise ConfigError(
-                f"schedule truncated: gamma_{len(schedule.gammas)} = {bad:.6f} leaves "
-                f"[0, 1] at delta={delta:.6g} ({variant}); valid_upto={schedule.valid_upto}. "
-                f"Reduce --n or pass --auto-delta."
-            )
+        delta, schedule = _resolve_schedule(config, variant, config.delta, config.n)
         rows = next(_round_rows(config, schedule, (config.theta,), config.alpha, config.n))
         csv_lines.extend(_csv_line(row) for row in rows)
         violating = [row["k"] for row in rows if row["violated"]]
@@ -298,7 +306,8 @@ def _run_sweep(config: ExperimentConfig) -> tuple[list[str], dict]:
         max_ns2 = None
         max_violating = None
         for delta in deltas:
-            resolved_delta, schedule = _resolve_schedule(config, variant, delta)
+            # a sweep row runs the schedule's valid rounds, but at least one
+            resolved_delta, schedule = _resolve_schedule(config, variant, delta, 1)
             rounds = min(config.n, schedule.valid_upto)
             # one engine stack per (delta, variant, alpha) row, over the theta axis
             stacks = [_round_rows(config, schedule, thetas, alpha, rounds) for alpha in alphas]

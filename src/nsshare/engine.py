@@ -23,8 +23,7 @@ from itertools import product
 
 import numpy as np
 
-# charlie_setting stays importable from here: perfbench/layers.py wraps engine.charlie_setting
-from .measurements import GammaSchedule, alice_bob_setting, charlie_setting, charlie_stacks  # noqa: F401
+from .measurements import IDENTITY_2, GammaSchedule, charlie_setting
 from .states import TripartiteState, check_densities
 
 ENTRY_FLOOR = -1e-12
@@ -36,16 +35,12 @@ IMAGINARY_ATOL = 1e-10
 TABLE_KEYS = tuple(f"{x}{y}{z};{a}{b}{c}" for x, y, z, a, b, c in product((0, 1), repeat=6))
 
 
-def _ab_stack() -> np.ndarray:
-    stack = np.empty((2, 2, 2, 2), dtype=complex)
-    for x in (0, 1):
-        m0, m1 = alice_bob_setting("A", x).matrices()
-        stack[x, 0] = m0
-        stack[x, 1] = m1
-    return stack
-
-
-_AB_EFFECTS = _ab_stack()  # identical for Alice and Bob
+_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+# X_{a|x} = (I +- sigma)/2 with sigma_3 for x = 0 and sigma_1 for x = 1, indexed
+# [x, a, i, j]; Alice and Bob measure alike
+_AB_EFFECTS = np.array([[(IDENTITY_2 + _SIGMA_Z) / 2, (IDENTITY_2 - _SIGMA_Z) / 2],
+                        [(IDENTITY_2 + _SIGMA_X) / 2, (IDENTITY_2 - _SIGMA_X) / 2]])
 
 # all indices but the stack's n are binary, so the unoptimized kernel (4096
 # terms per table) beats einsum's path machinery
@@ -56,24 +51,29 @@ def _check_tables(probs: np.ndarray) -> None:
     """BehaviorTable's checks on a stack of shape (N, 2, 2, 2, 2, 2, 2).
 
     Entries must be finite and >= ENTRY_FLOOR, and every (x, y, z) block must
-    sum to 1.  Raises for the first table that fails.
+    sum to 1.  Raises for the first table that fails, naming the entry or block
+    by its "xyz;abc" key.
     """
     flat = probs.reshape(len(probs), 64)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        n, i = np.argwhere(~finite)[0]
-        raise ValueError(f"behavior entry ({TABLE_KEYS[i]}) must be finite, got {flat[n, i]!r}")
-    mins = flat.min(axis=1)
-    low = mins < ENTRY_FLOOR
+    infinite = ~np.isfinite(flat)
+    if infinite.any():
+        n, i = np.argwhere(infinite)[0]
+        raise ValueError(
+            f"behavior entry ({TABLE_KEYS[i]}) must be finite, got {float(flat[n, i])!r}"
+        )
+    low = flat < ENTRY_FLOOR
     if low.any():
-        raise ValueError(f"behavior entries must be >= {ENTRY_FLOOR}, min is {mins[low.argmax()]!r}")
-    sums = probs.sum(axis=(4, 5, 6))
-    deviation = np.abs(sums - 1.0)
-    off = deviation.reshape(len(probs), 8).max(axis=1) > NORMALIZATION_ATOL
+        n, i = np.argwhere(low)[0]
+        raise ValueError(
+            f"behavior entry ({TABLE_KEYS[i]}) must be >= {ENTRY_FLOOR}, got {float(flat[n, i])!r}"
+        )
+    sums = probs.sum(axis=(4, 5, 6)).reshape(len(probs), 8)
+    off = np.abs(sums - 1.0) > NORMALIZATION_ATOL
     if off.any():
-        n = off.argmax()
-        worst = np.unravel_index(np.argmax(deviation[n]), sums[n].shape)
-        raise ValueError(f"block (x,y,z)={worst} sums to {sums[n][worst]!r}, expected 1")
+        n, block = np.argwhere(off)[0]
+        raise ValueError(
+            f"block ({TABLE_KEYS[8 * block][:3]};abc) sums to {float(sums[n, block])!r}, expected 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def luders_update(state: TripartiteState, theta: float, gamma_k: float) -> Tripa
     """One Charlie round averaged over his uniformly random input choice."""
     if not isinstance(state, TripartiteState):
         raise TypeError("luders_update expects a TripartiteState")
-    _, roots = charlie_stacks((theta,), gamma_k)
+    _, roots = charlie_setting((theta,), gamma_k)
     return TripartiteState(_luders_stack(state.rho[None], roots)[0], label=state.label)
 
 
@@ -193,7 +193,7 @@ def behavior(state: TripartiteState, theta: float, gamma_k: float,
     """Full behavior P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})]."""
     if not isinstance(state, TripartiteState):
         raise TypeError("behavior expects a TripartiteState")
-    effects, _ = charlie_stacks((theta,), gamma_k)
+    effects, _ = charlie_setting((theta,), gamma_k)
     return BehaviorTable(_behavior_stack(state.rho[None], effects)[0], round_index)
 
 
@@ -235,7 +235,7 @@ def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
     _check_run(thetas, schedule, rounds)
     rhos = np.repeat(initial.rho[None], len(thetas), axis=0)
     for k in range(rounds):
-        effects, roots = charlie_stacks(thetas, schedule.gammas[k])
+        effects, roots = charlie_setting(thetas, schedule.gammas[k])
         tables = np.ascontiguousarray(_behavior_stack(rhos, effects))
         _check_tables(tables)
         yield tables

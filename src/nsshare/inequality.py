@@ -1,4 +1,4 @@
-"""The five-correlator inequality, its closed forms, and the oracle-vs-formula audit.
+"""The five-correlator inequality, its outcome relabelings and its closed forms.
 
 The inequality reads
 
@@ -12,19 +12,11 @@ that precondition is therefore checked, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .engine import (
-    NO_SIGNALING_ATOL,
-    BehaviorTable,
-    SequentialScenario,
-    no_signaling_residual,
-    no_signaling_residuals,
-    run_sequence,
-)
+from .engine import NO_SIGNALING_ATOL, BehaviorTable, no_signaling_residual, no_signaling_residuals
 
 NS2_BOUND = 3.0
 VIOLATION_GUARD = 1e-12
@@ -80,8 +72,17 @@ def _correlators(probs: np.ndarray, gather: tuple[tuple, np.ndarray]) -> np.ndar
     return blocks.reshape(len(probs), len(signs), 8).sum(axis=2)
 
 
-_NS2_TERMS = _gather((("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
-                      ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1))))
+_NS2_CORRELATORS = (("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
+                    ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1)))
+_NS2_TERMS = _gather(_NS2_CORRELATORS)
+# Flipping a party's outcomes negates every correlator that party is in, so the
+# inequality under the outcome flips (flip_a, flip_b, flip_c), in product order,
+# is row r of this matrix applied to the five correlators.
+_RELABELING_SIGNS = np.array([
+    [sign * (-1.0) ** sum(flips["ABC".index(p)] for p in parties)
+     for sign, (parties, _) in zip((1.0, 1.0, 1.0, -1.0, 1.0), _NS2_CORRELATORS)]
+    for flips in product((0, 1), repeat=3)
+])
 
 
 def correlator(table: BehaviorTable, parties: str, inputs) -> float:
@@ -127,13 +128,14 @@ def is_violation(value: float) -> bool:
 def ns2_relabelings(table: BehaviorTable) -> np.ndarray:
     """The inequality value under all 8 per-party outcome relabelings.
 
+    Entry r is the value on the table with outcomes flipped as in row r of
+    product((False, True), repeat=3) over (a, b, c); entry 0 is ns2_value.
     The hybrid polytope is closed under outcome flips, so each relabeled value
     obeys the same bound; exceeding 3 in any of them rules membership out.
     """
-    values = []
-    for flip_a, flip_b, flip_c in product((False, True), repeat=3):
-        values.append(ns2_value(table.flip_outcomes(flip_a, flip_b, flip_c)))
-    return np.array(values)
+    _require_no_signaling(table)
+    correlators = _correlators(table.probs[None], _NS2_TERMS)[0]
+    return (_RELABELING_SIGNS * correlators).sum(axis=1)
 
 
 def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:
@@ -143,7 +145,7 @@ def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:
     k >= 2: 1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
 
     Exact at t = pi/4; away from it the true value picks up cos(2t) cross
-    terms that this form omits (compare() reports the difference).
+    terms that this form omits (run reports record the difference).
     """
     gammas = tuple(float(g) for g in gammas)
     if k < 1 or k > len(gammas):
@@ -158,43 +160,3 @@ def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:
     for g in used[:-1]:
         prod *= 1.0 + np.sqrt((1.0 - g) * (1.0 + g))
     return float(1.0 + base * (prod + used[-1]) / 2.0 ** (k - 1))
-
-
-@dataclass(frozen=True)
-class NS2Report:
-    """Side-by-side engine value and closed-form value for one round."""
-
-    round_index: int
-    oracle_value: float
-    closed_form_value: float
-    params: dict
-    violated: bool = field(init=False)
-    discrepancy: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "violated", is_violation(self.oracle_value))
-        object.__setattr__(
-            self, "discrepancy", abs(self.oracle_value - self.closed_form_value)
-        )
-
-
-def compare(k: int, scenario: SequentialScenario, alpha: float) -> NS2Report:
-    """Audit round k: exact engine value vs the closed form, both recorded.
-
-    alpha is the initial-state parameter used by the closed form; the
-    discrepancy is reported, never asserted to vanish away from theta = pi/4.
-    """
-    if not 1 <= k <= scenario.rounds:
-        raise ValueError(f"k must lie in 1..{scenario.rounds}, got {k!r}")
-    tables = run_sequence(scenario)
-    oracle = ns2_value(tables[k - 1])
-    gammas = scenario.schedule.gammas
-    closed = closed_form_ns2(k, alpha, scenario.theta, gammas)
-    params = {
-        "alpha": float(alpha),
-        "theta": float(scenario.theta),
-        "delta": scenario.schedule.delta,
-        "epsilon": scenario.schedule.epsilon,
-        "gammas": tuple(gammas[:k]),
-    }
-    return NS2Report(k, oracle, closed, params)

@@ -1,4 +1,4 @@
-"""Measurement strategy: party settings, the sharpness schedule and its validity region.
+"""Measurement strategy: Charlie's effects, the sharpness schedule and its validity region.
 
 Alice and Bob always measure sharply (sigma_3 for input 0, sigma_1 for input 1).
 The k-th Charlie measures sharply along (-sin t, 0, cos t) for input 0 and
@@ -9,11 +9,10 @@ the number of rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import IDENTITY_2, BlochEffect, effect_matrix, sqrt_coefficients
 
 RECURSION_VARIANTS = ("printed", "normalized")
 
@@ -23,51 +22,29 @@ BISECTION_RESOLUTION = 1e-6
 # physically meaningful schedule is far above it
 DELTA_SEARCH_FLOOR = 1e-300
 
-
-@dataclass(frozen=True)
-class PartySetting:
-    """One party's two-outcome measurement for a single input choice."""
-
-    party: str
-    input: int
-    effects: tuple[BlochEffect, BlochEffect]
-
-    def __post_init__(self):
-        if self.party not in ("A", "B", "C"):
-            raise ValueError(f"party must be one of A, B, C, got {self.party!r}")
-        if self.input not in (0, 1):
-            raise ValueError(f"input must be a bit, got {self.input!r}")
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        return effect_matrix(self.effects[0]), effect_matrix(self.effects[1])
+IDENTITY_2 = np.eye(2, dtype=complex)
+IDENTITY_2.setflags(write=False)
 
 
-def alice_bob_setting(party: str, input_bit: int) -> PartySetting:
-    """Sharp sigma_3 (input 0) or sigma_1 (input 1) measurement for A or B."""
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be A or B, got {party!r}")
-    direction = (0.0, 0.0, 1.0) if input_bit == 0 else (1.0, 0.0, 0.0)
-    outcome0 = BlochEffect(direction, 1.0)
-    return PartySetting(party, input_bit, (outcome0, outcome0.complement()))
+def sqrt_coefficients(gamma: float) -> tuple[float, float]:
+    """(a, b) with sqrt((I + gamma n.sigma) / 2) = a*I + b*(n.sigma), for every unit n.
+
+    The effect has eigenvalues (1 +- gamma)/2 on the +-n eigenspaces, so its
+    principal root has a = (sqrt((1+g)/2) + sqrt((1-g)/2)) / 2 and
+    b = (sqrt((1+g)/2) - sqrt((1-g)/2)) / 2.
+    """
+    hi = math.sqrt((1 + gamma) / 2)
+    lo = math.sqrt((1 - gamma) / 2)
+    return (hi + lo) / 2, (hi - lo) / 2
 
 
-def charlie_setting(theta: float, gamma_k: float, input_bit: int) -> PartySetting:
-    """Charlie's sharp (input 0) or gamma_k-unsharp (input 1) measurement."""
-    if not 0.0 <= gamma_k <= 1.0:
-        raise ValueError(f"gamma_k must lie in [0, 1], got {gamma_k!r}")
-    if input_bit == 0:
-        outcome0 = BlochEffect((-np.sin(theta), 0.0, np.cos(theta)), 1.0)
-    else:
-        outcome0 = BlochEffect((np.sin(theta), 0.0, np.cos(theta)), gamma_k)
-    return PartySetting("C", input_bit, (outcome0, outcome0.complement()))
+def charlie_setting(thetas, gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Charlie's effects F_{c|z} = (I +- gamma_z n_z.sigma) / 2 and their square roots.
 
-
-def charlie_stacks(thetas, gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Charlie's effects F_{c|z} and their square roots for a vector of angles.
-
-    Both arrays have shape (N, 2, 2, 2, 2), indexed [n, z, c, i, j].  Entry for
-    entry the arithmetic is that of charlie_setting with effect_matrix and
-    effect_sqrt, so every matrix equals its single-angle counterpart bit for bit.
+    gamma_0 = 1 (sharp) and gamma_1 = gamma_k; n_z is the input's direction.
+    Both arrays have shape (N, 2, 2, 2, 2) for N angles, indexed [n, z, c, i, j].
+    Each angle's entries are computed independently of the others, so a matrix
+    is the same bit for bit whichever stack of angles it comes from.
     """
     if not 0.0 <= gamma_k <= 1.0:
         raise ValueError(f"gamma_k must lie in [0, 1], got {gamma_k!r}")

@@ -73,45 +73,6 @@ def maximally_mixed(label: str = "mixed") -> TripartiteState:
     return TripartiteState(np.eye(DIM, dtype=complex) / DIM, label=label)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Each rotation G differs from the identity only in the (p, q) plane:
-    G[pp] = G[qq] = c, G[pq] = s*phase, G[qp] = -s*conj(phase), chosen to zero
-    A[p, q].  Returns eigenvalues sorted ascending.
-    """
-    a = np.array(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > 1e-9:
-        raise ValueError("Jacobi diagonalization requires a Hermitian matrix")
-    n = a.shape[0]
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r <= tol / (n * n):
-                    continue
-                phase = a[p, q] / r
-                tau = (a[q, q].real - a[p, p].real) / (2 * r)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- G^H A G via targeted column and row updates
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-    return np.sort(a.diagonal().real)
-
-
 def validate_density(state_or_matrix) -> DensityReport:
     """Report trace, Hermiticity and minimum-eigenvalue deviations.
 
@@ -123,7 +84,7 @@ def validate_density(state_or_matrix) -> DensityReport:
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
     hermitized = (rho + rho.conj().T) / 2
-    min_eig = float(jacobi_eigenvalues(hermitized)[0])
+    min_eig = float(np.linalg.eigvalsh(hermitized)[0])
     passed = (
         trace_dev <= TRACE_ATOL
         and herm_dev <= HERMITIAN_ATOL

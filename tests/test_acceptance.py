@@ -24,7 +24,6 @@ from nsshare.engine import (
 )
 from nsshare.inequality import (
     closed_form_ns2,
-    compare,
     is_violation,
     ns2_relabelings,
     ns2_value,
@@ -97,25 +96,24 @@ def test_criterion_03_two_round_violation_point():
 
 
 def test_criterion_04_closed_form_audit():
-    schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-
     exact = []
     for k in (1, 2):
-        scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, k)
-        report = compare(k, scenario, np.pi / 4)
-        assert report.discrepancy < 1e-10
-        exact.append(report.discrepancy)
+        summary = run_experiment(ExperimentConfig(n=k, epsilon=0.001))
+        row = summary["variants"]["printed"]["rounds"][k - 1]
+        assert row["discrepancy"] < 1e-10
+        exact.append(row["discrepancy"])
 
-    scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 8, schedule, 2)
-    report = compare(2, scenario, np.pi / 4)
+    summary = run_experiment(ExperimentConfig(n=2, theta=np.pi / 8, epsilon=0.001))
+    row = summary["variants"]["printed"]["rounds"][1]
     # away from theta = pi/4 the closed form misses the cross terms: the gap is
     # real, reported with both values, and never asserted away
-    assert report.discrepancy > 1e-3
-    assert abs(report.discrepancy - 0.19313331657754458) < 1e-9
-    assert abs(report.oracle_value - 3.04149237884597084) < 1e-9
-    assert abs(report.closed_form_value - 2.84835906226842626) < 1e-9
+    assert row["discrepancy"] > 1e-3
+    assert abs(row["discrepancy"] - 0.19313331657754458) < 1e-9
+    assert abs(row["ns2_oracle"] - 3.04149237884597084) < 1e-9
+    assert abs(row["ns2_closed_form"] - 2.84835906226842626) < 1e-9
+    assert row["violated"]
     _passed(4, f"closed form exact at theta=pi/4 (gaps {exact[0]:.1e}, {exact[1]:.1e}); "
-               f"theta=pi/8 gap {report.discrepancy:.6f} logged with both values")
+               f"theta=pi/8 gap {row['discrepancy']:.6f} logged with both values")
 
 
 def test_criterion_05_validity_region_property():
@@ -145,7 +143,7 @@ def test_criterion_06_certifier_soundness_suite():
     assert len(vertices) == 288
 
     for i in range(len(vertices)):
-        result = lp_feasible(vertices.table(i), vertices)
+        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]), vertices)
         assert result.feasible and result.residual < 1e-9, i
 
     uniform = BehaviorTable(np.full((2, 2, 2, 2, 2, 2), 0.125))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ def test_import_non_normalized_block_located(tmp_path):
     data = json.loads(path.read_text())
     data["probs"]["101;000"] += 0.25
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"block \(xyz\)=\(101\)"):
+    pattern = rf"^{re.escape(str(path))}: block \(101;abc\) sums to 1\.25"
+    with pytest.raises(ValueError, match=pattern):
         import_behavior(str(path))
 
 
@@ -69,7 +71,8 @@ def test_import_negative_entry_named(tmp_path):
     other = "000;111"
     data["probs"][other] += 0.5
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match=r"\(000;000\).*negative"):
+    pattern = rf"^{re.escape(str(path))}: behavior entry \(000;000\) must be >= "
+    with pytest.raises(ValueError, match=pattern):
         import_behavior(str(path))
 
 
@@ -80,6 +83,16 @@ def test_import_rejects_non_numeric(tmp_path):
     data["probs"]["000;000"] = "big"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="not a number"):
+        import_behavior(str(path))
+
+
+def test_import_rejects_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "table.json"
+    export_behavior(ghz_table(), str(path))
+    data = json.loads(path.read_text())
+    data["probs"]["000;001"] = 10 ** 400
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"probability \(000;001\) is too large for a float"):
         import_behavior(str(path))
 
 
@@ -98,5 +111,17 @@ def test_import_non_finite_entry_named(tmp_path):
         data = json.loads(path.read_text())
         data["probs"][key] = value
         path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
-        with pytest.raises(ValueError, match=rf"{path}: probability \({key}\) is not finite"):
+        pattern = rf"^{re.escape(str(path))}: behavior entry \({key}\) must be finite"
+        with pytest.raises(ValueError, match=pattern):
+            import_behavior(str(path))
+
+
+def test_import_rejects_boolean_round(tmp_path):
+    path = tmp_path / "table.json"
+    export_behavior(ghz_table(), str(path))
+    data = json.loads(path.read_text())
+    for value in (True, False):
+        data["round"] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=rf"'round' must be a positive integer, got {value}"):
             import_behavior(str(path))

@@ -1,0 +1,30 @@
+"""The benchmark's per-layer tracer wraps package attributes by name.
+
+perfbench/layers.py lists them in TARGETS; a target that no longer resolves
+is silently left unwrapped, so a refactor of src/ must keep every one.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+TARGETS = load_targets()
+
+
+@pytest.mark.parametrize("module_name, attribute", [(m, a) for m, a, _ in TARGETS],
+                         ids=[f"{m}.{a}" for m, a, _ in TARGETS])
+def test_bench_target_resolves(module_name, attribute):
+    assert callable(getattr(importlib.import_module(module_name), attribute, None))
+

@@ -9,7 +9,7 @@ from nsshare.certifier import (
     lp_feasible,
 )
 from nsshare.engine import BehaviorTable, SequentialScenario, behavior, run_sequence
-from nsshare.inequality import SignalingTableError, ns2_value
+from nsshare.inequality import SignalingTableError, is_violation, ns2_relabelings, ns2_value
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
 
@@ -43,8 +43,8 @@ def test_vertex_provenance_structure():
 
 def test_vertices_normalized_and_nonsignaling_exactly():
     vertices = hybrid_vertices()
-    for i in range(len(vertices)):
-        table = vertices.table(i)
+    for vector in vertices.vectors:
+        table = BehaviorTable.from_vector(vector)
         sums = table.probs.sum(axis=(3, 4, 5))
         assert np.array_equal(sums, np.ones((2, 2, 2)))
         report = check_no_signaling(table)
@@ -96,7 +96,7 @@ def test_check_no_signaling_uniform():
 def test_every_vertex_self_feasible():
     vertices = hybrid_vertices()
     for i in (0, 17, 42, 95, 96, 160, 191, 192, 230, 287):
-        result = lp_feasible(vertices.table(i), vertices)
+        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]), vertices)
         assert result.feasible
         assert result.residual < 1e-12
         # the recovered mixture concentrates on copies of the same vertex
@@ -153,6 +153,40 @@ def test_mixture_crossing_the_boundary():
         table = BehaviorTable(lam * sharp + (1 - lam) * uniform)
         result = lp_feasible(table)
         assert result.feasible is expected, (lam, result.residual)
+
+
+@pytest.mark.parametrize("distance", [1e-10, 2e-10])
+def test_violation_just_above_the_bound_is_infeasible(distance):
+    # at these distances the feasibility LP alone accepts the mixture with a
+    # weight of about -distance / 4; the violated inequality must decide it
+    sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
+    lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
+    table = BehaviorTable(lam * sharp + (1 - lam) * np.full((2, 2, 2, 2, 2, 2), 0.125))
+    assert is_violation(ns2_value(table))
+    result = lp_feasible(table)
+    assert not result.feasible
+    assert result.certificate.startswith("genuinely nonsignal nonlocal: relabeling identity "
+                                         f"gives NS2 = {ns2_value(table):.12g} > 3")
+    # an outcome-flipped copy violates only its own relabeling, which is named
+    flipped = table.flip_outcomes(flip_a=True, flip_c=True)
+    assert not is_violation(ns2_value(flipped))
+    assert is_violation(ns2_relabelings(flipped)[5])
+    result = lp_feasible(flipped)
+    assert not result.feasible
+    assert "relabeling flip a,c gives NS2" in result.certificate
+
+
+def test_input_relabeled_ghz_table_needs_the_lp():
+    # with Bob's inputs swapped the sharp GHZ table obeys all 8 outcome
+    # relabelings of the inequality, yet lies outside the polytope: the
+    # feasibility LP alone must find that
+    probs = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs[:, ::-1]
+    table = BehaviorTable(probs.copy())
+    assert ns2_relabelings(table).max() < 3.0
+    result = lp_feasible(table)
+    assert not result.feasible
+    assert "no decomposition within" in result.certificate
+    assert not scipy_member(table.as_vector(), hybrid_vertices())
 
 
 def test_feasibility_matches_scipy_on_random_mixtures(rng):

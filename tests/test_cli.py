@@ -55,6 +55,24 @@ def test_parse_sweep():
         parse_sweep("0.1:0.3:0")
 
 
+def test_parse_sweep_refuses_non_finite_bounds():
+    for spec, field in (("0.1:0.3:nan", "step"), ("0.1:inf:0.1", "stop"),
+                        ("-inf:0.3:0.1", "start"), ("nan:nan:nan", "start"),
+                        ((0.1, 0.3, float("inf")), "step")):
+        with pytest.raises(ConfigError, match=f"sweep {field} must be finite"):
+            parse_sweep(spec)
+
+
+def test_build_config_refuses_non_finite_values():
+    parser = build_parser()
+    for argv, field in ((["--epsilon", "nan"], "epsilon"), (["--alpha", "inf"], "alpha"),
+                        (["--theta", "nan"], "theta"), (["--delta=-inf"], "delta"),
+                        (["--sweep-theta", "0.1:0.3:nan"], "sweep step"),
+                        (["--sweep-delta", "0.1:inf:0.1"], "sweep stop")):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            build_config(parser.parse_args(argv))
+
+
 def test_sweep_values_grid():
     values = sweep_values((0.01, math.pi / 4, 0.01))
     assert len(values) == 78
@@ -144,6 +162,17 @@ def test_truncation_error_without_auto_delta(capsys):
     err = capsys.readouterr().err
     assert "schedule truncated" in err
     assert "auto-delta" in err or "auto_delta" in err
+
+
+def test_sweep_row_without_valid_round_reports_truncation(capsys):
+    # epsilon = 5 puts gamma_1 = 6 tan(pi/8) outside [0, 1] at delta = pi/4
+    assert main(["--epsilon", "5", "--sweep-theta", "0.1:0.3:0.1"]) == 1
+    sweep_err = capsys.readouterr().err
+    assert main(["--epsilon", "5"]) == 1
+    assert sweep_err == capsys.readouterr().err == (
+        "error: schedule truncated: gamma_1 = 2.485281 leaves [0, 1] at delta=0.785398 "
+        "(printed); valid_upto=0. Reduce --n or pass --auto-delta.\n"
+    )
 
 
 def test_auto_delta_keeps_schedule_valid(tmp_path):

@@ -12,11 +12,10 @@ from nsshare.engine import (
     run_stack,
 )
 from nsshare.inequality import ns2_value, ns2_values
-from nsshare.linalg import PAULI_X, kron
 from nsshare.measurements import gamma_sequence
 from nsshare.states import TripartiteState, build_gghz, expectation, maximally_mixed
 
-from conftest import bf_behavior, bf_luders, random_density
+from conftest import SX, bf_behavior, bf_luders, random_density
 
 
 def quantum_table(alpha, theta, gamma):
@@ -105,7 +104,7 @@ def test_luders_xxx_shrink_matches_heisenberg_form():
     theta = np.pi / 4
     gamma = gamma_sequence(np.pi / 4, 0.001, 1).gammas[0]
     state = build_gghz(np.pi / 4)
-    xxx = kron(PAULI_X, PAULI_X, PAULI_X)
+    xxx = np.kron(np.kron(SX, SX), SX)
     before = expectation(state, xxx)
     assert abs(before - 1.0) < 1e-12
     after = expectation(luders_update(state, theta, gamma), xxx)

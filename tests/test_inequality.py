@@ -1,23 +1,24 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from nsshare.certifier import hybrid_vertices
-from nsshare.engine import BehaviorTable, SequentialScenario, behavior
+from nsshare.cli import ConfigError, ExperimentConfig, run_experiment
+from nsshare.engine import BehaviorTable, behavior
 from nsshare.inequality import (
     NS2_BOUND,
     SignalingTableError,
     closed_form_ns2,
-    compare,
     correlator,
     is_violation,
     ns2_relabelings,
     ns2_value,
 )
-from nsshare.linalg import PAULI_X, kron
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz, expectation
 
-from conftest import bf_behavior, bf_ns2
+from conftest import SX, SZ, bf_behavior, bf_ns2
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -39,9 +40,9 @@ def deterministic_zero_table():
     return BehaviorTable(probs)
 
 
-def two_round_scenario(theta):
-    schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    return SequentialScenario(build_gghz(np.pi / 4), theta, schedule, 2)
+def point_rounds(**params):
+    """The per-round rows of a point run (delta = pi/4, epsilon = 0.001 unless given)."""
+    return run_experiment(ExperimentConfig(**params))["variants"]["printed"]["rounds"]
 
 
 def test_correlator_uniform_vanishes():
@@ -65,8 +66,8 @@ def test_correlator_sharp_xxx_against_trace_oracle(rng):
         theta = rng.uniform(0, np.pi / 2)
         state = build_gghz(alpha)
         table = behavior(state, theta, 1.0)
-        n1_sigma = np.sin(theta) * PAULI_X + np.cos(theta) * np.array([[1, 0], [0, -1]])
-        reference = expectation(state, kron(PAULI_X, PAULI_X, n1_sigma))
+        n1_sigma = np.sin(theta) * SX + np.cos(theta) * SZ
+        reference = expectation(state, np.kron(np.kron(SX, SX), n1_sigma))
         assert correlator(table, "ABC", (1, 1, 1)) == pytest.approx(reference, abs=1e-12)
         assert reference == pytest.approx(np.sin(2 * alpha) * np.sin(theta), abs=1e-12)
 
@@ -137,34 +138,34 @@ def test_closed_form_validates():
 
 
 def test_compare_round1_exact(rng):
-    schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     for _ in range(50):
         alpha = rng.uniform(0, np.pi / 2)
         theta = rng.uniform(0.01, np.pi / 2 - 0.01)
-        scenario = SequentialScenario(build_gghz(alpha), theta, schedule, 1)
-        report = compare(1, scenario, alpha)
-        assert report.discrepancy < 1e-10
+        (row,) = point_rounds(n=1, alpha=alpha, theta=theta)
+        assert row["discrepancy"] < 1e-10
 
 
 def test_compare_round2_exact_at_pi_quarter():
-    report = compare(2, two_round_scenario(np.pi / 4), np.pi / 4)
-    assert report.oracle_value == pytest.approx(NS2_ROUND_2, abs=1e-12)
-    assert report.discrepancy < 1e-10
-    assert report.violated
+    row = point_rounds(n=2)[1]
+    assert row["ns2_oracle"] == pytest.approx(NS2_ROUND_2, abs=1e-12)
+    assert row["discrepancy"] < 1e-10
+    assert row["violated"]
 
 
 def test_compare_round2_discrepancy_at_pi_eighth():
-    report = compare(2, two_round_scenario(np.pi / 8), np.pi / 4)
-    assert report.oracle_value == pytest.approx(NS2_ROUND_2_PI8, abs=1e-9)
-    assert report.closed_form_value == pytest.approx(CLOSED_2_PI8, abs=1e-9)
-    assert report.discrepancy == pytest.approx(DISCREPANCY_PI8, abs=1e-9)
-    assert report.params["theta"] == pytest.approx(np.pi / 8)
-    assert len(report.params["gammas"]) == 2
+    summary = run_experiment(ExperimentConfig(n=2, theta=np.pi / 8))
+    row = summary["variants"]["printed"]["rounds"][1]
+    assert row["ns2_oracle"] == pytest.approx(NS2_ROUND_2_PI8, abs=1e-9)
+    assert row["ns2_closed_form"] == pytest.approx(CLOSED_2_PI8, abs=1e-9)
+    assert row["discrepancy"] == pytest.approx(DISCREPANCY_PI8, abs=1e-9)
+    assert summary["params"]["theta"] == pytest.approx(np.pi / 8)
+    assert len(summary["variants"]["printed"]["gammas"]) == 2
 
 
 def test_compare_validates_round():
-    with pytest.raises(ValueError):
-        compare(3, two_round_scenario(np.pi / 4), np.pi / 4)
+    # delta = pi/4 keeps only gamma_1, gamma_2 in [0, 1]: a third round is refused
+    with pytest.raises(ConfigError, match="schedule truncated: gamma_3"):
+        point_rounds(n=3)
 
 
 def test_report_violation_flag_guard():
@@ -184,7 +185,7 @@ def test_ns2_linearity(rng):
 
 def test_ns2_bounded_on_vertex_mixtures(rng):
     vertices = hybrid_vertices()
-    vertex_values = np.array([ns2_value(vertices.table(i)) for i in range(len(vertices))])
+    vertex_values = np.array([ns2_value(BehaviorTable.from_vector(v)) for v in vertices.vectors])
     assert vertex_values.max() <= 3.0 + 1e-12
     for _ in range(1000):
         weights = rng.random(len(vertices))
@@ -208,4 +209,18 @@ def test_ns2_relabelings_count_and_bound(rng):
     # polytope members stay below the bound under every relabeling
     vertices = hybrid_vertices()
     for index in rng.integers(0, len(vertices), size=10):
-        assert ns2_relabelings(vertices.table(int(index))).max() <= 3.0 + 1e-12
+        vertex = BehaviorTable.from_vector(vertices.vectors[index])
+        assert ns2_relabelings(vertex).max() <= 3.0 + 1e-12
+
+
+def test_ns2_relabelings_match_flipped_tables(rng):
+    # the sign matrix gives the value of each outcome-flipped table, and entry 0
+    # is ns2_value bit for bit
+    for _ in range(25):
+        table = behavior(build_gghz(rng.uniform(0, np.pi / 2)), rng.uniform(0, np.pi / 2),
+                         rng.uniform(0, 1))
+        values = ns2_relabelings(table)
+        for r, flips in enumerate(product((False, True), repeat=3)):
+            assert values[r] == pytest.approx(ns2_value(table.flip_outcomes(*flips)), abs=1e-14)
+        assert values[0] == ns2_value(table)
+

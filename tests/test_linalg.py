@@ -1,138 +1,93 @@
+"""Qubit effect algebra: the effect and square-root arrays that charlie_setting builds.
+
+Each matrix is checked against a hand-written value or the defining
+identities of an effect and its principal root; test_measurements compares
+the effects with the trigonometric oracle in conftest.
+"""
+
 import numpy as np
 import pytest
 
-from nsshare.linalg import (
-    BlochEffect,
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    bloch_operator,
-    effect_matrix,
-    effect_sqrt,
-    kron,
-)
+from nsshare.measurements import charlie_setting
 
 from conftest import SX, SZ
 
 
-def test_kron_identity():
-    assert np.allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
+def effect(theta, gamma, z, c=0):
+    return charlie_setting((theta,), gamma)[0][0, z, c]
 
 
-def test_kron_sigma3_sigma3():
-    assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
-
-
-def test_kron_block_structure(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    out = kron(a, b)
-    assert out.shape == (8, 8)
-    for i in range(2):
-        for j in range(2):
-            assert np.allclose(out[4 * i:4 * i + 4, 4 * j:4 * j + 4], a[i, j] * b)
-
-
-def test_kron_associativity(rng):
-    for _ in range(100):
-        mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
-        left = kron(kron(mats[0], mats[1]), mats[2])
-        right = kron(mats[0], kron(mats[1], mats[2]))
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
-def test_trace_identity():
-    assert np.trace(kron(IDENTITY_2, IDENTITY_2, IDENTITY_2)) == 8
-
-
-def test_adjoint_hermitian_pauli():
-    assert np.allclose(PAULI_Y.conj().T, PAULI_Y)
-
-
-def test_pauli_orthogonality():
-    assert abs(np.trace(PAULI_X @ PAULI_Z)) < 1e-15
-
-
-def test_trace_cyclicity(rng):
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12
+def root(theta, gamma, z, c=0):
+    return charlie_setting((theta,), gamma)[1][0, z, c]
 
 
 def test_effect_matrix_projector():
-    m = effect_matrix(BlochEffect((0.0, 0.0, 1.0), 1.0))
-    assert np.allclose(m, np.diag([1.0, 0.0]))
+    assert np.allclose(effect(0.0, 0.5, 0), np.diag([1.0, 0.0]))
 
 
 def test_effect_matrix_unsharp_diagonal():
-    m = effect_matrix(BlochEffect((0.0, 0.0, 1.0), 0.6))
-    assert np.allclose(m, np.diag([0.8, 0.2]))
+    assert np.allclose(effect(0.0, 0.6, 1), np.diag([0.8, 0.2]))
 
 
 def test_effect_matrix_tilted_sharp():
-    theta = np.pi / 4
-    m = effect_matrix(BlochEffect((-np.sin(theta), 0.0, np.cos(theta)), 1.0))
     expected = (np.eye(2) + (SZ - SX) / np.sqrt(2)) / 2
-    assert np.max(np.abs(m - expected)) < 1e-15
-
-
-def test_effect_rejects_non_unit_direction():
-    with pytest.raises(ValueError, match="unit length"):
-        BlochEffect((0.0, 0.0, 0.9), 1.0)
+    assert np.max(np.abs(effect(np.pi / 4, 0.5, 0) - expected)) < 1e-15
 
 
 def test_effect_rejects_bad_sharpness():
-    with pytest.raises(ValueError, match="sharpness"):
-        BlochEffect((0.0, 0.0, 1.0), 1.2)
+    for gamma in (-0.1, 1.2):
+        with pytest.raises(ValueError, match="gamma_k must lie in"):
+            charlie_setting((0.3, 0.7), gamma)
 
 
-def test_effect_sqrt_projector_idempotent():
-    e = BlochEffect((0.0, 1.0, 0.0), 1.0)
-    assert np.allclose(effect_sqrt(e), effect_matrix(e))
+def test_effect_sqrt_projector_idempotent(rng):
+    # input 0 is sharp: its effects are projectors, so each is its own root
+    effects, roots = charlie_setting(rng.uniform(0, np.pi / 2, size=50), rng.uniform(0, 1))
+    sharp = roots[:, 0]
+    assert np.max(np.abs(sharp - effects[:, 0])) < 1e-15
+    assert np.max(np.abs(sharp @ sharp - sharp)) < 1e-15
 
 
 def test_effect_sqrt_fully_unsharp():
-    e = BlochEffect((0.0, 0.0, 1.0), 0.0)
-    assert np.allclose(effect_sqrt(e), np.eye(2) / np.sqrt(2))
+    _, roots = charlie_setting(np.linspace(0.1, 1.5, 8), 0.0)
+    assert np.allclose(roots[:, 1], np.eye(2) / np.sqrt(2))
 
 
 def test_effect_sqrt_diagonal_case():
-    e = BlochEffect((0.0, 0.0, 1.0), 0.6)
-    assert np.allclose(effect_sqrt(e), np.diag([np.sqrt(0.8), np.sqrt(0.2)]))
+    assert np.allclose(root(0.0, 0.6, 1), np.diag([np.sqrt(0.8), np.sqrt(0.2)]))
+    assert np.allclose(root(0.0, 0.6, 1, c=1), np.diag([np.sqrt(0.2), np.sqrt(0.8)]))
 
 
 def test_effect_sqrt_squares_to_effect(rng):
-    for _ in range(500):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        gamma = rng.uniform(0.0, 1.0)
-        e = BlochEffect(tuple(direction), gamma)
-        root = effect_sqrt(e)
-        assert np.max(np.abs(root @ root - effect_matrix(e))) < 1e-12
+    for gamma in rng.uniform(0.0, 1.0, size=20):
+        effects, roots = charlie_setting(rng.uniform(0, np.pi / 2, size=25), gamma)
+        assert np.max(np.abs(roots @ roots - effects)) < 1e-12
+        # the roots are the principal ones: positive semidefinite
+        assert np.linalg.eigvalsh(roots).min() >= -1e-15
 
 
 def test_effect_completeness(rng):
-    for _ in range(200):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        e = BlochEffect(tuple(direction), rng.uniform(0.0, 1.0))
-        total = effect_matrix(e) + effect_matrix(e.complement())
-        assert np.max(np.abs(total - np.eye(2))) < 1e-12
+    for gamma in rng.uniform(0.0, 1.0, size=20):
+        effects, _ = charlie_setting(rng.uniform(0, np.pi / 2, size=10), gamma)
+        # each input's two outcomes sum to I
+        assert np.max(np.abs(effects.sum(axis=2) - np.eye(2))) < 1e-12
 
 
 def test_effect_eigenvalues(rng):
     for _ in range(50):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
         gamma = rng.uniform(0.0, 1.0)
-        vals = np.linalg.eigvalsh(effect_matrix(BlochEffect(tuple(direction), gamma)))
-        assert np.allclose(np.sort(vals), [(1 - gamma) / 2, (1 + gamma) / 2])
+        effects, _ = charlie_setting((rng.uniform(0, np.pi / 2),), gamma)
+        vals = np.linalg.eigvalsh(effects[0])  # [z, c, ascending]
+        assert vals.min() >= -1e-15 and vals.max() <= 1.0 + 1e-15
+        assert np.allclose(vals[0], [[0.0, 1.0], [0.0, 1.0]])
+        assert np.allclose(vals[1], [[(1 - gamma) / 2, (1 + gamma) / 2]] * 2)
 
 
 def test_bloch_operator_is_hermitian_unit_trace_free(rng):
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    op = bloch_operator(direction)
-    assert np.max(np.abs(op - op.conj().T)) <= 1e-12
-    assert abs(np.trace(op)) < 1e-15
+    # F_{c|z} - I/2 = +-gamma_z (n_z . sigma) / 2 is Hermitian and trace-free,
+    # so every effect is Hermitian with unit trace; the roots are Hermitian too
+    effects, roots = charlie_setting(rng.uniform(0, np.pi / 2, size=25), rng.uniform(0, 1))
+    bloch = effects - np.eye(2) / 2
+    assert np.max(np.abs(bloch - bloch.conj().swapaxes(-1, -2))) <= 1e-15
+    assert np.max(np.abs(np.trace(bloch, axis1=-2, axis2=-1))) < 1e-15
+    assert np.max(np.abs(roots - roots.conj().swapaxes(-1, -2))) <= 1e-15

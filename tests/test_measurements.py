@@ -2,15 +2,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nsshare.linalg import effect_matrix
-from nsshare.measurements import (
-    alice_bob_setting,
-    charlie_setting,
-    gamma_sequence,
-    validity_region,
-)
+from nsshare.engine import _AB_EFFECTS
+from nsshare.measurements import charlie_setting, gamma_sequence, validity_region
 
-from conftest import SX, SZ
+from conftest import SX, SZ, bf_ab_effect, bf_charlie_effect
 
 # frozen from the recursion at delta=pi/4, epsilon=0.001 (cross-checked below
 # against a 60-digit evaluation of the raw formula)
@@ -46,55 +41,50 @@ def mp_gamma_sequence(delta, epsilon, n, variant="printed", dps=60):
         return [float(g) for g in gammas], valid
 
 
+def charlie_effects(theta, gamma, z):
+    effects, _ = charlie_setting((theta,), gamma)
+    return effects[0, z]
+
+
 def test_alice_setting_input0():
-    setting = alice_bob_setting("A", 0)
-    assert np.allclose(setting.matrices()[0], np.diag([1.0, 0.0]))
+    assert np.allclose(_AB_EFFECTS[0, 0], np.diag([1.0, 0.0]))
 
 
 def test_bob_setting_input1():
-    setting = alice_bob_setting("B", 1)
-    assert np.allclose(setting.matrices()[0], (np.eye(2) + SX) / 2)
+    assert np.allclose(_AB_EFFECTS[1, 0], (np.eye(2) + SX) / 2)
 
 
 def test_alice_bob_completeness():
-    for party in ("A", "B"):
-        for input_bit in (0, 1):
-            m0, m1 = alice_bob_setting(party, input_bit).matrices()
-            assert np.max(np.abs(m0 + m1 - np.eye(2))) < 1e-15
-
-
-def test_alice_bob_rejects_charlie():
-    with pytest.raises(ValueError):
-        alice_bob_setting("C", 0)
+    for input_bit in (0, 1):
+        m0, m1 = _AB_EFFECTS[input_bit]
+        assert np.max(np.abs(m0 + m1 - np.eye(2))) < 1e-15
+        for outcome in (0, 1):
+            assert np.array_equal(_AB_EFFECTS[input_bit, outcome], bf_ab_effect(input_bit, outcome))
 
 
 def test_charlie_theta_zero_sharp():
-    setting = charlie_setting(0.0, 1.0, 0)
-    assert np.allclose(setting.matrices()[0], np.diag([1.0, 0.0]))
+    assert np.allclose(charlie_effects(0.0, 1.0, 0)[0], np.diag([1.0, 0.0]))
 
 
 def test_charlie_unsharp_branch():
-    setting = charlie_setting(np.pi / 4, 1.0, 1)
     expected = (np.eye(2) + (SZ + SX) / np.sqrt(2)) / 2
-    assert np.max(np.abs(setting.matrices()[0] - expected)) < 1e-15
+    assert np.max(np.abs(charlie_effects(np.pi / 4, 1.0, 1)[0] - expected)) < 1e-15
 
 
 def test_charlie_fully_unsharp():
-    setting = charlie_setting(np.pi / 4, 0.0, 1)
-    assert np.allclose(setting.matrices()[0], np.eye(2) / 2)
+    assert np.allclose(charlie_effects(np.pi / 4, 0.0, 1)[0], np.eye(2) / 2)
 
 
 def test_charlie_sharp_branch_ignores_gamma():
     # input 0 is projective regardless of the round's sharpness
     for gamma in (0.0, 0.3, 1.0):
-        m = charlie_setting(0.7, gamma, 0).matrices()[0]
-        vals = np.sort(np.linalg.eigvalsh(m))
+        vals = np.sort(np.linalg.eigvalsh(charlie_effects(0.7, gamma, 0)[0]))
         assert np.allclose(vals, [0.0, 1.0])
 
 
 def test_charlie_rejects_bad_gamma():
     with pytest.raises(ValueError, match="gamma"):
-        charlie_setting(np.pi / 4, 1.5, 1)
+        charlie_setting((np.pi / 4,), 1.5)
 
 
 def test_charlie_completeness(rng):
@@ -102,15 +92,20 @@ def test_charlie_completeness(rng):
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
         for z in (0, 1):
-            m0, m1 = charlie_setting(theta, gamma, z).matrices()
+            m0, m1 = charlie_effects(theta, gamma, z)
             assert np.max(np.abs(m0 + m1 - np.eye(2))) < 1e-12
 
 
-def test_setting_effects_match_effect_matrix():
-    setting = charlie_setting(0.3, 0.5, 1)
-    m0, m1 = setting.matrices()
-    assert np.allclose(m0, effect_matrix(setting.effects[0]))
-    assert np.allclose(m1, effect_matrix(setting.effects[1]))
+def test_setting_effects_match_effect_matrix(rng):
+    for _ in range(20):
+        thetas = rng.uniform(0, np.pi / 2, size=6)
+        gamma = rng.uniform(0, 1)
+        effects, _ = charlie_setting(thetas, gamma)
+        for n, theta in enumerate(thetas):
+            for z in (0, 1):
+                for c in (0, 1):
+                    reference = bf_charlie_effect(theta, gamma, z, c)
+                    assert np.max(np.abs(effects[n, z, c] - reference)) < 1e-15
 
 
 def test_gamma_sequence_frozen_point():

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from nsshare.linalg import PAULI_X, PAULI_Z, kron
 from nsshare.states import (
     TripartiteState,
     build_gghz,
     expectation,
-    jacobi_eigenvalues,
     maximally_mixed,
     validate_density,
 )
 
-from conftest import bf_gghz, random_density
+from conftest import SX, SZ, bf_gghz, random_density
 
 
 def test_gghz_alpha_zero():
@@ -60,13 +58,13 @@ def test_gghz_purity(rng):
 
 
 def test_gghz_zz_correlation_is_one(rng):
-    zz1 = kron(PAULI_Z, PAULI_Z, np.eye(2))
+    zz1 = np.kron(np.kron(SZ, SZ), np.eye(2))
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
         assert abs(expectation(build_gghz(alpha), zz1) - 1.0) < 1e-12
 
 
 def test_gghz_xxx_correlation_is_sin_two_alpha(rng):
-    xxx = kron(PAULI_X, PAULI_X, PAULI_X)
+    xxx = np.kron(np.kron(SX, SX), SX)
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
         value = expectation(build_gghz(alpha), xxx)
         assert abs(value - np.sin(2 * alpha)) < 1e-12
@@ -116,25 +114,10 @@ def test_validate_density_reports_negative_eigenvalue():
     assert abs(report.min_eigenvalue + 0.1) < 1e-12
 
 
-def test_jacobi_matches_lapack(rng):
-    for dim in (2, 4, 8):
-        for _ in range(25):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (g + g.conj().T) / 2
-            ours = jacobi_eigenvalues(h)
-            ref = np.linalg.eigvalsh(h)
-            assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_jacobi_on_random_densities(rng):
+def test_validate_density_random_densities(rng):
     for _ in range(20):
         rho = random_density(rng)
-        ours = jacobi_eigenvalues(rho)
-        ref = np.linalg.eigvalsh(rho)
-        assert np.max(np.abs(ours - ref)) < 1e-12
-
-
-def test_jacobi_rejects_non_hermitian(rng):
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    with pytest.raises(ValueError, match="Hermitian"):
-        jacobi_eigenvalues(m)
+        report = validate_density(rho)
+        assert report.passed
+        assert report.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-15)
+        assert report.min_eigenvalue > 0.0
