@@ -9,10 +9,8 @@ linear-programming membership in the hybrid local-nonlocal polytope.
 from .behavior_io import export_behavior, import_behavior
 from .certifier import (
     DecompositionResult,
-    NoSignalingReport,
     VertexProvenance,
     VertexSet,
-    check_no_signaling,
     hybrid_vertices,
     lp_feasible,
 )

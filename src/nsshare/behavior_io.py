@@ -28,6 +28,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def read_json(path: str):
+    """json.load of a file; a malformed, too deep or undecodable file is refused by name."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def export_behavior(table: BehaviorTable, path: str) -> None:
     probs = {}
     flat = table.probs.reshape(64)
@@ -39,8 +48,7 @@ def export_behavior(table: BehaviorTable, path: str) -> None:
 
 def import_behavior(path: str) -> BehaviorTable:
     """Read a table file; BehaviorTable checks the values, and errors name the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if not isinstance(data, dict) or "probs" not in data:
         raise ValueError(f"{path}: expected an object with a 'probs' mapping")
     round_index = data.get("round", 1)

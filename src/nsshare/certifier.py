@@ -19,25 +19,14 @@ from itertools import product
 import numpy as np
 
 from . import simplex
-from .engine import NO_SIGNALING_ATOL, BehaviorTable, no_signaling_residual
+# no_signaling_residual stays importable from here: perfbench/layers.py wraps
+# certifier.no_signaling_residual
+from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
 from .inequality import is_violation, ns2_relabelings
 
 RESIDUAL_ATOL = 1e-9
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
-
-
-@dataclass(frozen=True)
-class NoSignalingReport:
-    residual: float
-    worst_marginal: str
-    passed: bool
-
-
-def check_no_signaling(table: BehaviorTable) -> NoSignalingReport:
-    """No-signaling audit: marginals must not depend on excluded parties' inputs."""
-    residual, label = no_signaling_residual(table)
-    return NoSignalingReport(residual, label, residual < NO_SIGNALING_ATOL)
 
 
 @dataclass(frozen=True)

@@ -17,17 +17,20 @@ import math
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .behavior_io import atomic_write_text, import_behavior
-from .certifier import check_no_signaling, lp_feasible
+from .behavior_io import atomic_write_text, import_behavior, read_json
+from .certifier import lp_feasible
 # run_sequence stays importable from here: perfbench/layers.py wraps cli.run_sequence
 from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
-from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
+from .inequality import SignalingTableError, closed_form_ns2, is_violation, ns2_value, ns2_values
 from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
 from .states import build_gghz
 
 CSV_HEADER = "k,gamma_k,ns2_oracle,ns2_closed_form,discrepancy,violated,lp_feasible"
+
+# a sweep axis may hold at most this many steps, (stop - start) / step
+SWEEP_MAX_POINTS = 10**6
 
 _ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
 
@@ -80,6 +83,8 @@ def parse_sweep(value) -> tuple[float, float, float] | None:
         raise ConfigError(f"sweep step must be positive, got {step!r}")
     if stop < start:
         raise ConfigError(f"sweep range must satisfy start <= stop, got {value!r}")
+    if (stop - start) / step > SWEEP_MAX_POINTS:
+        raise ConfigError(f"sweep {value!r} has more than {SWEEP_MAX_POINTS} points")
     return (start, stop, step)
 
 
@@ -113,6 +118,11 @@ class ExperimentConfig:
     out_json: str | None = None
 
     def validate(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ConfigError(f"n must be an integer, got {self.n!r}")
+        for name in ("auto_delta", "certify"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("alpha", "theta", "delta", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -122,6 +132,9 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.recursion not in RECURSION_VARIANTS + ("both",):
             raise ConfigError(f"recursion must be printed, normalized or both, got {self.recursion!r}")
+        for name in _CONFIG_SWEEPS:  # a config built in code skips build_config
+            if getattr(self, name) is not None:
+                parse_sweep(getattr(self, name))
         if self.auto_delta and self.sweep_delta is not None:
             raise ConfigError("auto_delta and sweep_delta are mutually exclusive")
         for name in ("out_csv", "out_json"):
@@ -140,15 +153,11 @@ class ExperimentConfig:
 
 _CONFIG_ANGLES = ("alpha", "theta", "delta")
 _CONFIG_SWEEPS = ("sweep_delta", "sweep_theta", "sweep_alpha")
-_CONFIG_KEYS = (
-    "n", "alpha", "theta", "delta", "epsilon", "auto_delta", "recursion",
-    "certify", "sweep_delta", "sweep_theta", "sweep_alpha", "out_csv", "out_json",
-)
+_CONFIG_KEYS = tuple(field.name for field in fields(ExperimentConfig))
 
 
 def load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a flat JSON object")
     for key in data:
@@ -172,8 +181,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in _CONFIG_SWEEPS:
         if key in merged and merged[key] is not None:
             merged[key] = parse_sweep(merged[key])
-    if "n" in merged:
-        merged["n"] = int(merged["n"])
     if "epsilon" in merged:
         merged["epsilon"] = float(merged["epsilon"])
     config = ExperimentConfig(**merged)
@@ -253,105 +260,70 @@ def _csv_line(entry: dict) -> str:
 
 
 def _params_dict(config: ExperimentConfig) -> dict:
-    return {
-        "n": config.n,
-        "alpha": config.alpha,
-        "theta": config.theta,
-        "delta": config.delta,
-        "epsilon": config.epsilon,
-        "auto_delta": config.auto_delta,
-        "recursion": config.recursion,
-        "certify": config.certify,
-        "sweep_delta": list(config.sweep_delta) if config.sweep_delta else None,
-        "sweep_theta": list(config.sweep_theta) if config.sweep_theta else None,
-        "sweep_alpha": list(config.sweep_alpha) if config.sweep_alpha else None,
-    }
+    params = asdict(config)
+    del params["out_csv"], params["out_json"]
+    return params
 
 
-def _run_point(config: ExperimentConfig) -> tuple[list[str], dict]:
-    csv_lines = []
-    variants_summary = {}
-    for variant in config.variants:
-        delta, schedule = _resolve_schedule(config, variant, config.delta, config.n)
-        rows = next(_round_rows(config, schedule, (config.theta,), config.alpha, config.n))
-        csv_lines.extend(_csv_line(row) for row in rows)
-        violating = [row["k"] for row in rows if row["violated"]]
-        summary = {
-            "delta": delta,
-            "gammas": list(schedule.gammas),
-            "valid_upto": schedule.valid_upto,
-            "rounds": rows,
-            "max_violating_k": max(violating) if violating else None,
-        }
-        if config.certify:
-            summary["certifier_verdicts"] = {
-                str(row["k"]): row["lp_feasible"] for row in rows
-            }
-        variants_summary[variant] = summary
-    return csv_lines, {"mode": "point", "params": _params_dict(config), "variants": variants_summary}
+def _grid(config: ExperimentConfig, variant: str) -> Iterator[tuple]:
+    """Yields (delta, schedule, theta, alpha, rows) over the run's (delta, alpha, theta) grid.
 
-
-def _run_sweep(config: ExperimentConfig) -> tuple[list[str], dict]:
+    Each axis is its sweep or the single configured value, so a point run is
+    the one-point grid.  A point run needs all n rounds, a sweep row runs the
+    schedule's valid rounds but at least one.
+    """
     deltas = sweep_values(config.sweep_delta) if config.sweep_delta else [config.delta]
     thetas = sweep_values(config.sweep_theta) if config.sweep_theta else [config.theta]
     alphas = sweep_values(config.sweep_alpha) if config.sweep_alpha else [config.alpha]
-
-    csv_lines = []
-    variants_summary = {}
-    for variant in config.variants:
-        points = 0
-        total_rows = 0
-        violations = 0
-        max_violating_k = None
-        max_ns2 = None
-        max_violating = None
-        for delta in deltas:
-            # a sweep row runs the schedule's valid rounds, but at least one
-            resolved_delta, schedule = _resolve_schedule(config, variant, delta, 1)
-            rounds = min(config.n, schedule.valid_upto)
-            # one engine stack per (delta, variant, alpha) row, over the theta axis
-            stacks = [_round_rows(config, schedule, thetas, alpha, rounds) for alpha in alphas]
-            for theta, *alpha_rows in zip(thetas, *stacks):
-                for alpha, rows in zip(alphas, alpha_rows):
-                    points += 1
-                    total_rows += len(rows)
-                    csv_lines.extend(_csv_line(row) for row in rows)
-                    for row in rows:
-                        record = {
-                            "delta": resolved_delta,
-                            "theta": theta,
-                            "alpha": alpha,
-                            "k": row["k"],
-                            "ns2": row["ns2_oracle"],
-                        }
-                        if max_ns2 is None or row["ns2_oracle"] > max_ns2["ns2"]:
-                            max_ns2 = record
-                        if row["violated"]:
-                            violations += 1
-                            better = (
-                                max_violating is None
-                                or row["k"] > max_violating["k"]
-                                or (row["k"] == max_violating["k"]
-                                    and row["ns2_oracle"] > max_violating["ns2"])
-                            )
-                            if better:
-                                max_violating = record
-                                max_violating_k = row["k"]
-        variants_summary[variant] = {
-            "points": points,
-            "rows": total_rows,
-            "violations": violations,
-            "max_violating_k": max_violating_k,
-            "max_violating": max_violating,
-            "max_ns2": max_ns2,
-        }
-    return csv_lines, {"mode": "sweep", "params": _params_dict(config), "variants": variants_summary}
+    needed = 1 if config.is_sweep else config.n
+    for delta in deltas:
+        resolved_delta, schedule = _resolve_schedule(config, variant, delta, needed)
+        rounds = min(config.n, schedule.valid_upto)
+        # one engine stack per (delta, variant, alpha) row, over the theta axis
+        stacks = [_round_rows(config, schedule, thetas, alpha, rounds) for alpha in alphas]
+        for theta, *alpha_rows in zip(thetas, *stacks):
+            for alpha, rows in zip(alphas, alpha_rows):
+                yield resolved_delta, schedule, theta, alpha, rows
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
     config.validate()
-    csv_lines, summary = _run_sweep(config) if config.is_sweep else _run_point(config)
+    csv_lines = []
+    variants_summary = {}
+    for variant in config.variants:
+        sweep = {"points": 0, "rows": 0, "violations": 0,
+                 "max_violating_k": None, "max_violating": None, "max_ns2": None}
+        for delta, schedule, theta, alpha, rows in _grid(config, variant):
+            sweep["points"] += 1
+            sweep["rows"] += len(rows)
+            csv_lines.extend(_csv_line(row) for row in rows)
+            for row in rows:
+                record = {"delta": delta, "theta": theta, "alpha": alpha,
+                          "k": row["k"], "ns2": row["ns2_oracle"]}
+                if sweep["max_ns2"] is None or record["ns2"] > sweep["max_ns2"]["ns2"]:
+                    sweep["max_ns2"] = record
+                if row["violated"]:
+                    sweep["violations"] += 1
+                    best = sweep["max_violating"]
+                    if best is None or (record["k"], record["ns2"]) > (best["k"], best["ns2"]):
+                        sweep["max_violating"], sweep["max_violating_k"] = record, row["k"]
+        if config.is_sweep:
+            variants_summary[variant] = sweep
+            continue
+        # the one-point grid: its schedule and rows, in the point shape
+        point = {
+            "delta": delta,
+            "gammas": list(schedule.gammas),
+            "valid_upto": schedule.valid_upto,
+            "rounds": rows,
+            "max_violating_k": sweep["max_violating_k"],
+        }
+        if config.certify:
+            point["certifier_verdicts"] = {str(row["k"]): row["lp_feasible"] for row in rows}
+        variants_summary[variant] = point
+    mode = "sweep" if config.is_sweep else "point"
+    summary = {"mode": mode, "params": _params_dict(config), "variants": variants_summary}
     if config.out_csv:
         atomic_write_text(config.out_csv, "\n".join([CSV_HEADER] + csv_lines) + "\n")
     if config.out_json:
@@ -361,15 +333,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def _certify_table_command(path: str, out_json: str | None) -> int:
     table = import_behavior(path)
-    report = check_no_signaling(table)
-    if not report.passed:
-        print(
-            f"certification refused: table is signaling "
-            f"({report.worst_marginal} varies by {report.residual:.3e})",
-            file=sys.stderr,
-        )
+    try:
+        value = ns2_value(table)
+    except SignalingTableError as exc:
+        print(f"certification refused: table is signaling "
+              f"({exc.label} varies by {exc.residual:.3e})", file=sys.stderr)
         return 1
-    value = ns2_value(table)
     result = lp_feasible(table)
     verdict = "nonsignal-local" if result.feasible else "genuinely nonsignal nonlocal"
     print(f"ns2 = {value:.9g} (bound 3); verdict: {verdict}")

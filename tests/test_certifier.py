@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from nsshare.certifier import (
-    BIPARTITIONS,
-    check_no_signaling,
-    hybrid_vertices,
-    lp_feasible,
+from nsshare.certifier import BIPARTITIONS, hybrid_vertices, lp_feasible
+from nsshare.engine import (
+    NO_SIGNALING_ATOL,
+    BehaviorTable,
+    SequentialScenario,
+    behavior,
+    no_signaling_residual,
+    run_sequence,
 )
-from nsshare.engine import BehaviorTable, SequentialScenario, behavior, run_sequence
 from nsshare.inequality import SignalingTableError, is_violation, ns2_relabelings, ns2_value
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
@@ -47,9 +49,9 @@ def test_vertices_normalized_and_nonsignaling_exactly():
         table = BehaviorTable.from_vector(vector)
         sums = table.probs.sum(axis=(3, 4, 5))
         assert np.array_equal(sums, np.ones((2, 2, 2)))
-        report = check_no_signaling(table)
-        assert report.passed
-        assert report.residual == 0.0
+        residual, _ = no_signaling_residual(table)
+        assert residual < NO_SIGNALING_ATOL
+        assert residual == 0.0
 
 
 def test_globally_deterministic_vertex_appears_in_all_bipartitions():
@@ -71,9 +73,9 @@ def test_globally_deterministic_vertex_appears_in_all_bipartitions():
 
 def test_check_no_signaling_quantum_table():
     table = behavior(build_gghz(1.1), 0.8, 0.6)
-    report = check_no_signaling(table)
-    assert report.passed
-    assert report.residual < 1e-10
+    residual, _ = no_signaling_residual(table)
+    assert residual < NO_SIGNALING_ATOL
+    assert residual < 1e-10
 
 
 def test_check_no_signaling_flags_offender():
@@ -82,15 +84,15 @@ def test_check_no_signaling_flags_offender():
         for y in range(2):
             for z in range(2):
                 probs[x, y, z, y, 0, 0] = 1.0  # Alice's outcome copies y
-    report = check_no_signaling(BehaviorTable(probs))
-    assert not report.passed
-    assert report.residual == pytest.approx(1.0)
-    assert "vs y" in report.worst_marginal
+    residual, label = no_signaling_residual(BehaviorTable(probs))
+    assert not residual < NO_SIGNALING_ATOL
+    assert residual == pytest.approx(1.0)
+    assert "vs y" in label
 
 
 def test_check_no_signaling_uniform():
-    report = check_no_signaling(uniform_table())
-    assert report.residual == 0.0
+    residual, _ = no_signaling_residual(uniform_table())
+    assert residual == 0.0
 
 
 def test_every_vertex_self_feasible():

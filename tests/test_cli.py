@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nsshare.behavior_io import export_behavior
 from nsshare.cli import (
     CSV_HEADER,
+    SWEEP_MAX_POINTS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -63,6 +65,15 @@ def test_parse_sweep_refuses_non_finite_bounds():
             parse_sweep(spec)
 
 
+def test_parse_sweep_refuses_oversized_grid():
+    # only parsed: a grid of this size is never built
+    for spec in ("0.1:0.3:1e-12", "0:1:5e-7", "0:pi/2:1e-300", (0.0, 1.0, 5e-324)):
+        message = f"^sweep {re.escape(repr(spec))} has more than {SWEEP_MAX_POINTS} points"
+        with pytest.raises(ConfigError, match=message):
+            parse_sweep(spec)
+    assert parse_sweep("0:1:2e-6") == (0.0, 1.0, 2e-6)
+
+
 def test_build_config_refuses_non_finite_values():
     parser = build_parser()
     for argv, field in ((["--epsilon", "nan"], "epsilon"), (["--alpha", "inf"], "alpha"),
@@ -92,6 +103,43 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.certify is True
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({"certify": "false"}, "certify must be true or false, got 'false'"),
+    ({"certify": 0}, "certify must be true or false, got 0"),
+    ({"auto_delta": "true"}, "auto_delta must be true or false, got 'true'"),
+    ({"auto_delta": 1}, "auto_delta must be true or false, got 1"),
+    ({"n": 2.9}, "n must be an integer, got 2.9"),
+    ({"n": 2.0}, "n must be an integer, got 2.0"),
+    ({"n": True}, "n must be an integer, got True"),
+    ({"n": "2"}, "n must be an integer, got '2'"),
+], ids=["certify-string", "certify-int", "auto_delta-string", "auto_delta-int",
+        "n-fraction", "n-float", "n-bool", "n-string"])
+def test_config_file_values_are_type_checked(tmp_path, entries, message):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(entries))
+    args = build_parser().parse_args(["--config", str(config_path)])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_config(args)
+
+
+# each of these used to exit 1 without naming the file
+BAD_JSON = {
+    "malformed": b'{"round": 1, "probs": {',
+    "long-integer": b'{"round": ' + b"1" * 5001 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'{"round": 1, "probs": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON.keys())
+@pytest.mark.parametrize("flag", ["--certify-table", "--config"])
+def test_unreadable_json_file_is_named(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([flag, str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_config_rejects_unknown_key(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"rounds": 3}))
@@ -112,6 +160,10 @@ def test_config_validation():
         ExperimentConfig(auto_delta=True, sweep_delta=(0.1, 0.2, 0.1)).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(out_csv="  ").validate()
+    # sweeps given in code get the checks of parse_sweep, grid bound included
+    for spec in ((0.1, 0.3, 0.0), (0.3, 0.1, 0.1), (0.1, float("nan"), 0.1), (0.1, 0.3, 1e-12)):
+        with pytest.raises(ConfigError, match="^sweep "):
+            ExperimentConfig(sweep_theta=spec).validate()
 
 
 def test_point_run_two_rounds(tmp_path):
@@ -154,6 +206,22 @@ def test_point_run_product_state(tmp_path):
         bf_closed_form(1, 0.0, config.theta, [gamma_1]), abs=1e-10)
     assert rounds[0]["violated"] is False
     assert rounds[0]["lp_feasible"] is True
+
+
+def test_point_run_is_the_one_point_grid(tmp_path):
+    outputs = []
+    for tag, grid in (("point", {}), ("grid", {"sweep_theta": (0.7, 0.7, 1.0)})):
+        csv_path = tmp_path / f"{tag}.csv"
+        summary = run_experiment(ExperimentConfig(n=2, theta=0.7, recursion="both",
+                                                  out_csv=str(csv_path), **grid))
+        outputs.append((csv_path.read_bytes(), summary))
+    (point_csv, point), (grid_csv, grid) = outputs
+    assert point_csv == grid_csv
+    assert point["mode"] == "point" and grid["mode"] == "sweep"
+    for variant, data in grid["variants"].items():
+        assert data["points"] == 1
+        assert data["rows"] == len(point["variants"][variant]["rounds"]) == 2
+        assert data["max_violating_k"] == point["variants"][variant]["max_violating_k"]
 
 
 def test_truncation_error_without_auto_delta(capsys):
