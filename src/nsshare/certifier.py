@@ -22,7 +22,7 @@ from . import simplex
 # no_signaling_residual stays importable from here: perfbench/layers.py wraps
 # certifier.no_signaling_residual
 from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
-from .inequality import is_violation, ns2_relabelings
+from .inequality import VIOLATION_GUARD, is_violation, ns2_relabelings, relabeling_functionals
 
 RESIDUAL_ATOL = 1e-9
 
@@ -109,18 +109,30 @@ def hybrid_vertices() -> VertexSet:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """LP verdict for membership, with the mixture weights when one exists."""
+    """A membership verdict, returned only after its certificate was checked.
+
+    Local (feasible): mixture weights over the vertices (>= 0, summing to 1),
+    their max-abs reconstruction residual (< RESIDUAL_ATOL) and the mixture
+    mass per bipartition.  Nonlocal: a functional s over the 64 table entries,
+    bound = max over the vertices of s.v and margin = s.p - bound
+    (> VIOLATION_GUARD).  The other verdict's fields are None.
+    """
 
     feasible: bool
-    weights: np.ndarray        # per-vertex, >= 0, sums to 1
-    residual: float            # max-abs reconstruction error (minimized when infeasible)
     certificate: str
-    group_weights: dict[str, float]  # mixture mass per bipartition
+    weights: np.ndarray | None = None
+    residual: float | None = None
+    group_weights: dict[str, float] | None = None
+    functional: np.ndarray | None = None
+    bound: float | None = None
+    margin: float | None = None
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float).copy()
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        for name in ("weights", "functional"):
+            if getattr(self, name) is not None:
+                array = np.asarray(getattr(self, name), dtype=float).copy()
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
 
 
 def _group_weights(weights: np.ndarray, vertex_set: VertexSet) -> dict[str, float]:
@@ -130,38 +142,46 @@ def _group_weights(weights: np.ndarray, vertex_set: VertexSet) -> dict[str, floa
     return sums
 
 
-def _reconstruction_residual(vertex_set: VertexSet, weights: np.ndarray,
-                             target: np.ndarray) -> float:
-    return float(np.max(np.abs(vertex_set.vectors.T @ weights - target)))
+def _local(vertex_set: VertexSet, weights: np.ndarray,
+           target: np.ndarray) -> DecompositionResult | None:
+    """The local verdict, if the weights are a convex mixture that rebuilds the target."""
+    residual = float(np.max(np.abs(vertex_set.vectors.T @ weights - target)))
+    if not (weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= RESIDUAL_ATOL
+            and residual < RESIDUAL_ATOL):
+        return None
+    groups = _group_weights(weights, vertex_set)
+    certificate = (
+        f"nonsignal-local: decomposition with residual {residual:.3e}; "
+        + ", ".join(f"{k} mass {v:.6f}" for k, v in groups.items())
+    )
+    return DecompositionResult(True, certificate, weights=weights, residual=residual,
+                               group_weights=groups)
 
 
-def _min_linf_residual(vertex_set: VertexSet, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize the max-abs reconstruction error over the weight simplex."""
-    n = len(vertex_set)
-    vt = vertex_set.vectors.T  # (64, n)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    b_eq = np.array([1.0])
-    ones = np.ones((64, 1))
-    a_ub = np.vstack([np.hstack([vt, -ones]), np.hstack([-vt, -ones])])
-    b_ub = np.concatenate([target, -target])
-    result = simplex.solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-    if result.status != "optimal":  # always feasible (w = e_1, t = 1) and bounded
-        raise RuntimeError(f"residual LP ended with status {result.status!r}")
-    return float(result.objective), result.x[:n]
+def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
+              source: str) -> DecompositionResult | None:
+    """The nonlocal verdict, if the functional separates the target from every vertex."""
+    bound = float(np.max(vertex_set.vectors @ functional))
+    margin = float(functional @ target) - bound
+    if not margin > VIOLATION_GUARD:
+        return None
+    certificate = (f"genuinely nonsignal nonlocal: {source}; "
+                   f"separating functional with bound {bound:.12g}, margin {margin:.6e}")
+    return DecompositionResult(False, certificate, functional=functional, bound=bound,
+                               margin=margin)
 
 
 def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None) -> DecompositionResult:
-    """Decide membership of a behavior in the hybrid polytope by LP feasibility.
+    """Decide membership of a behavior in the hybrid polytope, with a checked certificate.
 
-    Feasible: returns the mixture weights and their reconstruction residual
-    (< 1e-9).  Infeasible: reports the minimal achievable max-abs residual so
-    near-boundary verdicts stay auditable.  The inequality under its 8 outcome
-    relabelings is a set of facets of the polytope, so a table that violates
-    any of them is infeasible without the feasibility LP, and its certificate
-    names the relabeling.  A signaling table raises SignalingTableError.
+    The inequality under its 8 outcome relabelings is a set of facets of the
+    polytope, so a table that violates one is nonlocal without an LP: the
+    relabeled inequality is the separating functional (bound 3).  Otherwise
+    one feasibility LP decides: its weights make a local verdict, its Farkas
+    dual (scaled to max-abs 1) a nonlocal one.  Each certificate is checked
+    with numpy before it is returned; when it does not hold the verdict is
+    undecided and RuntimeError is raised.  A signaling table raises
+    SignalingTableError.
     """
     if vertex_set is None:
         vertex_set = hybrid_vertices()
@@ -170,30 +190,28 @@ def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None) -> De
     worst = int(np.argmax(relabelings))
     if is_violation(relabelings[worst]):
         flipped = ",".join(party for party, bit in zip("abc", f"{worst:03b}") if bit == "1")
-        reason = (f"relabeling {'flip ' + flipped if flipped else 'identity'} gives "
-                  f"NS2 = {relabelings[worst]:.12g} > 3")
-    else:
-        n = len(vertex_set)
-        a_eq = np.vstack([vertex_set.vectors.T, np.ones((1, n))])
-        b_eq = np.append(target, 1.0)
-        result = simplex.solve(np.zeros(n), a_eq=a_eq, b_eq=b_eq, tol=RESIDUAL_ATOL)
-        if result.status == "optimal":
-            weights = result.x
-            residual = _reconstruction_residual(vertex_set, weights, target)
-            if residual < RESIDUAL_ATOL:
-                groups = _group_weights(weights, vertex_set)
-                certificate = (
-                    f"nonsignal-local: decomposition with residual {residual:.3e}; "
-                    + ", ".join(f"{k} mass {v:.6f}" for k, v in groups.items())
-                )
-                return DecompositionResult(True, weights, residual, certificate, groups)
-        reason = f"no decomposition within {RESIDUAL_ATOL}"
+        name = "flip " + flipped if flipped else "identity"
+        source = f"relabeling {name} gives NS2 = {relabelings[worst]:.12g} > 3"
+        verdict = _nonlocal(vertex_set, relabeling_functionals()[worst], target, source)
+        if verdict is None:
+            raise RuntimeError(f"undecided: {source}, but its functional does not separate "
+                               f"the table by more than {VIOLATION_GUARD}")
+        return verdict
 
-    min_residual, weights = _min_linf_residual(vertex_set, target)
-    residual = _reconstruction_residual(vertex_set, weights, target)
-    certificate = (
-        f"genuinely nonsignal nonlocal: {reason}; "
-        f"minimal max-abs residual {min_residual:.6e}"
-    )
-    return DecompositionResult(False, weights, residual, certificate,
-                               _group_weights(weights, vertex_set))
+    n = len(vertex_set)
+    a = np.vstack([vertex_set.vectors.T, np.ones((1, n))])
+    result = simplex.solve(a, np.append(target, 1.0), tol=RESIDUAL_ATOL)
+    if result.feasible:
+        verdict = _local(vertex_set, result.x, target)
+    else:
+        functional = result.farkas[:-1]
+        scale = float(np.max(np.abs(functional)))
+        verdict = None
+        if scale > 0.0:
+            verdict = _nonlocal(vertex_set, functional / scale, target,
+                                f"LP Farkas dual, phase-1 infeasibility {result.infeasibility:.3e}")
+    if verdict is None:
+        kind = "weights" if result.feasible else "Farkas dual"
+        raise RuntimeError(f"undecided: the LP's {kind} do not verify as a certificate "
+                           f"(phase-1 infeasibility {result.infeasibility:.3e})")
+    return verdict

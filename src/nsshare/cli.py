@@ -289,7 +289,7 @@ def _grid(config: ExperimentConfig, variant: str) -> Iterator[tuple]:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
     config.validate()
-    csv_lines = []
+    csv_lines = [CSV_HEADER] if config.out_csv else None
     variants_summary = {}
     for variant in config.variants:
         sweep = {"points": 0, "rows": 0, "violations": 0,
@@ -297,7 +297,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         for delta, schedule, theta, alpha, rows in _grid(config, variant):
             sweep["points"] += 1
             sweep["rows"] += len(rows)
-            csv_lines.extend(_csv_line(row) for row in rows)
+            if csv_lines is not None:
+                csv_lines.extend(_csv_line(row) for row in rows)
             for row in rows:
                 record = {"delta": delta, "theta": theta, "alpha": alpha,
                           "k": row["k"], "ns2": row["ns2_oracle"]}
@@ -325,7 +326,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     mode = "sweep" if config.is_sweep else "point"
     summary = {"mode": mode, "params": _params_dict(config), "variants": variants_summary}
     if config.out_csv:
-        atomic_write_text(config.out_csv, "\n".join([CSV_HEADER] + csv_lines) + "\n")
+        atomic_write_text(config.out_csv, "\n".join(csv_lines) + "\n")
     if config.out_json:
         atomic_write_text(config.out_json, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -344,14 +345,13 @@ def _certify_table_command(path: str, out_json: str | None) -> int:
     print(f"ns2 = {value:.9g} (bound 3); verdict: {verdict}")
     print(result.certificate)
     if out_json:
-        payload = {
-            "table": path,
-            "ns2": value,
-            "feasible": result.feasible,
-            "residual": result.residual,
-            "certificate": result.certificate,
-            "group_weights": result.group_weights,
-        }
+        payload = {"table": path, "ns2": value, "feasible": result.feasible,
+                   "certificate": result.certificate}
+        if result.feasible:
+            payload.update(residual=result.residual, group_weights=result.group_weights)
+        else:
+            payload.update(functional=result.functional.tolist(), bound=result.bound,
+                           margin=result.margin)
         atomic_write_text(out_json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

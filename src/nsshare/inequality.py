@@ -12,6 +12,7 @@ that precondition is therefore checked, not assumed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -83,6 +84,19 @@ _RELABELING_SIGNS = np.array([
      for sign, (parties, _) in zip((1.0, 1.0, 1.0, -1.0, 1.0), _NS2_CORRELATORS)]
     for flips in product((0, 1), repeat=3)
 ])
+
+
+@lru_cache(maxsize=1)
+def relabeling_functionals() -> np.ndarray:
+    """The 8 relabeled inequalities as functionals of the 64 table entries, shape (8, 64).
+
+    Row r dotted with a table's as_vector() is its value under relabeling r.
+    Built on first use, so runs that certify nothing never allocate it.
+    """
+    functionals = _RELABELING_SIGNS @ _correlators(np.eye(64).reshape((64,) + (2,) * 6),
+                                                   _NS2_TERMS).T
+    functionals.setflags(write=False)
+    return functionals
 
 
 def correlator(table: BehaviorTable, parties: str, inputs) -> float:

@@ -1,11 +1,14 @@
-"""Dense two-phase simplex for the small linear programs this project needs.
+"""Dense phase-1 simplex: is  A x = b,  x >= 0  feasible?  With a certificate either way.
 
-Solves   minimize c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0.
-
-Everything is kept in a single canonical tableau.  Entering columns follow
-Dantzig's rule until the objective stalls, then Bland's rule (which cannot
-cycle) takes over; the ratio test breaks ties on the smallest basis index.
-Problem sizes here are a few hundred columns, so clarity beats sparsity.
+Every row gets an artificial column, and phase 1 drives their total mass to
+its minimum in a single canonical tableau.  Entering columns follow Dantzig's
+rule until the objective stalls, then Bland's rule (which cannot cycle) takes
+over; the ratio test breaks ties on the smallest basis index.  A minimum
+within tol gives x >= 0 (the right-hand side is clamped at zero after every
+pivot).  A larger one gives the phase-1 duals y, read from the artificial
+columns of the final tableau, which hold the inverse basis: A^T y <= 0 < b.y,
+a Farkas certificate that no such x exists.  Problem sizes here are a few
+hundred columns, so clarity beats sparsity.
 """
 
 from __future__ import annotations
@@ -21,26 +24,44 @@ STALL_LIMIT = 80
 
 @dataclass
 class LpResult:
-    status: str            # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray          # original variables at termination
-    objective: float       # c.x at termination
-    infeasibility: float   # phase-1 optimum; ~0 whenever a feasible basis exists
+    x: np.ndarray | None       # x >= 0 with A x = b up to the artificial mass; None if infeasible
+    farkas: np.ndarray | None  # y with A^T y <= 0 < b.y; None if feasible
+    infeasibility: float       # phase-1 optimum: the artificial mass left
     iterations: int
 
+    @property
+    def feasible(self) -> bool:
+        return self.x is not None
 
-def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-               allowed: np.ndarray, max_iterations: int) -> tuple[str, int]:
-    """Pivot until optimal or unbounded; returns (status, iterations used)."""
-    m = tableau.shape[0]
+
+def solve(a, b, tol: float = 1e-9, max_iterations: int | None = None) -> LpResult:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError(f"A has shape {a.shape} but b has shape {b.shape}")
+    m, n = a.shape
+
+    # sign-flip rows to make b >= 0; artificial i starts basic in row i
+    signs = np.where(b < 0, -1.0, 1.0)
+    tableau = np.hstack([a * signs[:, None], np.eye(m), np.abs(b)[:, None]])
+    basis = np.arange(n, n + m)
+    cost = np.zeros(n + m)
+    cost[n:] = 1.0
+    allowed = np.arange(n + m) < n  # artificials only leave, never re-enter
+    if max_iterations is None:
+        max_iterations = 200 + 40 * (n + 2 * m)
+
     iterations = 0
     bland = False
     best_objective = np.inf
     stall = 0
-    while iterations < max_iterations:
+    while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
         candidates = np.where(allowed & (reduced < -REDUCED_COST_TOL))[0]
         if candidates.size == 0:
-            return "optimal", iterations
+            break
+        if iterations >= max_iterations:
+            raise RuntimeError(f"simplex did not terminate within {max_iterations} iterations")
         if bland:
             enter = int(candidates[0])
         else:
@@ -48,8 +69,8 @@ def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 
         column = tableau[:, enter]
         rows = np.where(column > PIVOT_TOL)[0]
-        if rows.size == 0:
-            return "unbounded", iterations
+        if rows.size == 0:  # a bounded objective leaves this only to rounding
+            raise RuntimeError("simplex phase 1 found no pivot row")
         ratios = tableau[rows, -1] / column[rows]
         best = np.min(ratios)
         ties = rows[ratios <= best + 1e-12]
@@ -74,106 +95,11 @@ def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
-    raise RuntimeError(f"simplex did not terminate within {max_iterations} iterations")
 
-
-def solve(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None,
-          tol: float = 1e-9, max_iterations: int | None = None) -> LpResult:
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-
-    blocks = []
-    rhs_parts = []
-    n_ub = 0
-    if a_ub is not None:
-        a_ub = np.asarray(a_ub, dtype=float)
-        b_ub = np.asarray(b_ub, dtype=float)
-        n_ub = a_ub.shape[0]
-        blocks.append(a_ub)
-        rhs_parts.append(b_ub)
-    if a_eq is not None:
-        a_eq = np.asarray(a_eq, dtype=float)
-        b_eq = np.asarray(b_eq, dtype=float)
-        blocks.append(a_eq)
-        rhs_parts.append(b_eq)
-    if not blocks:
-        raise ValueError("at least one of a_eq / a_ub is required")
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs_parts)
-    m = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"constraint matrix has {a.shape[1]} columns, c has {n}")
-
-    # slacks for the <= rows, then sign-flip rows to make b >= 0
-    full = np.hstack([a, np.zeros((m, n_ub))])
-    for i in range(n_ub):
-        full[i, n + i] = 1.0
-    negative = b < 0
-    full[negative] *= -1.0
-    b = np.abs(b)
-
-    # artificials wherever the slack cannot start basic
-    needs_artificial = np.ones(m, dtype=bool)
-    basis = np.empty(m, dtype=int)
-    for i in range(n_ub):
-        if not negative[i]:
-            needs_artificial[i] = False
-            basis[i] = n + i
-    art_rows = np.where(needs_artificial)[0]
-    n_art = art_rows.size
-    artificial_block = np.zeros((m, n_art))
-    for j, i in enumerate(art_rows):
-        artificial_block[i, j] = 1.0
-        basis[i] = n + n_ub + j
-    tableau = np.hstack([full, artificial_block, b[:, None]])
-    n_cols = n + n_ub + n_art
-    art_mask = np.zeros(n_cols, dtype=bool)
-    art_mask[n + n_ub:] = True
-
-    if max_iterations is None:
-        max_iterations = 200 + 40 * (m + n_cols)
-
-    # phase 1: drive the total artificial mass to zero
-    phase1_cost = np.zeros(n_cols)
-    phase1_cost[art_mask] = 1.0
-    allowed = ~art_mask  # artificials only leave, never re-enter
-    status, used = _run_phase(tableau, basis, phase1_cost, allowed, max_iterations)
-    if status != "optimal":  # cannot happen: phase-1 objective is bounded below
-        raise RuntimeError(f"phase 1 ended with status {status!r}")
-    infeasibility = float(phase1_cost[basis] @ tableau[:, -1])
-
-    x = np.zeros(n_cols)
-    x[basis] = tableau[:, -1]
+    infeasibility = float(cost[basis] @ tableau[:, -1])
     if infeasibility > tol:
-        return LpResult("infeasible", x[:n], float(c @ x[:n]), infeasibility, used)
-
-    # pivot any leftover artificials out of the basis; drop redundant rows
-    drop_rows = []
-    for i in range(m):
-        if not art_mask[basis[i]]:
-            continue
-        row = tableau[i, :-1]
-        pivots = np.where((~art_mask) & (np.abs(row) > PIVOT_TOL))[0]
-        if pivots.size == 0:
-            drop_rows.append(i)
-            continue
-        enter = int(pivots[0])
-        pivot = tableau[i, enter]
-        tableau[i] /= pivot
-        scale = tableau[:, enter].copy()
-        scale[i] = 0.0
-        tableau -= np.outer(scale, tableau[i])
-        tableau[:, enter] = 0.0
-        tableau[i, enter] = 1.0
-        basis[i] = enter
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(m), drop_rows)
-        tableau = tableau[keep]
-        basis = basis[keep]
-
-    phase2_cost = np.zeros(n_cols)
-    phase2_cost[:n] = c
-    status, used2 = _run_phase(tableau, basis, phase2_cost, allowed, max_iterations)
-    x = np.zeros(n_cols)
+        farkas = signs * (cost[basis] @ tableau[:, n:n + m])
+        return LpResult(None, farkas, infeasibility, iterations)
+    x = np.zeros(n + m)
     x[basis] = tableau[:, -1]
-    return LpResult(status, x[:n], float(c @ x[:n]), infeasibility, used + used2)
+    return LpResult(x[:n], None, infeasibility, iterations)

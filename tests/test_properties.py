@@ -2,8 +2,10 @@
 
 The hybrid polytope is closed under per-party outcome relabelings and under
 permutations of the parties (the three bipartitions map onto each other), so
-lp_feasible's verdict must not change under either.  Tables stay at least
-1e-6 from the inequality's crossing, where the LP tolerances could decide the verdict.
+lp_feasible's verdict must not change under either.  Those tables stay at
+least 1e-6 from the inequality's crossing, since a relabeled copy is decided
+by the LP alone, whose resolution is 1e-9.  Closer to the crossing, down to
+1e-11, the verdict must follow the inequality and its certificate must hold.
 """
 
 import itertools
@@ -64,6 +66,34 @@ def test_ghz_noise_verdict_is_symmetric(lam):
     assert relabeled_verdicts(table) == {verdict}
     if is_violation(ns2_value(table)):
         assert not verdict
+
+
+near_crossing = st.builds(lambda exponent, side: side * 10.0 ** exponent,
+                          st.floats(-11.0, -6.0), st.sampled_from((-1.0, 1.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(near_crossing)
+@example(1e-10)
+@example(-1e-10)
+@example(2e-10)
+@example(-2e-10)
+def test_near_boundary_verdict_matches_inequality_and_its_certificate_holds(distance):
+    # NS2 = 3 + distance, down to 1e-11 either side: well inside the LP's 1e-9
+    # resolution, so only the inequality screen keeps the verdicts apart
+    sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
+    lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
+    table = BehaviorTable(lam * sharp + (1 - lam) * np.full((2,) * 6, 0.125))
+    target, vectors = table.as_vector(), hybrid_vertices().vectors
+    result = lp_feasible(table)
+    assert result.feasible is not is_violation(ns2_value(table))
+    if result.feasible:
+        assert result.weights.min() >= 0.0
+        assert abs(result.weights.sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(vectors.T @ result.weights - target)) <= 1e-9
+    else:
+        assert np.max(vectors @ result.functional) <= result.bound + 1e-12
+        assert result.functional @ target - result.bound > 1e-12
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -5,58 +5,41 @@ from scipy.optimize import linprog
 from nsshare.simplex import solve
 
 
-def test_simple_bounded_minimum():
-    # min -x - y  s.t.  x + y <= 1
-    result = solve(np.array([-1.0, -1.0]), a_ub=np.array([[1.0, 1.0]]), b_ub=np.array([1.0]))
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(-1.0, abs=1e-10)
-    assert result.x.sum() == pytest.approx(1.0, abs=1e-10)
+def assert_farkas(a, b, result):
+    """The infeasibility certificate holds: A^T y <= 0 < b.y."""
+    assert not result.feasible and result.x is None
+    y = result.farkas
+    assert np.max(np.asarray(a).T @ y) <= 1e-9
+    assert np.asarray(b) @ y > 0
 
 
 def test_equality_system():
     # x + y = 1, x - y = 0 -> x = y = 1/2
-    result = solve(
-        np.array([0.0, 0.0]),
-        a_eq=np.array([[1.0, 1.0], [1.0, -1.0]]),
-        b_eq=np.array([1.0, 0.0]),
-    )
-    assert result.status == "optimal"
+    result = solve(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]))
+    assert result.feasible and result.farkas is None
     assert np.allclose(result.x, [0.5, 0.5], atol=1e-10)
 
 
 def test_infeasible_detected():
     # x >= 0 with x = -1
-    result = solve(np.array([0.0]), a_eq=np.array([[1.0]]), b_eq=np.array([-1.0]))
-    assert result.status == "infeasible"
+    a, b = np.array([[1.0]]), np.array([-1.0])
+    result = solve(a, b)
     assert result.infeasibility == pytest.approx(1.0, abs=1e-9)
+    assert_farkas(a, b, result)
 
 
 def test_infeasible_pair():
     # x + y = 1 and x + y = 2 cannot both hold
-    result = solve(
-        np.array([0.0, 0.0]),
-        a_eq=np.array([[1.0, 1.0], [1.0, 1.0]]),
-        b_eq=np.array([1.0, 2.0]),
-    )
-    assert result.status == "infeasible"
+    a, b = np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0])
+    result = solve(a, b)
     assert result.infeasibility > 0.5
-
-
-def test_unbounded_detected():
-    # min -x with only a vacuous constraint
-    result = solve(np.array([-1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
-    assert result.status == "unbounded"
-
-
-def test_negative_rhs_inequality():
-    # -x <= -2  (x >= 2), minimize x -> 2
-    result = solve(np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([-2.0]))
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(2.0, abs=1e-9)
+    assert_farkas(a, b, result)
 
 
 def test_degenerate_vertex():
-    # textbook degenerate corner; must terminate and find the optimum
+    # Beale's cycling example as equalities with slacks; pinning its objective
+    # at the optimum makes phase 1 walk its degenerate corner, and just below
+    # the optimum the system is infeasible
     c = np.array([-0.75, 150.0, -0.02, 6.0])
     a_ub = np.array([
         [0.25, -60.0, -0.04, 9.0],
@@ -64,77 +47,72 @@ def test_degenerate_vertex():
         [0.0, 0.0, 1.0, 0.0],
     ])
     b_ub = np.array([0.0, 0.0, 1.0])
-    result = solve(c, a_ub=a_ub, b_ub=b_ub)
-    reference = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(reference.fun, abs=1e-8)
+    optimum = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs").fun
+    a = np.vstack([np.hstack([a_ub, np.eye(3)]), np.append(c, np.zeros(3))])
+    result = solve(a, np.append(b_ub, optimum))
+    assert result.feasible
+    assert np.max(np.abs(a @ result.x - np.append(b_ub, optimum))) < 1e-9
+    below = np.append(b_ub, optimum - 1e-3)
+    assert_farkas(a, below, solve(a, below))
 
 
 def test_redundant_equality_rows():
-    # duplicated row must not break the phase-1 cleanup
-    result = solve(
-        np.array([1.0, 2.0]),
-        a_eq=np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]),
-        b_eq=np.array([1.0, 1.0, 2.0]),
-    )
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(1.0, abs=1e-9)
-    assert np.allclose(result.x, [1.0, 0.0], atol=1e-9)
+    # duplicated rows must not break phase 1
+    a, b = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]), np.array([1.0, 1.0, 2.0])
+    result = solve(a, b)
+    assert result.feasible
+    assert result.x.min() >= 0.0
+    assert np.allclose(a @ result.x, b, atol=1e-9)
 
 
 def test_random_instances_match_scipy(rng):
-    matched = 0
+    verdicts = {True: 0, False: 0}
     for trial in range(60):
         n = int(rng.integers(2, 8))
-        m_ub = int(rng.integers(0, 5))
-        m_eq = int(rng.integers(0, 3))
-        if m_ub + m_eq == 0:
-            m_ub = 1
-        c = rng.normal(size=n)
-        a_ub = rng.normal(size=(m_ub, n)) if m_ub else None
-        b_ub = rng.normal(size=m_ub) if m_ub else None
-        a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-        b_eq = rng.normal(size=m_eq) if m_eq else None
-        ours = solve(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub)
-        reference = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                            bounds=(0, None), method="highs")
-        if reference.status == 0:
-            assert ours.status == "optimal", trial
-            assert ours.objective == pytest.approx(reference.fun, abs=1e-7), trial
-            matched += 1
-        elif reference.status == 2:
-            assert ours.status == "infeasible", trial
-        elif reference.status == 3:
-            assert ours.status == "unbounded", trial
-    assert matched > 10  # the sample must contain plenty of solvable instances
+        m = int(rng.integers(1, 5))
+        a = rng.normal(size=(m, n))
+        b = rng.normal(size=m)
+        ours = solve(a, b)
+        reference = linprog(np.zeros(n), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert reference.status in (0, 2), trial
+        assert ours.feasible == (reference.status == 0), trial
+        if ours.feasible:
+            assert ours.x.min() >= 0.0 and np.max(np.abs(a @ ours.x - b)) < 1e-8, trial
+        else:
+            assert_farkas(a, b, ours)
+        verdicts[ours.feasible] += 1
+    assert min(verdicts.values()) > 10  # the sample must hold plenty of both verdicts
 
 
 def test_convex_hull_membership():
     # the point (0.3, 0.2) lies in the simplex spanned by unit vectors and 0
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    a_eq = np.vstack([vertices.T, np.ones(3)])
-    result = solve(np.zeros(3), a_eq=a_eq, b_eq=np.array([0.3, 0.2, 1.0]))
-    assert result.status == "optimal"
+    a = np.vstack([vertices.T, np.ones(3)])
+    result = solve(a, np.array([0.3, 0.2, 1.0]))
+    assert result.feasible
     recon = vertices.T @ result.x
     assert np.allclose(recon, [0.3, 0.2], atol=1e-10)
-    # outside point
-    result = solve(np.zeros(3), a_eq=a_eq, b_eq=np.array([0.8, 0.8, 1.0]))
-    assert result.status == "infeasible"
+    # outside point: the dual separates it from every vertex
+    outside = np.array([0.8, 0.8, 1.0])
+    result = solve(a, outside)
+    assert_farkas(a, outside, result)
+    s = result.farkas[:2]
+    assert np.max(vertices @ s) < s @ outside[:2]
 
 
 def test_solution_is_feasible(rng):
     for _ in range(20):
         n = 6
-        a_eq = rng.normal(size=(3, n))
-        x_feasible = rng.random(n)
-        b_eq = a_eq @ x_feasible
-        c = rng.normal(size=n)
-        result = solve(c, a_eq=a_eq, b_eq=b_eq)
-        if result.status == "optimal":
-            assert np.max(np.abs(a_eq @ result.x - b_eq)) < 1e-8
-            assert result.x.min() > -1e-10
+        a = rng.normal(size=(3, n))
+        b = a @ rng.random(n)
+        result = solve(a, b)
+        assert result.feasible
+        assert np.max(np.abs(a @ result.x - b)) < 1e-8
+        assert result.x.min() >= 0.0
 
 
 def test_requires_constraints():
     with pytest.raises(ValueError):
-        solve(np.array([1.0]))
+        solve(np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        solve(np.ones((2, 3)), np.ones(3))
