@@ -29,7 +29,7 @@ from .inequality import (
     closed_form_ns2,
     correlator,
     is_violation,
-    ns2_relabelings,
+    ns2_orbit,
     ns2_value,
     ns2_values,
 )

@@ -12,7 +12,7 @@ certifies genuine nonsignaling nonlocality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -22,7 +22,7 @@ from . import simplex
 # no_signaling_residual stays importable from here: perfbench/layers.py wraps
 # certifier.no_signaling_residual
 from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
-from .inequality import VIOLATION_GUARD, is_violation, ns2_relabelings, relabeling_functionals
+from .inequality import VIOLATION_GUARD, is_violation, ns2_orbit, symmetry_name, symmetry_orbit
 
 RESIDUAL_ATOL = 1e-9
 
@@ -39,15 +39,23 @@ class VertexProvenance:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """All 288 hybrid-polytope vertices as rows of a (288, 64) matrix."""
+    """All 288 hybrid-polytope vertices as rows of a (288, 64) matrix.
+
+    bipartition_index[i] is the position of vertex i's bipartition in BIPARTITIONS.
+    """
 
     vectors: np.ndarray
     provenance: tuple[VertexProvenance, ...]
+    bipartition_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=float).copy()
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
+        index = np.array([BIPARTITIONS.index(p.bipartition) for p in self.provenance],
+                         dtype=np.intp)
+        index.setflags(write=False)
+        object.__setattr__(self, "bipartition_index", index)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -136,10 +144,9 @@ class DecompositionResult:
 
 
 def _group_weights(weights: np.ndarray, vertex_set: VertexSet) -> dict[str, float]:
-    sums = {name: 0.0 for name in BIPARTITIONS}
-    for weight, prov in zip(weights, vertex_set.provenance):
-        sums[prov.bipartition] += float(weight)
-    return sums
+    masses = np.bincount(vertex_set.bipartition_index, weights=weights,
+                         minlength=len(BIPARTITIONS))
+    return {name: float(mass) for name, mass in zip(BIPARTITIONS, masses)}
 
 
 def _local(vertex_set: VertexSet, weights: np.ndarray,
@@ -171,32 +178,59 @@ def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
                                margin=margin)
 
 
-def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None) -> DecompositionResult:
+def _warm_local(vertex_set: VertexSet, support: np.ndarray,
+                target: np.ndarray) -> DecompositionResult | None:
+    """The local verdict from the vertices in support alone, if they rebuild the target.
+
+    Solves a[:, support] w = (target, 1) by its normal equations.  The
+    support comes from a simplex solution or from a subset of one, so its
+    columns are independent and the system is regular.
+    """
+    columns = np.vstack([vertex_set.vectors[support].T, np.ones(len(support))])
+    try:
+        solution = np.linalg.solve(columns.T @ columns, columns.T @ np.append(target, 1.0))
+    except np.linalg.LinAlgError:
+        return None
+    weights = np.zeros(len(vertex_set))
+    weights[support] = solution
+    return _local(vertex_set, weights, target)
+
+
+def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None,
+                warm: DecompositionResult | None = None) -> DecompositionResult:
     """Decide membership of a behavior in the hybrid polytope, with a checked certificate.
 
-    The inequality under its 8 outcome relabelings is a set of facets of the
-    polytope, so a table that violates one is nonlocal without an LP: the
-    relabeled inequality is the separating functional (bound 3).  Otherwise
-    one feasibility LP decides: its weights make a local verdict, its Farkas
-    dual (scaled to max-abs 1) a nonlocal one.  Each certificate is checked
-    with numpy before it is returned; when it does not hold the verdict is
-    undecided and RuntimeError is raised.  A signaling table raises
-    SignalingTableError.
+    Each image of the inequality under the scenario's symmetries is a facet
+    of the polytope, so a table that violates one is nonlocal without an LP:
+    the image is the separating functional (bound 3).  Otherwise, given warm
+    (a local verdict on a nearby table; a nonlocal one is ignored), the
+    vertices that carry its weights are tried first: if they rebuild the
+    table with weights >= 0, that is the local verdict.  Otherwise one
+    feasibility LP decides: its weights make a local verdict, its Farkas
+    dual (scaled to max-abs 1) a nonlocal one.
+    Each certificate is checked with numpy before it is returned; when it
+    does not hold the verdict is undecided and RuntimeError is raised.  A
+    signaling table raises SignalingTableError.
     """
     if vertex_set is None:
         vertex_set = hybrid_vertices()
-    relabelings = ns2_relabelings(table)
+    values = ns2_orbit(table)
     target = table.as_vector()
-    worst = int(np.argmax(relabelings))
-    if is_violation(relabelings[worst]):
-        flipped = ",".join(party for party, bit in zip("abc", f"{worst:03b}") if bit == "1")
-        name = "flip " + flipped if flipped else "identity"
-        source = f"relabeling {name} gives NS2 = {relabelings[worst]:.12g} > 3"
-        verdict = _nonlocal(vertex_set, relabeling_functionals()[worst], target, source)
+    worst = int(np.argmax(values))
+    if is_violation(values[worst]):
+        functionals, symmetries = symmetry_orbit()
+        source = (f"relabeling {symmetry_name(symmetries[worst])} "
+                  f"gives NS2 = {values[worst]:.12g} > 3")
+        verdict = _nonlocal(vertex_set, functionals[worst], target, source)
         if verdict is None:
             raise RuntimeError(f"undecided: {source}, but its functional does not separate "
                                f"the table by more than {VIOLATION_GUARD}")
         return verdict
+
+    if warm is not None and warm.feasible:
+        verdict = _warm_local(vertex_set, np.flatnonzero(warm.weights > 0), target)
+        if verdict is not None:
+            return verdict
 
     n = len(vertex_set)
     a = np.vstack([vertex_set.vectors.T, np.ones((1, n))])

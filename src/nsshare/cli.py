@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
 
 from .behavior_io import atomic_write_text, import_behavior, read_json
@@ -219,22 +219,40 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, roun
     return delta, schedule
 
 
-def _round_rows(config: ExperimentConfig, schedule, thetas, alpha: float,
-                rounds: int) -> Iterator[list[dict]]:
+def _warm_certifier() -> Callable[[BehaviorTable], bool]:
+    """lp_feasible for the tables of one run, warm-started from its latest local verdict.
+
+    Successive tables of a run lie near the same face of the polytope, so the
+    vertices that carried the last local verdict's weights usually rebuild
+    the next table without an LP.  The state lives as long as the returned
+    function, so nothing carries over between runs.
+    """
+    warm = None
+
+    def certify(table: BehaviorTable) -> bool:
+        nonlocal warm
+        result = lp_feasible(table, warm=warm)
+        if result.feasible:
+            warm = result
+        return result.feasible
+
+    return certify
+
+
+def _round_rows(schedule, thetas, alpha: float, rounds: int,
+                certify: Callable[[BehaviorTable], bool] | None) -> Iterator[list[dict]]:
     """Yields, per theta, the rows of rounds 1..rounds; all thetas run as one engine stack."""
     oracles, tables = [], []
     for round_tables in run_stack(build_gghz(alpha), thetas, schedule, rounds):
         oracles.append(ns2_values(round_tables).tolist())
-        if config.certify:
+        if certify:
             tables.append(round_tables)
     for n, theta in enumerate(thetas):
         rows = []
         for k in range(1, rounds + 1):
             oracle = oracles[k - 1][n]
             closed = closed_form_ns2(k, alpha, theta, schedule.gammas)
-            verdict = None
-            if config.certify:
-                verdict = lp_feasible(BehaviorTable(tables[k - 1][n], k)).feasible
+            verdict = certify(BehaviorTable(tables[k - 1][n], k)) if certify else None
             rows.append({
                 "k": k,
                 "gamma": schedule.gammas[k - 1],
@@ -265,7 +283,8 @@ def _params_dict(config: ExperimentConfig) -> dict:
     return params
 
 
-def _grid(config: ExperimentConfig, variant: str) -> Iterator[tuple]:
+def _grid(config: ExperimentConfig, variant: str,
+          certify: Callable[[BehaviorTable], bool] | None) -> Iterator[tuple]:
     """Yields (delta, schedule, theta, alpha, rows) over the run's (delta, alpha, theta) grid.
 
     Each axis is its sweep or the single configured value, so a point run is
@@ -280,7 +299,7 @@ def _grid(config: ExperimentConfig, variant: str) -> Iterator[tuple]:
         resolved_delta, schedule = _resolve_schedule(config, variant, delta, needed)
         rounds = min(config.n, schedule.valid_upto)
         # one engine stack per (delta, variant, alpha) row, over the theta axis
-        stacks = [_round_rows(config, schedule, thetas, alpha, rounds) for alpha in alphas]
+        stacks = [_round_rows(schedule, thetas, alpha, rounds, certify) for alpha in alphas]
         for theta, *alpha_rows in zip(thetas, *stacks):
             for alpha, rows in zip(alphas, alpha_rows):
                 yield resolved_delta, schedule, theta, alpha, rows
@@ -290,11 +309,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
     config.validate()
     csv_lines = [CSV_HEADER] if config.out_csv else None
+    certify = _warm_certifier() if config.certify else None
     variants_summary = {}
     for variant in config.variants:
         sweep = {"points": 0, "rows": 0, "violations": 0,
                  "max_violating_k": None, "max_violating": None, "max_ns2": None}
-        for delta, schedule, theta, alpha, rows in _grid(config, variant):
+        for delta, schedule, theta, alpha, rows in _grid(config, variant, certify):
             sweep["points"] += 1
             sweep["rows"] += len(rows)
             if csv_lines is not None:

@@ -1,4 +1,4 @@
-"""The five-correlator inequality, its outcome relabelings and its closed forms.
+"""The five-correlator inequality, its images under the scenario's symmetries, its closed forms.
 
 The inequality reads
 
@@ -13,7 +13,7 @@ that precondition is therefore checked, not assumed.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -76,27 +76,94 @@ def _correlators(probs: np.ndarray, gather: tuple[tuple, np.ndarray]) -> np.ndar
 _NS2_CORRELATORS = (("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
                     ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1)))
 _NS2_TERMS = _gather(_NS2_CORRELATORS)
-# Flipping a party's outcomes negates every correlator that party is in, so the
-# inequality under the outcome flips (flip_a, flip_b, flip_c), in product order,
-# is row r of this matrix applied to the five correlators.
-_RELABELING_SIGNS = np.array([
-    [sign * (-1.0) ** sum(flips["ABC".index(p)] for p in parties)
-     for sign, (parties, _) in zip((1.0, 1.0, 1.0, -1.0, 1.0), _NS2_CORRELATORS)]
-    for flips in product((0, 1), repeat=3)
-])
+
+
+def _party_relabelings(party: str) -> np.ndarray:
+    """The 8 relabelings of one party as index maps of the 64 table entries, shape (8, 64).
+
+    Row 4*swap + 2*flip0 + flip1 flips the party's outcome at input 0 and/or
+    1, then swaps its inputs.  Relabeled table entry j is original entry row[j].
+    """
+    input_axis, outcome_axis = _PARTY_AXES[party]
+    rows = []
+    for swap, *flips in product((0, 1), repeat=3):
+        index = np.arange(64, dtype=np.int8).reshape((2,) * 6)
+        for input_bit, flip in enumerate(flips):
+            if flip:
+                block = [slice(None)] * 6
+                block[input_axis] = input_bit
+                index[tuple(block)] = np.flip(index[tuple(block)], axis=outcome_axis - 1)
+        if swap:
+            index = np.flip(index, axis=input_axis)
+        rows.append(index.reshape(64))
+    return np.array(rows)
+
+
+def symmetry_name(symmetry) -> str:
+    """Names a symmetry: per party its outcome flips, then its input swap; then the party order.
+
+    symmetry is a row of symmetry_orbit()'s table: the party order (new party
+    i is old party order[i]) and one code per party as in _party_relabelings.
+    """
+    symmetry = np.asarray(symmetry).tolist()
+    order, local = symmetry[:3], symmetry[3:]
+    parts = []
+    for outcome, input_name, code in zip("abc", "xyz", local):
+        flips = [input_bit for input_bit in (0, 1) if code >> (1 - input_bit) & 1]
+        if flips == [0, 1]:
+            parts.append(f"flip {outcome}")
+        elif flips:
+            parts.append(f"flip {outcome}|{input_name}={flips[0]}")
+        if code >> 2:
+            parts.append(f"swap {input_name}")
+    if order != [0, 1, 2]:
+        parts.append("parties " + "".join("ABC"[p] for p in order))
+    return " + ".join(parts) or "identity"
 
 
 @lru_cache(maxsize=1)
-def relabeling_functionals() -> np.ndarray:
-    """The 8 relabeled inequalities as functionals of the 64 table entries, shape (8, 64).
+def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
+    """The inequality's distinct images under the scenario's symmetries.
 
-    Row r dotted with a table's as_vector() is its value under relabeling r.
-    Built on first use, so runs that certify nothing never allocate it.
+    The symmetries are, per party, an outcome flip at either input and an
+    input swap (8 relabelings), then a permutation of the parties.  Each maps
+    the hybrid polytope onto itself (the bipartitions onto each other), so
+    every image is again a valid inequality with bound 3.  Returns the 768
+    distinct images as functionals of the 64 table entries, shape (768, 64),
+    and a symmetry that makes each, shape (768, 6) (see symmetry_name): row r
+    of the first dotted with as_vector() is the inequality's value on the
+    table that row r of the second relabels.  Each image comes with a
+    symmetry of the fewest operations (an outcome flip at one input, an input
+    swap, a new party order), and the identity comes first.  Built on first
+    use, so runs that certify nothing never allocate it.
     """
-    functionals = _RELABELING_SIGNS @ _correlators(np.eye(64).reshape((64,) + (2,) * 6),
-                                                   _NS2_TERMS).T
+    (_, x, y, z), signs = _NS2_TERMS
+    base = np.zeros((2,) * 6, dtype=np.int8)  # the inequality's coefficient of each entry
+    for term, coefficient in enumerate((1, 1, 1, -1, 1)):
+        base[x[term], y[term], z[term]] += coefficient * signs[term].astype(np.int8)
+    a, b, c = (_party_relabelings(party) for party in "ABC")
+    local_maps = a[:, b[:, c]].reshape(512, 64)
+    orders = list(permutations(range(3)))
+    entries = np.arange(64, dtype=np.int8).reshape((2,) * 6)
+    # images[order, local]: relabel by local first, then reorder the parties
+    images = np.zeros((len(orders), 512, 64), dtype=np.int8)
+    for order_images, order in zip(images, orders):
+        move = np.transpose(entries, order + tuple(p + 3 for p in order)).reshape(64)
+        np.put_along_axis(order_images, local_maps[:, move], base.reshape(64), axis=1)
+    images = images.reshape(-1, 64)
+
+    local = np.array(list(product(range(8), repeat=3)), dtype=np.uint8)
+    # operations per symmetry: each set bit of a local code, and a new party order
+    costs = np.unpackbits(local, axis=1).sum(axis=1)[None, :] + (np.arange(6) > 0)[:, None]
+    first: dict[bytes, int] = {}
+    for i in np.argsort(costs.reshape(-1), kind="stable"):
+        first.setdefault(images[i].tobytes(), int(i))
+    keep = np.array(list(first.values()))
+    functionals = images[keep].astype(float)
     functionals.setflags(write=False)
-    return functionals
+    symmetries = np.hstack([np.array(orders, dtype=np.uint8)[keep // 512], local[keep % 512]])
+    symmetries.setflags(write=False)
+    return functionals, symmetries
 
 
 def correlator(table: BehaviorTable, parties: str, inputs) -> float:
@@ -139,17 +206,15 @@ def is_violation(value: float) -> bool:
     return value > NS2_BOUND + VIOLATION_GUARD
 
 
-def ns2_relabelings(table: BehaviorTable) -> np.ndarray:
-    """The inequality value under all 8 per-party outcome relabelings.
+def ns2_orbit(table: BehaviorTable) -> np.ndarray:
+    """The value of every image of the inequality in symmetry_orbit() on a table, shape (768,).
 
-    Entry r is the value on the table with outcomes flipped as in row r of
-    product((False, True), repeat=3) over (a, b, c); entry 0 is ns2_value.
-    The hybrid polytope is closed under outcome flips, so each relabeled value
-    obeys the same bound; exceeding 3 in any of them rules membership out.
+    Hybrid-model behaviors obey the same bound 3 in each, so exceeding it in
+    any image rules membership out.  Raises SignalingTableError on a
+    signaling table.
     """
     _require_no_signaling(table)
-    correlators = _correlators(table.probs[None], _NS2_TERMS)[0]
-    return (_RELABELING_SIGNS * correlators).sum(axis=1)
+    return symmetry_orbit()[0] @ table.as_vector()
 
 
 def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:

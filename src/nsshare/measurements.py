@@ -130,9 +130,10 @@ def validity_region(n: int, epsilon: float, variant: str = "printed",
     """Largest delta in (0, pi/4] whose schedule keeps gamma_1..gamma_n in [0, 1].
 
     The endpoint pi/4 is checked first; otherwise the boundary is bracketed by
-    repeated halving and located by bisection to the requested resolution.  The
-    returned delta is always itself valid.  Returns None when no valid delta is
-    found above DELTA_SEARCH_FLOOR.
+    repeated halving and located by bisection to the requested resolution, or
+    to adjacent floats when that comes first.  The returned delta is always
+    itself valid.  Returns None when no valid delta is found above
+    DELTA_SEARCH_FLOOR.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
@@ -150,6 +151,8 @@ def validity_region(n: int, epsilon: float, variant: str = "printed",
             return None
     while hi - lo > resolution:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if valid(mid):
             lo = mid
         else:

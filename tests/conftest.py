@@ -130,3 +130,19 @@ def random_density(rng, dim=8):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def bf_relabel(probs, order, local):
+    """Relabel a (2,)*6 table: per party p, flip its outcomes at input 0 if bit 1
+    of local[p] is set and at input 1 if bit 0 is, swap its inputs if bit 2
+    is; then new party i is old party order[i]."""
+    probs = np.array(probs, dtype=float)
+    for party, code in enumerate(local):
+        for input_bit, mask in ((0, 2), (1, 1)):
+            if code & mask:
+                block = [slice(None)] * 6
+                block[party] = input_bit
+                probs[tuple(block)] = np.flip(probs[tuple(block)], axis=party + 2)
+        if code & 4:
+            probs = np.flip(probs, axis=party)
+    return np.transpose(probs, tuple(order) + tuple(p + 3 for p in order)).copy()

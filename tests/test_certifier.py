@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,13 +16,41 @@ from nsshare.engine import (
     no_signaling_residual,
     run_sequence,
 )
-from nsshare.inequality import SignalingTableError, is_violation, ns2_relabelings, ns2_value
+from nsshare.inequality import (
+    SignalingTableError,
+    is_violation,
+    ns2_orbit,
+    ns2_value,
+    symmetry_name,
+    symmetry_orbit,
+)
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
 
 
 def uniform_table():
     return BehaviorTable(np.full((2, 2, 2, 2, 2, 2), 0.125))
+
+
+def svetlichny_table():
+    """The Svetlichny box, a xor b xor c = xy xor yz xor xz: outside the polytope,
+    yet every image of the inequality gives it at most 2."""
+    probs = np.zeros((2,) * 6)
+    for x, y, z, a, b, c in product((0, 1), repeat=6):
+        if a ^ b ^ c == (x & y) ^ (y & z) ^ (x & z):
+            probs[x, y, z, a, b, c] = 0.25
+    return BehaviorTable(probs)
+
+
+LOCAL_CERTIFICATE = re.compile(r"nonsignal-local: decomposition with residual \d\.\d{3}e[+-]\d+; "
+                               r"AB\|C mass \d\.\d{6}, AC\|B mass \d\.\d{6}, BC\|A mass \d\.\d{6}")
+
+
+def ghz_noise_table(distance: float) -> BehaviorTable:
+    """Sharp GHZ mixed with white noise at NS2 = 3 + distance."""
+    sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
+    lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
+    return BehaviorTable(lam * sharp + (1 - lam) * np.full((2,) * 6, 0.125))
 
 
 def scipy_member(table_vector, vertices):
@@ -121,6 +151,19 @@ def test_uniform_feasible_with_group_structure():
     assert result.functional is None and result.bound is None and result.margin is None
 
 
+def test_group_weights_are_the_mixture_mass_per_bipartition(rng):
+    vertices = hybrid_vertices()
+    weights = rng.random(len(vertices))
+    table = BehaviorTable(((weights / weights.sum()) @ vertices.vectors).reshape((2,) * 6))
+    result = lp_feasible(table, vertices)
+    for name in BIPARTITIONS:
+        mass = 0.0  # reference: a plain loop in vertex order, so the sums agree bit for bit
+        for weight, prov in zip(result.weights, vertices.provenance):
+            if prov.bipartition == name:
+                mass += float(weight)
+        assert result.group_weights[name] == mass
+
+
 def test_deterministic_boundary_point_feasible():
     probs = np.zeros((2, 2, 2, 2, 2, 2))
     probs[:, :, :, 0, 0, 0] = 1.0
@@ -189,30 +232,48 @@ def test_mixture_crossing_the_boundary():
 def test_violation_just_above_the_bound_is_infeasible(distance):
     # at these distances the feasibility LP alone accepts the mixture with a
     # weight of about -distance / 4; the violated inequality must decide it
-    sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
-    lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
-    table = BehaviorTable(lam * sharp + (1 - lam) * np.full((2, 2, 2, 2, 2, 2), 0.125))
+    table = ghz_noise_table(distance)
     assert is_violation(ns2_value(table))
     result = lp_feasible(table)
     assert not result.feasible
     assert result.certificate.startswith("genuinely nonsignal nonlocal: relabeling identity "
                                          f"gives NS2 = {ns2_value(table):.12g} > 3")
-    # an outcome-flipped copy violates only its own relabeling, which is named
+    # an outcome-flipped copy violates only images of the inequality, by as much;
+    # the certificate names one of them
     flipped = table.flip_outcomes(flip_a=True, flip_c=True)
     assert not is_violation(ns2_value(flipped))
-    assert is_violation(ns2_relabelings(flipped)[5])
+    assert ns2_orbit(flipped).max() == pytest.approx(ns2_value(table), abs=1e-14)
+    functionals, symmetries = symmetry_orbit()
+    names = [symmetry_name(symmetry) for symmetry in symmetries]
     result = lp_feasible(flipped)
     assert not result.feasible
-    assert "relabeling flip a,c gives NS2" in result.certificate
+    source = result.certificate.split("relabeling ")[1].split(" gives NS2")[0]
+    assert is_violation(functionals[names.index(source)] @ flipped.as_vector())
 
 
-def test_input_relabeled_ghz_table_needs_the_lp(monkeypatch):
-    # with Bob's inputs swapped the sharp GHZ table obeys all 8 outcome
-    # relabelings of the inequality, yet lies outside the polytope: the
-    # feasibility LP alone must find that
-    probs = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs[:, ::-1]
-    table = BehaviorTable(probs.copy())
-    assert ns2_relabelings(table).max() < 3.0
+def test_input_relabeled_ghz_table_is_screened_by_its_orbit_image(monkeypatch):
+    # with Bob's inputs swapped the GHZ table obeys the inequality and its 8
+    # outcome relabelings, but its image under the input swap decides it
+    # without an LP, also 1e-10 from the bound, where the LP alone accepts
+    # it within its resolution
+    sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
+    calls = count_lp_solves(monkeypatch)
+    for probs in (sharp, ghz_noise_table(1e-10).probs):
+        table = BehaviorTable(probs[:, ::-1].copy())
+        assert not is_violation(ns2_value(table))
+        result = lp_feasible(table)
+        assert_separates(result, table)
+        assert "relabeling swap y gives NS2" in result.certificate
+        assert result.bound == 3.0
+    assert not calls
+    assert not scipy_member(BehaviorTable(sharp[:, ::-1].copy()).as_vector(), hybrid_vertices())
+
+
+def test_svetlichny_box_needs_the_lp(monkeypatch):
+    # no image of the inequality exceeds 2 on the Svetlichny box, which lies
+    # outside the polytope: the feasibility LP alone must find that
+    table = svetlichny_table()
+    assert ns2_orbit(table).max() == pytest.approx(2.0, abs=1e-12)
     calls = count_lp_solves(monkeypatch)
     result = lp_feasible(table)
     assert_separates(result, table)
@@ -220,6 +281,39 @@ def test_input_relabeled_ghz_table_needs_the_lp(monkeypatch):
     assert np.max(np.abs(result.functional)) == 1.0
     assert len(calls) == 1
     assert not scipy_member(table.as_vector(), hybrid_vertices())
+
+
+def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
+    warm = lp_feasible(ghz_noise_table(-1e-3))
+    table = ghz_noise_table(-2e-3)
+    calls = count_lp_solves(monkeypatch)
+    result = lp_feasible(table, warm=warm)
+    assert not calls
+    assert result.feasible
+    cold = lp_feasible(table)
+    assert len(calls) == 1
+    # the same certificate format as an LP-found one
+    for verdict in (result, cold):
+        assert LOCAL_CERTIFICATE.fullmatch(verdict.certificate), verdict.certificate
+    assert result.weights.min() >= 0.0
+    assert np.max(np.abs(hybrid_vertices().vectors.T @ result.weights - table.as_vector())) < 1e-9
+    assert np.flatnonzero(result.weights).size <= np.flatnonzero(warm.weights > 0).size
+
+
+@pytest.mark.parametrize("table", [uniform_table(), svetlichny_table()],
+                         ids=["local", "nonlocal"])
+def test_warm_support_that_cannot_rebuild_the_table_falls_through_to_the_lp(
+        monkeypatch, table):
+    # a single deterministic vertex cannot rebuild either table, and a
+    # nonlocal verdict has no support to try
+    vertex = BehaviorTable.from_vector(hybrid_vertices().vectors[0])
+    for warm in (lp_feasible(vertex), lp_feasible(svetlichny_table())):
+        calls = count_lp_solves(monkeypatch)
+        result = lp_feasible(table, warm=warm)
+        assert len(calls) == 1
+        cold = lp_feasible(table)
+        assert result.feasible == cold.feasible
+        assert result.certificate == cold.certificate
 
 
 def tampered_solve(monkeypatch, tamper):
@@ -262,7 +356,7 @@ def test_tampered_local_certificate_raises(monkeypatch, tamper):
     lambda r: {"farkas": None, "x": np.full(288, 1 / 288)},  # "feasible" with other weights
 ], ids=["negated", "zero", "nan", "fake-weights"])
 def test_tampered_nonlocal_certificate_raises(monkeypatch, tamper):
-    table = BehaviorTable(behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs[:, ::-1].copy())
+    table = svetlichny_table()
     tampered_solve(monkeypatch, tamper)
     with pytest.raises(RuntimeError, match="undecided"):
         lp_feasible(table)

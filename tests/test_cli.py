@@ -282,6 +282,60 @@ def test_sweep_summary_and_determinism(tmp_path):
     assert normalized["violations"] == 0
 
 
+def record_verdicts(monkeypatch) -> tuple[list, list]:
+    """Records (table, verdict) for every run verdict and counts simplex.solve calls."""
+    from nsshare import cli, simplex
+
+    verdicts, solves = [], []
+    certify, solve = cli.lp_feasible, simplex.solve
+
+    def recording(table, *args, **kwargs):
+        result = certify(table, *args, **kwargs)
+        verdicts.append((table, result.feasible))
+        return result
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "lp_feasible", recording)
+    monkeypatch.setattr(simplex, "solve", counting)
+    return verdicts, solves
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(n=6, auto_delta=True, certify=True, recursion="both"),
+    ExperimentConfig(n=2, certify=True, recursion="both",
+                     sweep_theta=(0.01, math.pi / 2, 0.02)),
+], ids=["point", "theta-sweep"])
+def test_warm_started_run_gives_the_cold_verdicts_with_fewer_lps(monkeypatch, config):
+    from nsshare.certifier import lp_feasible
+
+    verdicts, solves = record_verdicts(monkeypatch)
+    summary = run_experiment(config)
+    warm_solves = len(solves)
+    cold = [lp_feasible(table).feasible for table, _ in verdicts]
+    assert [verdict for _, verdict in verdicts] == cold
+    assert warm_solves < len(solves) - warm_solves
+    assert True in cold and False in cold
+    if not config.is_sweep:
+        reported = [v for data in summary["variants"].values()
+                    for v in data["certifier_verdicts"].values()]
+        assert reported == cold
+
+
+def test_warm_start_does_not_outlive_a_run(monkeypatch):
+    # identical runs make identical LP calls: nothing is cached between them
+    _, solves = record_verdicts(monkeypatch)
+    config = ExperimentConfig(n=4, auto_delta=True, certify=True, theta=0.7, alpha=0.6)
+    counts = []
+    for _ in range(2):
+        del solves[:]
+        run_experiment(config)
+        counts.append(len(solves))
+    assert counts[0] == counts[1] > 0
+
+
 def test_cli_main_end_to_end(tmp_path, capsys):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"

@@ -12,14 +12,15 @@ from nsshare.inequality import (
     closed_form_ns2,
     correlator,
     is_violation,
-    ns2_relabelings,
+    ns2_orbit,
     ns2_value,
-    relabeling_functionals,
+    symmetry_name,
+    symmetry_orbit,
 )
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz, expectation
 
-from conftest import SX, SZ, bf_behavior, bf_ns2
+from conftest import SX, SZ, bf_behavior, bf_ns2, bf_relabel
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -204,28 +205,39 @@ def test_ns2_bounded_on_vertex_mixtures(rng):
 
 def test_ns2_relabelings_count_and_bound(rng):
     table = uniform_table()
-    values = ns2_relabelings(table)
-    assert values.shape == (8,)
+    values = ns2_orbit(table)
+    assert values.shape == (768,)
     assert np.max(np.abs(values)) < 1e-12
-    # polytope members stay below the bound under every relabeling
+    # polytope members stay below the bound in every image of the inequality
     vertices = hybrid_vertices()
     for index in rng.integers(0, len(vertices), size=10):
         vertex = BehaviorTable.from_vector(vertices.vectors[index])
-        assert ns2_relabelings(vertex).max() <= 3.0 + 1e-12
-    # as functionals of the 64 entries each relabeling attains exactly 3 on the vertices
-    maxima = (vertices.vectors @ relabeling_functionals().T).max(axis=0)
-    assert np.array_equal(maxima, np.full(8, 3.0))
+        assert ns2_orbit(vertex).max() <= 3.0 + 1e-12
+    # as functionals of the 64 entries the images are distinct, and each
+    # attains exactly 3 on the vertices
+    functionals, symmetries = symmetry_orbit()
+    assert functionals.shape == (768, 64) and len(symmetries) == 768
+    assert len(np.unique(functionals, axis=0)) == 768
+    maxima = (vertices.vectors @ functionals.T).max(axis=0)
+    assert np.array_equal(maxima, np.full(768, 3.0))
+    names = [symmetry_name(symmetry) for symmetry in symmetries]
+    assert names[0] == "identity" and len(set(names)) == 768
 
 
 def test_ns2_relabelings_match_flipped_tables(rng):
-    # the sign matrix gives the value of each outcome-flipped table, and entry 0
-    # is ns2_value bit for bit
+    # each image's value is ns2_value of the table relabeled by its symmetry,
+    # and image 0 is the inequality itself
+    functionals, symmetries = symmetry_orbit()
     for _ in range(25):
         table = behavior(build_gghz(rng.uniform(0, np.pi / 2)), rng.uniform(0, np.pi / 2),
                          rng.uniform(0, 1))
-        values = ns2_relabelings(table)
-        for r, flips in enumerate(product((False, True), repeat=3)):
-            assert values[r] == pytest.approx(ns2_value(table.flip_outcomes(*flips)), abs=1e-14)
-        assert values[0] == ns2_value(table)
-        assert np.allclose(relabeling_functionals() @ table.as_vector(), values, rtol=0, atol=1e-14)
-
+        values = ns2_orbit(table)
+        assert values[0] == pytest.approx(ns2_value(table), abs=1e-14)
+        for r in rng.integers(0, len(symmetries), size=40):
+            order, local = symmetries[r][:3], symmetries[r][3:]
+            relabeled = BehaviorTable(bf_relabel(table.probs, order, local))
+            assert values[r] == pytest.approx(ns2_value(relabeled), abs=1e-14)
+        # the 8 outcome flips of the whole table are among the images
+        for flips in product((False, True), repeat=3):
+            flipped = ns2_value(table.flip_outcomes(*flips))
+            assert np.min(np.abs(values - flipped)) < 1e-14

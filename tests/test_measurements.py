@@ -228,6 +228,15 @@ def test_validity_region_tiny_deltas_verified_by_mp():
             np.testing.assert_allclose(gammas, reference, rtol=1e-12, atol=0)
 
 
+def test_validity_region_bisects_to_adjacent_floats():
+    # a resolution finer than one ulp of delta ends the search at adjacent
+    # floats: the returned delta is valid, the next float up is not
+    delta = validity_region(3, 1e-3, resolution=1e-30)
+    assert gamma_sequence(delta, 1e-3, 3).valid_upto >= 3
+    assert gamma_sequence(np.nextafter(delta, np.inf), 1e-3, 3).valid_upto < 3
+    assert abs(delta - validity_region(3, 1e-3)) < 1e-6
+
+
 def test_validity_region_normalized_variant():
     for n in (1, 4, 8):
         assert validity_region(n, 0.001, variant="normalized") == pytest.approx(np.pi / 4, abs=0)

@@ -1,11 +1,11 @@
 """Property tests: symmetries of the hybrid polytope and the behavior JSON round trip.
 
-The hybrid polytope is closed under per-party outcome relabelings and under
-permutations of the parties (the three bipartitions map onto each other), so
-lp_feasible's verdict must not change under either.  Those tables stay at
-least 1e-6 from the inequality's crossing, since a relabeled copy is decided
-by the LP alone, whose resolution is 1e-9.  Closer to the crossing, down to
-1e-11, the verdict must follow the inequality and its certificate must hold.
+The hybrid polytope is closed under per-party outcome relabelings and input
+swaps and under permutations of the parties (the three bipartitions map onto
+each other), so lp_feasible's verdict must not change under any of them.  Down
+to 1e-11 from the inequality's crossing, well inside the LP's 1e-9
+resolution, the verdict on GHZ noise and on each of its images must follow the
+inequality, and its certificate must hold.
 """
 
 import itertools
@@ -21,6 +21,8 @@ from nsshare.certifier import hybrid_vertices, lp_feasible
 from nsshare.engine import BehaviorTable, behavior
 from nsshare.inequality import is_violation, ns2_value
 from nsshare.states import build_gghz
+
+from conftest import bf_relabel
 
 FLIPS = list(itertools.product((False, True), repeat=3))
 PARTY_ORDERS = list(itertools.permutations(range(3)))
@@ -70,23 +72,32 @@ def test_ghz_noise_verdict_is_symmetric(lam):
 
 near_crossing = st.builds(lambda exponent, side: side * 10.0 ** exponent,
                           st.floats(-11.0, -6.0), st.sampled_from((-1.0, 1.0)))
+# (party order, one relabeling code per party), as conftest.bf_relabel takes them
+symmetries = st.tuples(st.sampled_from(PARTY_ORDERS), st.tuples(*[st.integers(0, 7)] * 3))
+IDENTITY = ((0, 1, 2), (0, 0, 0))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(near_crossing)
-@example(1e-10)
-@example(-1e-10)
-@example(2e-10)
-@example(-2e-10)
-def test_near_boundary_verdict_matches_inequality_and_its_certificate_holds(distance):
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(near_crossing, symmetries)
+@example(1e-10, IDENTITY)
+@example(-1e-10, IDENTITY)
+@example(2e-10, IDENTITY)
+@example(-2e-10, IDENTITY)
+@example(1e-10, ((0, 1, 2), (0, 4, 0)))  # Bob's inputs swapped
+@example(-1e-10, ((0, 1, 2), (0, 4, 0)))
+@example(1e-11, ((2, 0, 1), (6, 0, 7)))
+def test_near_boundary_verdict_matches_inequality_and_its_certificate_holds(distance, symmetry):
     # NS2 = 3 + distance, down to 1e-11 either side: well inside the LP's 1e-9
-    # resolution, so only the inequality screen keeps the verdicts apart
+    # resolution, so only the inequality screen keeps the verdicts apart.  A
+    # symmetry maps the polytope onto itself, so the image of the table is
+    # nonlocal exactly when distance > 0
     sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
     lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
-    table = BehaviorTable(lam * sharp + (1 - lam) * np.full((2,) * 6, 0.125))
+    table = BehaviorTable(bf_relabel(lam * sharp + (1 - lam) * np.full((2,) * 6, 0.125),
+                                     *symmetry))
     target, vectors = table.as_vector(), hybrid_vertices().vectors
     result = lp_feasible(table)
-    assert result.feasible is not is_violation(ns2_value(table))
+    assert result.feasible is (distance < 0)
     if result.feasible:
         assert result.weights.min() >= 0.0
         assert abs(result.weights.sum() - 1.0) <= 1e-9
