@@ -9,14 +9,12 @@ linear-programming membership in the hybrid local-nonlocal polytope.
 from .behavior_io import export_behavior, import_behavior
 from .certifier import (
     DecompositionResult,
-    VertexProvenance,
     VertexSet,
     hybrid_vertices,
     lp_feasible,
 )
 from .engine import (
     BehaviorTable,
-    SequentialScenario,
     behavior,
     luders_update,
     no_signaling_residual,
@@ -27,7 +25,6 @@ from .inequality import (
     NS2_BOUND,
     SignalingTableError,
     closed_form_ns2,
-    correlator,
     is_violation,
     ns2_orbit,
     ns2_value,
@@ -40,12 +37,8 @@ from .measurements import (
     validity_region,
 )
 from .states import (
-    DensityReport,
     TripartiteState,
     build_gghz,
-    expectation,
-    maximally_mixed,
-    validate_density,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ certifies genuine nonsignaling nonlocality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -30,14 +30,6 @@ BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 
 
 @dataclass(frozen=True)
-class VertexProvenance:
-    bipartition: str
-    box_kind: str       # "deterministic" or "pr"
-    box_id: int         # 0..15 deterministic, 0..7 pr
-    singleton_id: int   # 0..3
-
-
-@dataclass(frozen=True)
 class VertexSet:
     """All 288 hybrid-polytope vertices as rows of a (288, 64) matrix.
 
@@ -45,74 +37,45 @@ class VertexSet:
     """
 
     vectors: np.ndarray
-    provenance: tuple[VertexProvenance, ...]
-    bipartition_index: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=float).copy()
-        vectors.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        index = np.array([BIPARTITIONS.index(p.bipartition) for p in self.provenance],
-                         dtype=np.intp)
-        index.setflags(write=False)
-        object.__setattr__(self, "bipartition_index", index)
+    bipartition_index: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
 
-def _bipartite_boxes() -> list[tuple[str, int, np.ndarray]]:
-    """The 24 extreme points of the 2-input/2-outcome bipartite NS polytope."""
-    boxes = []
-    for bits in product((0, 1), repeat=4):  # a = a_slope*x ^ a_off, b likewise
-        a_slope, a_off, b_slope, b_off = bits
-        box = np.zeros((2, 2, 2, 2))
-        for x, y in product((0, 1), repeat=2):
-            box[x, y, (a_slope & x) ^ a_off, (b_slope & y) ^ b_off] = 1.0
-        box_id = 8 * a_slope + 4 * a_off + 2 * b_slope + b_off
-        boxes.append(("deterministic", box_id, box))
-    for bits in product((0, 1), repeat=3):  # a ^ b = xy ^ beta*x ^ gamma*y ^ d
-        beta, gamma, d = bits
-        box = np.zeros((2, 2, 2, 2))
-        for x, y, a in product((0, 1), repeat=3):
-            b = a ^ (x & y) ^ (beta & x) ^ (gamma & y) ^ d
-            box[x, y, a, b] = 0.5
-        boxes.append(("pr", 4 * beta + 2 * gamma + d, box))
-    return boxes
+def _bipartite_boxes(responses: np.ndarray) -> np.ndarray:
+    """The 24 extreme points of the 2-input/2-outcome bipartite NS polytope, as [n, x, y, a, b].
 
-
-def _singleton_points() -> list[tuple[int, np.ndarray]]:
-    """The 4 deterministic single-party behaviors c = slope*z ^ off."""
-    points = []
-    for slope, off in product((0, 1), repeat=2):
-        point = np.zeros((2, 2))
-        for z in (0, 1):
-            point[z, (slope & z) ^ off] = 1.0
-        points.append((2 * slope + off, point))
-    return points
+    The 16 deterministic boxes are products of two single-party responses;
+    the 8 PR-type boxes give a ^ b = xy ^ beta*x ^ gamma*y ^ d weight 1/2.
+    """
+    deterministic = np.einsum("ixa,jyb->ijxyab", responses, responses).reshape(16, 2, 2, 2, 2)
+    x, y, a, b = np.indices((2,) * 4)
+    pr = [0.5 * (a ^ b == (x & y) ^ (beta & x) ^ (gamma & y) ^ d)
+          for beta, gamma, d in product((0, 1), repeat=3)]
+    return np.concatenate([deterministic, pr])
 
 
 @lru_cache(maxsize=1)
 def hybrid_vertices() -> VertexSet:
-    """Enumerate all 288 vertices with their provenance tags."""
-    vectors = []
-    provenance = []
-    boxes = _bipartite_boxes()
-    singletons = _singleton_points()
-    for bipartition in BIPARTITIONS:
-        for box_kind, box_id, box in boxes:
-            for singleton_id, single in singletons:
-                if bipartition == "AB|C":
-                    table = np.einsum("xyab,zc->xyzabc", box, single)
-                elif bipartition == "AC|B":
-                    table = np.einsum("xzac,yb->xyzabc", box, single)
-                else:  # BC|A
-                    table = np.einsum("yzbc,xa->xyzabc", box, single)
-                vectors.append(table.reshape(64))
-                provenance.append(
-                    VertexProvenance(bipartition, box_kind, box_id, singleton_id)
-                )
-    return VertexSet(np.array(vectors), tuple(provenance))
+    """All 288 vertices, ordered by bipartition, then box, then single-party response.
+
+    The simplex breaks ties by column index, so this order fixes the digits of
+    LP certificates.
+    """
+    z, c = np.indices((2, 2))
+    # the 4 deterministic single-party responses c = slope*z ^ off, indexed [n, z, c]
+    responses = np.array([c == (slope & z) ^ off for slope, off in product((0, 1), repeat=2)],
+                         dtype=float)
+    boxes = _bipartite_boxes(responses)
+    products = (np.einsum("nxyab,mzc->nmxyzabc", boxes, responses),   # AB|C
+                np.einsum("nxzac,myb->nmxyzabc", boxes, responses),   # AC|B
+                np.einsum("nyzbc,mxa->nmxyzabc", boxes, responses))   # BC|A
+    vectors = np.concatenate(products).reshape(-1, 64)
+    index = np.repeat(np.arange(len(BIPARTITIONS)), len(vectors) // len(BIPARTITIONS))
+    vectors.setflags(write=False)
+    index.setflags(write=False)
+    return VertexSet(vectors, index)
 
 
 @dataclass(frozen=True)
@@ -196,7 +159,7 @@ def _warm_local(vertex_set: VertexSet, support: np.ndarray,
     return _local(vertex_set, weights, target)
 
 
-def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None,
+def lp_feasible(table: BehaviorTable, *,
                 warm: DecompositionResult | None = None) -> DecompositionResult:
     """Decide membership of a behavior in the hybrid polytope, with a checked certificate.
 
@@ -212,8 +175,7 @@ def lp_feasible(table: BehaviorTable, vertex_set: VertexSet | None = None,
     does not hold the verdict is undecided and RuntimeError is raised.  A
     signaling table raises SignalingTableError.
     """
-    if vertex_set is None:
-        vertex_set = hybrid_vertices()
+    vertex_set = hybrid_vertices()
     values = ns2_orbit(table)
     target = table.as_vector()
     worst = int(np.argmax(values))

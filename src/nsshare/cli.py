@@ -57,6 +57,8 @@ def parse_angle(value) -> float:
             factor = float(coefficient)
         angle = factor * math.pi
         if denominator:
+            if float(denominator) == 0.0:
+                raise ConfigError(f"cannot parse angle {value!r}")
             angle /= float(denominator)
         return angle
     try:
@@ -139,8 +141,8 @@ class ExperimentConfig:
             raise ConfigError("auto_delta and sweep_delta are mutually exclusive")
         for name in ("out_csv", "out_json"):
             value = getattr(self, name)
-            if value is not None and not str(value).strip():
-                raise ConfigError(f"{name} must be a nonempty path when given")
+            if value is not None and not (isinstance(value, str) and value.strip()):
+                raise ConfigError(f"{name} must be a nonempty path when given, got {value!r}")
 
     @property
     def variants(self) -> tuple[str, ...]:
@@ -182,7 +184,13 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         if key in merged and merged[key] is not None:
             merged[key] = parse_sweep(merged[key])
     if "epsilon" in merged:
-        merged["epsilon"] = float(merged["epsilon"])
+        epsilon = merged["epsilon"]
+        try:
+            if isinstance(epsilon, bool):  # float(True) would run with epsilon 1
+                raise TypeError
+            merged["epsilon"] = float(epsilon)
+        except (TypeError, ValueError):
+            raise ConfigError(f"epsilon must be a number, got {epsilon!r}") from None
     config = ExperimentConfig(**merged)
     config.validate()
     return config

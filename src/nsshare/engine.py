@@ -102,18 +102,6 @@ class BehaviorTable:
             raise ValueError(f"expected 64 probabilities, got shape {vec.shape}")
         return cls(vec.reshape(2, 2, 2, 2, 2, 2), round_index)
 
-    def flip_outcomes(self, flip_a: bool = False, flip_b: bool = False,
-                      flip_c: bool = False) -> "BehaviorTable":
-        """Relabel outcomes a -> 1-a (and/or b, c) for every input."""
-        p = self.probs
-        if flip_a:
-            p = p[:, :, :, ::-1, :, :]
-        if flip_b:
-            p = p[:, :, :, :, ::-1, :]
-        if flip_c:
-            p = p[:, :, :, :, :, ::-1]
-        return BehaviorTable(p.copy(), self.round_index)
-
 
 _MARGINAL_FAMILIES = (
     # (outcome axes summed out, input axes that must not matter, label)
@@ -185,42 +173,15 @@ def luders_update(state: TripartiteState, theta: float, gamma_k: float) -> Tripa
     if not isinstance(state, TripartiteState):
         raise TypeError("luders_update expects a TripartiteState")
     _, roots = charlie_setting((theta,), gamma_k)
-    return TripartiteState(_luders_stack(state.rho[None], roots)[0], label=state.label)
+    return TripartiteState(_luders_stack(state.rho[None], roots)[0])
 
 
-def behavior(state: TripartiteState, theta: float, gamma_k: float,
-             round_index: int = 1) -> BehaviorTable:
+def behavior(state: TripartiteState, theta: float, gamma_k: float) -> BehaviorTable:
     """Full behavior P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})]."""
     if not isinstance(state, TripartiteState):
         raise TypeError("behavior expects a TripartiteState")
     effects, _ = charlie_setting((theta,), gamma_k)
-    return BehaviorTable(_behavior_stack(state.rho[None], effects)[0], round_index)
-
-
-def _check_run(thetas, schedule: GammaSchedule, rounds: int) -> None:
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds!r}")
-    if rounds > schedule.valid_upto:
-        raise ValueError(
-            f"rounds={rounds} exceeds the schedule's valid prefix "
-            f"(valid_upto={schedule.valid_upto})"
-        )
-    for theta in thetas:
-        if not 0.0 < theta < np.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
-
-
-@dataclass(frozen=True)
-class SequentialScenario:
-    """A run plan: initial state, Charlie angle, sharpness schedule, round count."""
-
-    initial: TripartiteState
-    theta: float
-    schedule: GammaSchedule
-    rounds: int
-
-    def __post_init__(self):
-        _check_run((self.theta,), self.schedule, self.rounds)
+    return BehaviorTable(_behavior_stack(state.rho[None], effects)[0])
 
 
 def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
@@ -232,7 +193,16 @@ def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
     shape (N, 2, 2, 2, 2, 2, 2) whose tables passed the BehaviorTable checks;
     the states behind them passed the TripartiteState checks.
     """
-    _check_run(thetas, schedule, rounds)
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds!r}")
+    if rounds > schedule.valid_upto:
+        raise ValueError(
+            f"rounds={rounds} exceeds the schedule's valid prefix "
+            f"(valid_upto={schedule.valid_upto})"
+        )
+    for theta in thetas:
+        if not 0.0 < theta < np.pi / 2:
+            raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
     rhos = np.repeat(initial.rho[None], len(thetas), axis=0)
     for k in range(rounds):
         effects, roots = charlie_setting(thetas, schedule.gammas[k])
@@ -244,7 +214,8 @@ def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
             check_densities(rhos)
 
 
-def run_sequence(scenario: SequentialScenario) -> list[BehaviorTable]:
-    """Behavior tables for rounds 1..n; round k+1 sees the round-k Lüders update."""
-    stack = run_stack(scenario.initial, (scenario.theta,), scenario.schedule, scenario.rounds)
+def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule,
+                 rounds: int) -> list[BehaviorTable]:
+    """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
+    stack = run_stack(initial, (theta,), schedule, rounds)
     return [BehaviorTable(tables[0], k) for k, tables in enumerate(stack, start=1)]

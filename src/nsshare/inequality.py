@@ -166,22 +166,6 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     return functionals, symmetries
 
 
-def correlator(table: BehaviorTable, parties: str, inputs) -> float:
-    """(-1)^(sum of outcomes) expectation for a subset of parties at fixed inputs.
-
-    parties is a string over {A, B, C} (e.g. "AC"); inputs the matching bits.
-    Excluded parties are marginalized with their input fixed to 0.
-    """
-    parties = "".join(sorted(parties.upper()))
-    if not parties or any(p not in "ABC" for p in parties) or len(set(parties)) != len(parties):
-        raise ValueError(f"parties must be a non-empty subset of ABC, got {parties!r}")
-    inputs = tuple(int(i) for i in inputs)
-    if len(inputs) != len(parties) or any(i not in (0, 1) for i in inputs):
-        raise ValueError(f"inputs must supply one bit per party, got {inputs!r}")
-    _require_no_signaling(table)
-    return float(_correlators(table.probs[None], _gather(((parties, inputs),)))[0, 0])
-
-
 def ns2_values(probs: np.ndarray) -> np.ndarray:
     """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2).
 

@@ -71,11 +71,8 @@ class GammaSchedule:
     gamma_1..gamma_k all inside [0, 1].
     """
 
-    delta: float
-    epsilon: float
     gammas: tuple[float, ...]
     valid_upto: int
-    variant: str = "printed"
 
 
 def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed") -> GammaSchedule:
@@ -116,13 +113,9 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
         u = g * g / (2.0 * (1.0 + s))
         q = q + u - q * u
 
-    valid_upto = 0
-    for g in gammas:
-        if 0.0 <= g <= 1.0:
-            valid_upto += 1
-        else:
-            break
-    return GammaSchedule(float(delta), float(epsilon), tuple(gammas), valid_upto, variant)
+    # the loop stops at the first out-of-range entry, so only the last can be one
+    valid_upto = len(gammas) if 0.0 <= gammas[-1] <= 1.0 else len(gammas) - 1
+    return GammaSchedule(tuple(gammas), valid_upto)
 
 
 def validity_region(n: int, epsilon: float, variant: str = "printed",

@@ -34,7 +34,7 @@ class LpResult:
         return self.x is not None
 
 
-def solve(a, b, tol: float = 1e-9, max_iterations: int | None = None) -> LpResult:
+def solve(a, b, tol: float = 1e-9) -> LpResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.shape != (a.shape[0],):
@@ -48,8 +48,7 @@ def solve(a, b, tol: float = 1e-9, max_iterations: int | None = None) -> LpResul
     cost = np.zeros(n + m)
     cost[n:] = 1.0
     allowed = np.arange(n + m) < n  # artificials only leave, never re-enter
-    if max_iterations is None:
-        max_iterations = 200 + 40 * (n + 2 * m)
+    max_iterations = 200 + 40 * (n + 2 * m)
 
     iterations = 0
     bland = False

@@ -14,7 +14,6 @@ import numpy as np
 DIM = 8
 TRACE_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
-MIN_EIGENVALUE_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -22,7 +21,6 @@ class TripartiteState:
     """8x8 density operator for the A (x) B (x) C qubit triple."""
 
     rho: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex).copy()
@@ -31,9 +29,6 @@ class TripartiteState:
         check_densities(rho[None])
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
 
 def check_densities(rhos: np.ndarray) -> None:
@@ -49,51 +44,12 @@ def check_densities(rhos: np.ndarray) -> None:
         raise ValueError("density operator must be Hermitian")
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Outcome of the physicality checks on a candidate density operator."""
-
-    trace_deviation: float
-    hermiticity_deviation: float
-    min_eigenvalue: float
-    passed: bool
-
-
-def build_gghz(alpha: float, label: str = "gghz") -> TripartiteState:
+def build_gghz(alpha: float) -> TripartiteState:
     """Pure state cos(alpha)|000> + sin(alpha)|111> as a density operator."""
     if not 0.0 <= alpha <= np.pi / 2:
         raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
     psi = np.zeros(DIM, dtype=complex)
     psi[0] = np.cos(alpha)
     psi[7] = np.sin(alpha)
-    return TripartiteState(np.outer(psi, psi.conj()), label=label)
+    return TripartiteState(np.outer(psi, psi.conj()))
 
-
-def maximally_mixed(label: str = "mixed") -> TripartiteState:
-    return TripartiteState(np.eye(DIM, dtype=complex) / DIM, label=label)
-
-
-def validate_density(state_or_matrix) -> DensityReport:
-    """Report trace, Hermiticity and minimum-eigenvalue deviations.
-
-    Accepts a TripartiteState or a raw square matrix, so that deliberately
-    broken inputs can be probed without constructing a state.
-    """
-    rho = state_or_matrix.rho if isinstance(state_or_matrix, TripartiteState) else state_or_matrix
-    rho = np.asarray(rho, dtype=complex)
-    trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    hermitized = (rho + rho.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(hermitized)[0])
-    passed = (
-        trace_dev <= TRACE_ATOL
-        and herm_dev <= HERMITIAN_ATOL
-        and min_eig >= MIN_EIGENVALUE_FLOOR
-    )
-    return DensityReport(trace_dev, herm_dev, min_eig, passed)
-
-
-def expectation(state: TripartiteState, operator: np.ndarray) -> float:
-    """<O> = tr(rho O) for a Hermitian observable O; returns the real part."""
-    value = complex(np.trace(state.rho @ np.asarray(operator, dtype=complex)))
-    return value.real

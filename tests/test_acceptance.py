@@ -15,7 +15,6 @@ from nsshare.certifier import hybrid_vertices, lp_feasible
 from nsshare.cli import ExperimentConfig, run_experiment
 from nsshare.engine import (
     BehaviorTable,
-    SequentialScenario,
     behavior,
     luders_update,
     no_signaling_residual,
@@ -30,7 +29,7 @@ from nsshare.inequality import (
     ns2_values,
 )
 from nsshare.measurements import gamma_sequence, validity_region
-from nsshare.states import build_gghz, validate_density
+from nsshare.states import build_gghz
 
 # frozen oracle values for delta = theta = pi/4, epsilon = 0.001, alpha = pi/4
 GAMMA_1 = 0.41462777593546814
@@ -83,8 +82,8 @@ def test_criterion_03_two_round_violation_point():
     assert abs(schedule.gammas[2] - GAMMA_3) < 1e-6
     assert schedule.valid_upto == 2
 
-    scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
-    values = [ns2_value(table) for table in run_sequence(scenario)]
+    values = [ns2_value(table) for table in run_sequence(build_gghz(np.pi / 4), np.pi / 4,
+                                                         schedule, 2)]
     assert abs(values[0] - NS2_ROUND_1) < 1e-6
     assert abs(values[1] - NS2_ROUND_2) < 1e-6
     assert values[0] > 3.0 and values[1] > 3.0
@@ -143,11 +142,11 @@ def test_criterion_06_certifier_soundness_suite():
     assert len(vertices) == 288
 
     for i in range(len(vertices)):
-        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]), vertices)
+        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]))
         assert result.feasible and result.residual < 1e-9, i
 
     uniform = BehaviorTable(np.full((2, 2, 2, 2, 2, 2), 0.125))
-    result = lp_feasible(uniform, vertices)
+    result = lp_feasible(uniform)
     assert result.feasible and result.residual < 1e-9
 
     violating = 0
@@ -160,7 +159,7 @@ def test_criterion_06_certifier_soundness_suite():
                 table = behavior(state, float(theta), float(gamma))
                 if ns2_orbit(table).max() > 3.0 + 1e-12:
                     violating += 1
-                    result = lp_feasible(table, vertices)
+                    result = lp_feasible(table)
                     assert not result.feasible, (alpha, theta, gamma)
     assert checked == 1000
     assert violating > 50  # the scan must actually exercise the soundness link
@@ -184,13 +183,12 @@ def test_criterion_07_physicality_suite():
         state = build_gghz(np.pi / 4)
         reference_ab = None
         for k in range(1, rounds + 1):
-            report = validate_density(state)
-            assert report.passed
-            assert report.trace_deviation < 1e-12
-            assert report.min_eigenvalue >= -1e-10
+            # positivity is the one property TripartiteState does not check itself
+            assert abs(np.trace(state.rho) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(state.rho)[0] >= -1e-10
             states_checked += 1
 
-            table = behavior(state, np.pi / 4, schedule.gammas[k - 1], k)
+            table = behavior(state, np.pi / 4, schedule.gammas[k - 1])
             sums = table.probs.sum(axis=(3, 4, 5))
             assert np.max(np.abs(sums - 1.0)) < 1e-12
             residual, _ = no_signaling_residual(table)
@@ -254,7 +252,6 @@ def test_criterion_08_claim_audit_deliverable(tmp_path):
 def test_claim_audit_scan_soundness():
     # every violating behavior in the claim-audit grid (printed variant; the
     # normalized variant produces none) must be certified outside the polytope
-    vertices = hybrid_vertices()
     deltas = [0.01 + i * 0.01 for i in range(78)]
     thetas = [0.01 + i * 0.01 for i in range(157)]
     initial = build_gghz(np.pi / 4)
@@ -268,7 +265,7 @@ def test_claim_audit_scan_soundness():
                     violating_tables.append(BehaviorTable(probs, k))
     assert len(violating_tables) == 360
     for table in violating_tables:
-        result = lp_feasible(table, vertices)
+        result = lp_feasible(table)
         assert not result.feasible
     print(f"claim-audit soundness: all {len(violating_tables)} violating grid "
           f"behaviors are LP-infeasible")

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from nsshare.behavior_io import export_behavior, import_behavior
-from nsshare.engine import behavior
+from nsshare.engine import BehaviorTable, behavior
 from nsshare.states import build_gghz
 
 
 def ghz_table():
-    return behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0, round_index=3)
+    return BehaviorTable(behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs, 3)
 
 
 def test_round_trip_values_identical(tmp_path):

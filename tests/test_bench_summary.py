@@ -1,0 +1,62 @@
+"""tools/bench_summary.py: the quartiles and pair counts of a BENCH_<n>.json."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_summary.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_summary", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_summary = load_tool()
+
+
+def write_records(checkout: Path, values: list[float]) -> None:
+    """One untraced audit record per seed, with batch_cpu_s = values[seed]."""
+    results = checkout / ".perfbench_run" / "results"
+    results.mkdir(parents=True)
+    environment = {key: "test" for key in bench_summary.ENVIRONMENT_KEYS}
+    for seed, value in enumerate(values):
+        record = {
+            "workload": "audit", "trace": 0, "seconds": 1,
+            "environment": dict(environment, seed=seed),
+            "metrics": {"batch_cpu_s": {"value": value, "unit": "s"}},
+            "failures": {"check": 0},
+            "known_defects": {"failures": {}},
+        }
+        (results / f"audit-{seed}.json").write_text(json.dumps(record))
+
+
+def test_summary_quartiles_and_pairs_won(tmp_path):
+    write_records(tmp_path / "parent", [1.0, 2.0, 3.0, 4.0, 5.0])
+    write_records(tmp_path / "change", [1.0, 1.0, 4.0, 3.0, 2.0])
+    summary = bench_summary.summarise(str(tmp_path / "parent"), str(tmp_path / "change"))
+    row = summary["workloads"]["audit"]["batch_cpu_s"]
+    assert row["pairs"] == 5
+    assert row["change_better_in"] == 3  # seed 0 ties, seed 2 is worse
+    assert row["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert row["change"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
+    assert summary["seeds"] == [0, 1, 2, 3, 4]
+    assert summary["failed_ops"] == {"parent": 0, "change": 0}
+
+
+@pytest.mark.parametrize("empty_side", ["parent", "change"])
+def test_summary_refuses_a_side_without_records(tmp_path, capsys, empty_side):
+    for side in ("parent", "change"):
+        if side == empty_side:
+            (tmp_path / side).mkdir()
+        else:
+            write_records(tmp_path / side, [1.0])
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(tmp_path / "bench.json")]
+    assert bench_summary.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / empty_side}: no perfbench")
+    assert not (tmp_path / "bench.json").exists()

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from itertools import product
@@ -11,7 +12,6 @@ from nsshare.certifier import BIPARTITIONS, hybrid_vertices, lp_feasible
 from nsshare.engine import (
     NO_SIGNALING_ATOL,
     BehaviorTable,
-    SequentialScenario,
     behavior,
     no_signaling_residual,
     run_sequence,
@@ -26,6 +26,8 @@ from nsshare.inequality import (
 )
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
+
+from conftest import bf_relabel
 
 
 def uniform_table():
@@ -67,13 +69,23 @@ def test_vertex_count_is_288():
 
 def test_vertex_provenance_structure():
     vertices = hybrid_vertices()
-    per_bipartition = {name: 0 for name in BIPARTITIONS}
-    per_kind = {"deterministic": 0, "pr": 0}
-    for prov in vertices.provenance:
-        per_bipartition[prov.bipartition] += 1
-        per_kind[prov.box_kind] += 1
-    assert per_bipartition == {name: 96 for name in BIPARTITIONS}
-    assert per_kind == {"deterministic": 3 * 16 * 4, "pr": 3 * 8 * 4}
+    per_bipartition = np.bincount(vertices.bipartition_index, minlength=len(BIPARTITIONS))
+    assert per_bipartition.tolist() == [96] * len(BIPARTITIONS)
+    # a deterministic box makes a 0/1 vertex, a PR box one with entries 1/2
+    largest = vertices.vectors.max(axis=1)
+    assert np.count_nonzero(largest == 1.0) == 3 * 16 * 4
+    assert np.count_nonzero(largest == 0.5) == 3 * 8 * 4
+
+
+def test_vertex_matrix_is_pinned():
+    # the simplex breaks ties by column index, so the vertex order fixes the
+    # digits of LP certificates; these digests pin matrix and order
+    vertices = hybrid_vertices()
+    assert (hashlib.sha256(vertices.vectors.tobytes()).hexdigest()
+            == "3d14fcf369e137c92f4595d822b6706856b99f704b4c1d75b2441cd873bd8772")
+    index = np.asarray(vertices.bipartition_index, dtype=np.int64)
+    assert (hashlib.sha256(index.tobytes()).hexdigest()
+            == "98bb2006d4e89b7f9ef3bcbc736937dda01158af031c901ee87c2b7dc062765e")
 
 
 def test_vertices_normalized_and_nonsignaling_exactly():
@@ -89,19 +101,11 @@ def test_vertices_normalized_and_nonsignaling_exactly():
 
 def test_globally_deterministic_vertex_appears_in_all_bipartitions():
     vertices = hybrid_vertices()
-    # a = b = c = 0 deterministically, as an AB|C vertex
-    target = None
-    for i, prov in enumerate(vertices.provenance):
-        if (prov.bipartition == "AB|C" and prov.box_kind == "deterministic"
-                and prov.box_id == 0 and prov.singleton_id == 0):
-            target = vertices.vectors[i]
-            break
-    assert target is not None
-    hosts = set()
-    for i, prov in enumerate(vertices.provenance):
-        if np.array_equal(vertices.vectors[i], target):
-            hosts.add(prov.bipartition)
-    assert hosts == set(BIPARTITIONS)
+    # a = b = c = 0 deterministically
+    target = np.zeros((2,) * 6)
+    target[:, :, :, 0, 0, 0] = 1.0
+    hosts = np.flatnonzero((vertices.vectors == target.reshape(64)).all(axis=1))
+    assert set(vertices.bipartition_index[hosts].tolist()) == set(range(len(BIPARTITIONS)))
 
 
 def test_check_no_signaling_quantum_table():
@@ -131,7 +135,7 @@ def test_check_no_signaling_uniform():
 def test_every_vertex_self_feasible():
     vertices = hybrid_vertices()
     for i in (0, 17, 42, 95, 96, 160, 191, 192, 230, 287):
-        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]), vertices)
+        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]))
         assert result.feasible
         assert result.residual < 1e-12
         # the recovered mixture concentrates on copies of the same vertex
@@ -155,11 +159,11 @@ def test_group_weights_are_the_mixture_mass_per_bipartition(rng):
     vertices = hybrid_vertices()
     weights = rng.random(len(vertices))
     table = BehaviorTable(((weights / weights.sum()) @ vertices.vectors).reshape((2,) * 6))
-    result = lp_feasible(table, vertices)
-    for name in BIPARTITIONS:
+    result = lp_feasible(table)
+    for position, name in enumerate(BIPARTITIONS):
         mass = 0.0  # reference: a plain loop in vertex order, so the sums agree bit for bit
-        for weight, prov in zip(result.weights, vertices.provenance):
-            if prov.bipartition == name:
+        for weight, index in zip(result.weights, vertices.bipartition_index):
+            if index == position:
                 mass += float(weight)
         assert result.group_weights[name] == mass
 
@@ -210,8 +214,7 @@ def test_sharp_ghz_table_infeasible(monkeypatch):
 
 def test_two_round_tables_infeasible():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
-    for table in run_sequence(scenario):
+    for table in run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 2):
         result = lp_feasible(table)
         assert_separates(result, table)
         assert not scipy_member(table.as_vector(), hybrid_vertices())
@@ -240,7 +243,7 @@ def test_violation_just_above_the_bound_is_infeasible(distance):
                                          f"gives NS2 = {ns2_value(table):.12g} > 3")
     # an outcome-flipped copy violates only images of the inequality, by as much;
     # the certificate names one of them
-    flipped = table.flip_outcomes(flip_a=True, flip_c=True)
+    flipped = BehaviorTable(bf_relabel(table.probs, (0, 1, 2), (3, 0, 3)))  # flip a and c
     assert not is_violation(ns2_value(flipped))
     assert ns2_orbit(flipped).max() == pytest.approx(ns2_value(table), abs=1e-14)
     functionals, symmetries = symmetry_orbit()
@@ -374,7 +377,7 @@ def test_feasibility_matches_scipy_on_random_mixtures(rng):
             lam = rng.random()
             probs = lam * sharp + (1 - lam) * np.full((2, 2, 2, 2, 2, 2), 0.125)
         table = BehaviorTable(probs)
-        ours = lp_feasible(table, vertices).feasible
+        ours = lp_feasible(table).feasible
         reference = scipy_member(table.as_vector(), vertices)
         assert ours == reference
 
@@ -394,7 +397,7 @@ def test_feasible_weights_reconstruct_table(rng):
     weights = rng.random(len(vertices))
     weights /= weights.sum()
     table = BehaviorTable((weights @ vertices.vectors).reshape((2,) * 6))
-    result = lp_feasible(table, vertices)
+    result = lp_feasible(table)
     assert result.feasible
     recon = vertices.vectors.T @ result.weights
     assert np.max(np.abs(recon - table.as_vector())) < 1e-9

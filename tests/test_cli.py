@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from nsshare import cli
 from nsshare.behavior_io import export_behavior
 from nsshare.cli import (
     CSV_HEADER,
@@ -40,7 +41,7 @@ def test_parse_angle_literals():
 
 
 def test_parse_angle_rejects_garbage():
-    for bad in ("pie", "pi/", "two", "pi/4/2", ""):
+    for bad in ("pie", "pi/", "two", "pi/4/2", "", "pi/0", "0pi/0", "-2pi/0.0"):
         with pytest.raises(ConfigError):
             parse_angle(bad)
 
@@ -94,13 +95,15 @@ def test_sweep_values_grid():
 
 def test_config_file_and_flag_precedence(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"n": 1, "alpha": "pi/8", "certify": True}))
+    config_path.write_text(json.dumps({"n": 1, "alpha": "pi/8", "certify": True,
+                                       "epsilon": "2e-3"}))
     parser = build_parser()
     args = parser.parse_args(["--config", str(config_path), "--n", "2"])
     config = build_config(args)
     assert config.n == 2  # flag wins
     assert config.alpha == pytest.approx(math.pi / 8)  # file survives
     assert config.certify is True
+    assert config.epsilon == 2e-3  # a numeric string is a number
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -112,14 +115,22 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"n": 2.0}, "n must be an integer, got 2.0"),
     ({"n": True}, "n must be an integer, got True"),
     ({"n": "2"}, "n must be an integer, got '2'"),
+    ({"alpha": "0pi/0"}, "cannot parse angle '0pi/0'"),
+    ({"epsilon": None}, "epsilon must be a number, got None"),
+    ({"epsilon": [1]}, "epsilon must be a number, got [1]"),
+    ({"epsilon": True}, "epsilon must be a number, got True"),
+    ({"out_csv": 5}, "out_csv must be a nonempty path when given, got 5"),
+    ({"out_json": 7}, "out_json must be a nonempty path when given, got 7"),
 ], ids=["certify-string", "certify-int", "auto_delta-string", "auto_delta-int",
-        "n-fraction", "n-float", "n-bool", "n-string"])
-def test_config_file_values_are_type_checked(tmp_path, entries, message):
+        "n-fraction", "n-float", "n-bool", "n-string", "alpha-zero-denominator",
+        "epsilon-null", "epsilon-list", "epsilon-bool", "out_csv-int", "out_json-int"])
+def test_config_file_values_are_type_checked(tmp_path, capsys, monkeypatch, entries, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(entries))
-    args = build_parser().parse_args(["--config", str(config_path)])
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        build_config(args)
+    # refused before anything runs
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the run started"))
+    assert main(["--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # each of these used to exit 1 without naming the file
@@ -423,9 +434,11 @@ def test_cli_refuses_theta_axis_touching_zero(capsys):
 
 
 def test_cli_reports_config_errors(capsys):
-    code = main(["--delta", "nonsense"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for argv, angle in ((["--delta", "nonsense"], "nonsense"), (["--theta", "pi/0"], "pi/0"),
+                        (["--sweep-theta", "0.1:pi/0:0.1"], "pi/0")):
+        code = main(argv)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: cannot parse angle {angle!r}\n"
 
 
 def test_closed_form_column_matches_audit(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from nsshare.engine import (
     TABLE_KEYS,
     BehaviorTable,
-    SequentialScenario,
     behavior,
     luders_update,
     no_signaling_residual,
@@ -13,7 +12,7 @@ from nsshare.engine import (
 )
 from nsshare.inequality import ns2_value, ns2_values
 from nsshare.measurements import gamma_sequence
-from nsshare.states import TripartiteState, build_gghz, expectation, maximally_mixed
+from nsshare.states import TripartiteState, build_gghz
 
 from conftest import SX, bf_behavior, bf_luders, random_density
 
@@ -40,7 +39,7 @@ def test_behavior_product_state_sharp():
 
 
 def test_behavior_maximally_mixed_uniform():
-    table = behavior(maximally_mixed(), np.pi / 4, 1.0)
+    table = behavior(TripartiteState(np.eye(8) / 8), np.pi / 4, 1.0)
     assert np.max(np.abs(table.probs - 0.125)) < 1e-14
 
 
@@ -105,9 +104,9 @@ def test_luders_xxx_shrink_matches_heisenberg_form():
     gamma = gamma_sequence(np.pi / 4, 0.001, 1).gammas[0]
     state = build_gghz(np.pi / 4)
     xxx = np.kron(np.kron(SX, SX), SX)
-    before = expectation(state, xxx)
+    before = np.trace(state.rho @ xxx).real
     assert abs(before - 1.0) < 1e-12
-    after = expectation(luders_update(state, theta, gamma), xxx)
+    after = np.trace(luders_update(state, theta, gamma).rho @ xxx).real
 
     n0 = np.array([-np.sin(theta), 0.0, np.cos(theta)])
     n1 = np.array([np.sin(theta), 0.0, np.cos(theta)])
@@ -139,8 +138,7 @@ def test_behavior_tables_nonsignaling(rng):
 
 def test_run_sequence_single_round_is_behavior():
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
-    scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 1)
-    tables = run_sequence(scenario)
+    tables = run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 1)
     direct = behavior(build_gghz(np.pi / 4), np.pi / 4, schedule.gammas[0])
     assert len(tables) == 1
     assert np.max(np.abs(tables[0].probs - direct.probs)) < 1e-15
@@ -148,22 +146,21 @@ def test_run_sequence_single_round_is_behavior():
 
 def test_run_sequence_rounds_and_labels():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    scenario = SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
-    tables = run_sequence(scenario)
+    tables = run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
     assert [t.round_index for t in tables] == [1, 2]
 
 
 def test_run_sequence_rejects_truncated_schedule():
     schedule = gamma_sequence(np.pi / 4, 0.001, 3)  # valid_upto == 2
     with pytest.raises(ValueError, match="valid"):
-        SequentialScenario(build_gghz(np.pi / 4), np.pi / 4, schedule, 3)
+        run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 3)
 
 
 def test_scenario_rejects_bad_theta():
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     for theta in (0.0, np.pi / 2, -0.3):
         with pytest.raises(ValueError, match="theta"):
-            SequentialScenario(build_gghz(np.pi / 4), theta, schedule, 1)
+            run_sequence(build_gghz(np.pi / 4), theta, schedule, 1)
 
 
 def bits(values):
@@ -184,8 +181,8 @@ def test_stack_equals_single_runs_bitwise(variant):
             assert all(t.shape == (len(thetas),) + (2,) * 6 for t in tables)
             values = [ns2_values(t) for t in tables]
             for n, theta in enumerate(thetas):
-                scenario = SequentialScenario(build_gghz(alpha), theta, schedule, rounds)
-                for k, single in enumerate(run_sequence(scenario)):
+                singles = run_sequence(build_gghz(alpha), theta, schedule, rounds)
+                for k, single in enumerate(singles):
                     assert np.array_equal(bits(tables[k][n]), bits(single.probs))
                     assert bits(values[k][n]) == bits(ns2_value(single))
 
@@ -196,7 +193,7 @@ def test_stack_refuses_theta_axis_touching_the_ends():
     for thetas in ((0.0, 0.5, 1.0), (0.5, 1.0, np.pi / 2)):
         bad = thetas[0] if thetas[0] == 0.0 else thetas[-1]
         with pytest.raises(ValueError) as single:
-            SequentialScenario(state, bad, schedule, 2)
+            run_sequence(state, bad, schedule, 2)
         with pytest.raises(ValueError) as stacked:
             next(run_stack(state, thetas, schedule, 2))
         assert str(stacked.value) == str(single.value) == f"theta must lie in (0, pi/2), got {bad!r}"
@@ -204,8 +201,7 @@ def test_stack_refuses_theta_axis_touching_the_ends():
 
 def test_alice_bob_marginals_round_invariant():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    scenario = SequentialScenario(build_gghz(np.pi / 3), 0.9, schedule, 2)
-    tables = run_sequence(scenario)
+    tables = run_sequence(build_gghz(np.pi / 3), 0.9, schedule, 2)
     # P(ab|xy) must be untouched by Charlie's rounds
     first = tables[0].probs.sum(axis=5)[:, :, 0]
     for table in tables[1:]:
@@ -253,9 +249,3 @@ def test_behavior_table_vector_round_trip(rng):
     rebuilt = BehaviorTable.from_vector(table.as_vector(), table.round_index)
     assert np.array_equal(rebuilt.probs, table.probs)
 
-
-def test_flip_outcomes_involution():
-    table = quantum_table(np.pi / 4, np.pi / 4, 0.7)
-    flipped = table.flip_outcomes(True, True, True)
-    assert np.max(np.abs(flipped.flip_outcomes(True, True, True).probs - table.probs)) == 0
-    assert not np.allclose(flipped.probs, table.probs)

@@ -10,7 +10,6 @@ from nsshare.inequality import (
     NS2_BOUND,
     SignalingTableError,
     closed_form_ns2,
-    correlator,
     is_violation,
     ns2_orbit,
     ns2_value,
@@ -18,9 +17,9 @@ from nsshare.inequality import (
     symmetry_orbit,
 )
 from nsshare.measurements import gamma_sequence
-from nsshare.states import build_gghz, expectation
+from nsshare.states import build_gghz
 
-from conftest import SX, SZ, bf_behavior, bf_ns2, bf_relabel
+from conftest import I2, SX, SZ, bf_behavior, bf_ns2, bf_relabel
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -47,51 +46,33 @@ def point_rounds(**params):
     return run_experiment(ExperimentConfig(**params))["variants"]["printed"]["rounds"]
 
 
-def test_correlator_uniform_vanishes():
-    table = uniform_table()
-    for parties, inputs in (("A", (0,)), ("B", (1,)), ("AB", (0, 1)),
-                            ("AC", (1, 0)), ("ABC", (1, 1, 0))):
-        assert correlator(table, parties, inputs) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_correlator_deterministic_all_plus_one():
-    table = deterministic_zero_table()
-    for parties, inputs in (("A", (0,)), ("C", (1,)), ("AB", (0, 0)),
-                            ("BC", (0, 1)), ("ABC", (1, 1, 1))):
-        assert correlator(table, parties, inputs) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_correlator_sharp_xxx_against_trace_oracle(rng):
-    # <X1 Y1 Z1> on the sharp table equals tr[rho sigma1 (x) sigma1 (x) n1.sigma]
+def test_ns2_sharp_against_trace_oracle(rng):
+    # on the sharp table NS2 equals tr[rho W] for the five-term operator W;
+    # its term <X1 Y1 Z1> is tr[rho sigma1 (x) sigma1 (x) n1.sigma]
     for _ in range(20):
         alpha = rng.uniform(0, np.pi / 2)
         theta = rng.uniform(0, np.pi / 2)
         state = build_gghz(alpha)
-        table = behavior(state, theta, 1.0)
+        rho = state.rho
+        n0_sigma = -np.sin(theta) * SX + np.cos(theta) * SZ
         n1_sigma = np.sin(theta) * SX + np.cos(theta) * SZ
-        reference = expectation(state, np.kron(np.kron(SX, SX), n1_sigma))
-        assert correlator(table, "ABC", (1, 1, 1)) == pytest.approx(reference, abs=1e-12)
-        assert reference == pytest.approx(np.sin(2 * alpha) * np.sin(theta), abs=1e-12)
+        xxx = np.kron(np.kron(SX, SX), n1_sigma)
+        w = (np.kron(np.kron(SZ, SZ), I2) + np.kron(np.kron(SZ, I2), n0_sigma)
+             + np.kron(np.kron(I2, SZ), n1_sigma) - np.kron(np.kron(SX, SX), n0_sigma) + xxx)
+        reference = np.trace(rho @ w).real
+        assert ns2_value(behavior(state, theta, 1.0)) == pytest.approx(reference, abs=1e-12)
+        assert np.trace(rho @ xxx).real == pytest.approx(np.sin(2 * alpha) * np.sin(theta),
+                                                         abs=1e-12)
 
 
-def test_correlator_rejects_signaling_table():
+def test_ns2_rejects_signaling_table():
     probs = np.zeros((2, 2, 2, 2, 2, 2))
     for x in range(2):
         for y in range(2):
             for z in range(2):
                 probs[x, y, z, y, 0, 0] = 1.0
     with pytest.raises(SignalingTableError, match="signaling"):
-        correlator(BehaviorTable(probs), "AB", (0, 0))
-
-
-def test_correlator_validates_arguments():
-    table = uniform_table()
-    with pytest.raises(ValueError):
-        correlator(table, "AD", (0, 0))
-    with pytest.raises(ValueError):
-        correlator(table, "AB", (0,))
-    with pytest.raises(ValueError):
-        correlator(table, "", ())
+        ns2_value(BehaviorTable(probs))
 
 
 def test_ns2_uniform_zero():
@@ -238,6 +219,6 @@ def test_ns2_relabelings_match_flipped_tables(rng):
             relabeled = BehaviorTable(bf_relabel(table.probs, order, local))
             assert values[r] == pytest.approx(ns2_value(relabeled), abs=1e-14)
         # the 8 outcome flips of the whole table are among the images
-        for flips in product((False, True), repeat=3):
-            flipped = ns2_value(table.flip_outcomes(*flips))
+        for flips in product((0, 3), repeat=3):  # code 3 flips a party's outcome at both inputs
+            flipped = ns2_value(BehaviorTable(bf_relabel(table.probs, (0, 1, 2), flips)))
             assert np.min(np.abs(values - flipped)) < 1e-14

@@ -24,7 +24,8 @@ from nsshare.states import build_gghz
 
 from conftest import bf_relabel
 
-FLIPS = list(itertools.product((False, True), repeat=3))
+# per party, bf_relabel's code 3 flips its outcome at both inputs
+FLIPS = list(itertools.product((0, 3), repeat=3))
 PARTY_ORDERS = list(itertools.permutations(range(3)))
 # lambda * sharp GHZ + (1 - lambda) * uniform has NS2 = lambda (1 + 2 sqrt 2)
 CROSSING = 3.0 / (1 + 2 * np.sqrt(2))
@@ -39,7 +40,8 @@ def permute_parties(table: BehaviorTable, order) -> BehaviorTable:
 
 
 def relabeled_verdicts(table: BehaviorTable) -> set[bool]:
-    verdicts = {lp_feasible(table.flip_outcomes(*flips)).feasible for flips in FLIPS}
+    verdicts = {lp_feasible(BehaviorTable(bf_relabel(table.probs, (0, 1, 2), flips))).feasible
+                for flips in FLIPS}
     verdicts |= {lp_feasible(permute_parties(table, order)).feasible for order in PARTY_ORDERS}
     return verdicts
 

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from nsshare.states import (
-    TripartiteState,
-    build_gghz,
-    expectation,
-    maximally_mixed,
-    validate_density,
-)
+from nsshare.states import TripartiteState, build_gghz
 
-from conftest import SX, SZ, bf_gghz, random_density
+from conftest import SX, SZ, bf_gghz
 
 
 def test_gghz_alpha_zero():
@@ -53,20 +47,20 @@ def test_gghz_alpha_out_of_range():
 
 def test_gghz_purity(rng):
     for _ in range(50):
-        state = build_gghz(rng.uniform(0.0, np.pi / 2))
-        assert abs(state.purity() - 1.0) < 1e-12
+        rho = build_gghz(rng.uniform(0.0, np.pi / 2)).rho
+        assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
 
 
 def test_gghz_zz_correlation_is_one(rng):
     zz1 = np.kron(np.kron(SZ, SZ), np.eye(2))
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
-        assert abs(expectation(build_gghz(alpha), zz1) - 1.0) < 1e-12
+        assert abs(np.trace(build_gghz(alpha).rho @ zz1).real - 1.0) < 1e-12
 
 
 def test_gghz_xxx_correlation_is_sin_two_alpha(rng):
     xxx = np.kron(np.kron(SX, SX), SX)
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
-        value = expectation(build_gghz(alpha), xxx)
+        value = np.trace(build_gghz(alpha).rho @ xxx).real
         assert abs(value - np.sin(2 * alpha)) < 1e-12
 
 
@@ -86,38 +80,3 @@ def test_state_rejects_wrong_shape():
     with pytest.raises(ValueError, match="8x8"):
         TripartiteState(np.eye(4) / 4)
 
-
-def test_validate_density_passes_gghz():
-    report = validate_density(build_gghz(np.pi / 4))
-    assert report.passed
-    assert report.trace_deviation < 1e-12
-    assert report.hermiticity_deviation < 1e-12
-    assert report.min_eigenvalue >= -1e-10
-
-
-def test_validate_density_passes_maximally_mixed():
-    report = validate_density(maximally_mixed())
-    assert report.passed
-    assert abs(report.min_eigenvalue - 0.125) < 1e-12
-
-
-def test_validate_density_reports_trace_deficit():
-    report = validate_density(np.eye(8, dtype=complex) * (0.9 / 8))
-    assert not report.passed
-    assert abs(report.trace_deviation - 0.1) < 1e-12
-
-
-def test_validate_density_reports_negative_eigenvalue():
-    rho = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0]).astype(complex)
-    report = validate_density(rho)
-    assert not report.passed
-    assert abs(report.min_eigenvalue + 0.1) < 1e-12
-
-
-def test_validate_density_random_densities(rng):
-    for _ in range(20):
-        rho = random_density(rng)
-        report = validate_density(rho)
-        assert report.passed
-        assert report.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-15)
-        assert report.min_eigenvalue > 0.0

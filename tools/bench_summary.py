@@ -26,9 +26,15 @@ ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "numpy", "blas_threads_in_us
 
 
 def load_records(checkout: str) -> dict[tuple[str, int, int], dict]:
-    """(workload, trace, seed) -> record, for every result file in a checkout."""
+    """(workload, trace, seed) -> record, for every result file in a checkout.
+
+    Raises ValueError, naming the checkout, when it holds no result file.
+    """
+    paths = sorted(glob.glob(os.path.join(checkout, ".perfbench_run", "results", "*.json")))
+    if not paths:
+        raise ValueError(f"{checkout}: no perfbench records in .perfbench_run/results/")
     records = {}
-    for path in sorted(glob.glob(os.path.join(checkout, ".perfbench_run", "results", "*.json"))):
+    for path in paths:
         with open(path, encoding="utf-8") as handle:
             record = json.load(handle)
         key = (record["workload"], record["trace"], record["environment"]["seed"])
@@ -82,7 +88,7 @@ def summarise(parent_dir: str, change_dir: str) -> dict:
                 rows[name + " (traced)"] = row
         if rows:
             workloads[workload] = rows
-    any_record = next(iter(change.values()), None) or next(iter(parent.values()))
+    any_record = next(iter(change.values()))
     return {
         "environment": {k: any_record["environment"][k] for k in ENVIRONMENT_KEYS},
         "seconds": any_record["seconds"],
@@ -103,7 +109,11 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     args = parser.parse_args(argv)
-    summary = summarise(args.parent, args.change)
+    try:
+        summary = summarise(args.parent, args.change)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=1, sort_keys=True)
         handle.write("\n")
