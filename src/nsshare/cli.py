@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import re
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
+from itertools import count, takewhile
 
 from .behavior_io import atomic_write_text, import_behavior, read_json
 from .certifier import lp_feasible
@@ -92,15 +94,7 @@ def parse_sweep(value) -> tuple[float, float, float] | None:
 
 def sweep_values(spec: tuple[float, float, float]) -> list[float]:
     start, stop, step = spec
-    values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + 1e-12:
-            break
-        values.append(v)
-        i += 1
-    return values
+    return list(takewhile(lambda v: v <= stop + 1e-12, (start + i * step for i in count())))
 
 
 @dataclass(frozen=True)
@@ -126,8 +120,11 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("alpha", "theta", "delta", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n!r}")
         if self.epsilon <= 0:
@@ -183,14 +180,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in _CONFIG_SWEEPS:
         if key in merged and merged[key] is not None:
             merged[key] = parse_sweep(merged[key])
-    if "epsilon" in merged:
-        epsilon = merged["epsilon"]
+    epsilon = merged.get("epsilon")
+    if isinstance(epsilon, str):  # a config file may give "2e-3"; validate checks the rest
         try:
-            if isinstance(epsilon, bool):  # float(True) would run with epsilon 1
-                raise TypeError
             merged["epsilon"] = float(epsilon)
-        except (TypeError, ValueError):
-            raise ConfigError(f"epsilon must be a number, got {epsilon!r}") from None
+        except ValueError:
+            raise ConfigError(f"epsilon must be a finite number, got {epsilon!r}") from None
     config = ExperimentConfig(**merged)
     config.validate()
     return config
@@ -250,16 +245,17 @@ def _warm_certifier() -> Callable[[BehaviorTable], bool]:
 def _round_rows(schedule, thetas, alpha: float, rounds: int,
                 certify: Callable[[BehaviorTable], bool] | None) -> Iterator[list[dict]]:
     """Yields, per theta, the rows of rounds 1..rounds; all thetas run as one engine stack."""
-    oracles, tables = [], []
-    for round_tables in run_stack(build_gghz(alpha), thetas, schedule, rounds):
+    oracles, closed_forms, tables = [], [], []
+    stack = run_stack(build_gghz(alpha), thetas, schedule, rounds)
+    for k, round_tables in enumerate(stack, start=1):
         oracles.append(ns2_values(round_tables).tolist())
+        closed_forms.append(closed_form_ns2(k, alpha, thetas, schedule.gammas).tolist())
         if certify:
             tables.append(round_tables)
-    for n, theta in enumerate(thetas):
+    for n in range(len(thetas)):
         rows = []
         for k in range(1, rounds + 1):
-            oracle = oracles[k - 1][n]
-            closed = closed_form_ns2(k, alpha, theta, schedule.gammas)
+            oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
             verdict = certify(BehaviorTable(tables[k - 1][n], k)) if certify else None
             rows.append({
                 "k": k,

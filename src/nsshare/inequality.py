@@ -201,12 +201,14 @@ def ns2_orbit(table: BehaviorTable) -> np.ndarray:
     return symmetry_orbit()[0] @ table.as_vector()
 
 
-def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:
+def closed_form_ns2(k: int, alpha: float, theta: float | np.ndarray, gammas) -> float | np.ndarray:
     """Predicted inequality value on the generalized GHZ state at round k.
 
     k = 1:  1 + (1 + gamma_1) [cos t + sin t sin 2a]
     k >= 2: 1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
 
+    theta may be one angle or an array of them; the value has its shape, and
+    each angle's value is the same bit for bit whichever array it comes from.
     Exact at t = pi/4; away from it the true value picks up cos(2t) cross
     terms that this form omits (run reports record the difference).
     """
@@ -218,8 +220,8 @@ def closed_form_ns2(k: int, alpha: float, theta: float, gammas) -> float:
         raise ValueError(f"gamma_1..gamma_{k} must lie in [0, 1], got {used!r}")
     base = np.cos(theta) + np.sin(theta) * np.sin(2 * alpha)
     if k == 1:
-        return float(1.0 + (1.0 + used[0]) * base)
+        return 1.0 + (1.0 + used[0]) * base
     prod = 1.0
     for g in used[:-1]:
         prod *= 1.0 + np.sqrt((1.0 - g) * (1.0 + g))
-    return float(1.0 + base * (prod + used[-1]) / 2.0 ** (k - 1))
+    return 1.0 + base * (prod + used[-1]) / 2.0 ** (k - 1)

@@ -22,7 +22,7 @@ BISECTION_RESOLUTION = 1e-6
 # physically meaningful schedule is far above it
 DELTA_SEARCH_FLOOR = 1e-300
 
-IDENTITY_2 = np.eye(2, dtype=complex)
+IDENTITY_2 = np.eye(2)
 IDENTITY_2.setflags(write=False)
 
 
@@ -51,10 +51,10 @@ def charlie_setting(thetas, gamma_k: float) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.asarray(thetas, dtype=float)
     sin, cos = np.sin(thetas), np.cos(thetas)
     # n.sigma = [[nz, nx], [nx, -nz]]; outcome 0 points along n = (-sin, 0, cos)
-    # for z=0 and (sin, 0, cos) for z=1, outcome 1 along -n
-    outcome0 = np.array([[[cos, -sin], [-sin, -cos]], [[cos, sin], [sin, -cos]]])  # [z, i, j, n]
-    ops = np.stack([outcome0, -outcome0], axis=1).transpose(4, 0, 1, 2, 3)  # [n, z, c, i, j]
-    ops = np.ascontiguousarray(ops, dtype=complex)
+    # for z=0 and (sin, 0, cos) for z=1, outcome 1 along -n.  Built C-contiguous: the
+    # engine's tables take this layout, and the bits of numpy's sums over them follow it
+    outcome0 = np.stack([cos, -sin, -sin, -cos, cos, sin, sin, -cos], 1).reshape(-1, 2, 2, 2)
+    ops = np.stack([outcome0, -outcome0], axis=2)  # [n, z, c, i, j]
     sharpness = np.array([1.0, gamma_k])[:, None, None, None]  # per z
     effects = (IDENTITY_2 + sharpness * ops) / 2
     a, b = np.array([sqrt_coefficients(1.0), sqrt_coefficients(gamma_k)]).T[:, :, None, None, None]

@@ -74,7 +74,7 @@ def bf_sqrtm_psd(matrix):
 
 
 def bf_luders(rho, theta, gamma):
-    out = np.zeros_like(rho)
+    out = np.zeros(rho.shape, dtype=complex)
     for z in range(2):
         for c in range(2):
             root = bf_sqrtm_psd(bf_charlie_effect(theta, gamma, z, c))
@@ -127,9 +127,10 @@ def bf_closed_form(k, alpha, theta, gammas):
 
 
 def random_density(rng, dim=8):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    """Real symmetric positive definite, unit trace: the scenario's states are real."""
+    g = rng.normal(size=(dim, dim))
+    rho = g @ g.T
+    return rho / np.trace(rho)
 
 
 def bf_relabel(probs, order, local):

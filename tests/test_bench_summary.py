@@ -19,8 +19,13 @@ def load_tool():
 bench_summary = load_tool()
 
 
-def write_records(checkout: Path, values: list[float]) -> None:
-    """One untraced audit record per seed, with batch_cpu_s = values[seed]."""
+def write_records(checkout: Path, values: list[float], sources=("x = 1\n",)) -> None:
+    """One untraced audit record per seed, with batch_cpu_s = values[seed],
+    and one src/nsshare/ module per text in sources."""
+    package = checkout / "src" / "nsshare"
+    package.mkdir(parents=True)
+    for i, text in enumerate(sources):
+        (package / f"m{i}.py").write_text(text)
     results = checkout / ".perfbench_run" / "results"
     results.mkdir(parents=True)
     environment = {key: "test" for key in bench_summary.ENVIRONMENT_KEYS}
@@ -46,6 +51,25 @@ def test_summary_quartiles_and_pairs_won(tmp_path):
     assert row["change"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
     assert summary["seeds"] == [0, 1, 2, 3, 4]
     assert summary["failed_ops"] == {"parent": 0, "change": 0}
+
+
+def test_summary_records_source_line_counts(tmp_path):
+    # wc -l counts newlines: a last line without one is not counted
+    write_records(tmp_path / "parent", [1.0], sources=("a\nb\nc\n", "d\ne\n", ""))
+    write_records(tmp_path / "change", [1.0], sources=("a\nb\n", "c\nd"))
+    (tmp_path / "change" / "src" / "nsshare" / "notes.txt").write_text("x\n" * 50)
+    summary = bench_summary.summarise(str(tmp_path / "parent"), str(tmp_path / "change"))
+    assert summary["src_lines"] == {"parent": 5, "change": 3}
+
+
+def test_summary_refuses_a_side_without_sources(tmp_path, capsys):
+    write_records(tmp_path / "parent", [1.0])
+    write_records(tmp_path / "change", [1.0], sources=())
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(tmp_path / "bench.json")]
+    assert bench_summary.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'change'}: no src/nsshare/*.py\n"
+    assert not (tmp_path / "bench.json").exists()
 
 
 @pytest.mark.parametrize("empty_side", ["parent", "change"])

@@ -116,9 +116,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"n": True}, "n must be an integer, got True"),
     ({"n": "2"}, "n must be an integer, got '2'"),
     ({"alpha": "0pi/0"}, "cannot parse angle '0pi/0'"),
-    ({"epsilon": None}, "epsilon must be a number, got None"),
-    ({"epsilon": [1]}, "epsilon must be a number, got [1]"),
-    ({"epsilon": True}, "epsilon must be a number, got True"),
+    ({"epsilon": None}, "epsilon must be a finite number, got None"),
+    ({"epsilon": [1]}, "epsilon must be a finite number, got [1]"),
+    ({"epsilon": True}, "epsilon must be a finite number, got True"),
     ({"out_csv": 5}, "out_csv must be a nonempty path when given, got 5"),
     ({"out_json": 7}, "out_json must be a nonempty path when given, got 7"),
 ], ids=["certify-string", "certify-int", "auto_delta-string", "auto_delta-int",
@@ -175,6 +175,14 @@ def test_config_validation():
     for spec in ((0.1, 0.3, 0.0), (0.3, 0.1, 0.1), (0.1, float("nan"), 0.1), (0.1, 0.3, 1e-12)):
         with pytest.raises(ConfigError, match="^sweep "):
             ExperimentConfig(sweep_theta=spec).validate()
+    # so do the angles and epsilon: a bool or a string is no number, and no TypeError escapes
+    for name, value in (("epsilon", True), ("alpha", False), ("theta", "0.7"), ("delta", None),
+                        ("epsilon", [1e-3]), ("alpha", np.bool_(True))):
+        message = f"^{name} must be a finite number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{name: value}).validate()
+    for name, value in (("theta", np.float64(0.7)), ("delta", np.int64(1)), ("epsilon", 1)):
+        ExperimentConfig(**{name: value}).validate()
 
 
 def test_point_run_two_rounds(tmp_path):

@@ -179,6 +179,8 @@ def test_stack_equals_single_runs_bitwise(variant):
             tables = list(run_stack(build_gghz(alpha), thetas, schedule, rounds))
             assert len(tables) == rounds
             assert all(t.shape == (len(thetas),) + (2,) * 6 for t in tables)
+            # numpy's sums follow the memory layout, so the layout is part of the bits
+            assert all(t.flags.c_contiguous for t in tables)
             values = [ns2_values(t) for t in tables]
             for n, theta in enumerate(thetas):
                 singles = run_sequence(build_gghz(alpha), theta, schedule, rounds)

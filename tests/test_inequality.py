@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsshare.certifier import hybrid_vertices
-from nsshare.cli import ConfigError, ExperimentConfig, run_experiment
+from nsshare.cli import ConfigError, ExperimentConfig, run_experiment, sweep_values
 from nsshare.engine import BehaviorTable, behavior
 from nsshare.inequality import (
     NS2_BOUND,
@@ -16,10 +16,10 @@ from nsshare.inequality import (
     symmetry_name,
     symmetry_orbit,
 )
-from nsshare.measurements import gamma_sequence
+from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import I2, SX, SZ, bf_behavior, bf_ns2, bf_relabel
+from conftest import I2, SX, SZ, bf_behavior, bf_closed_form, bf_ns2, bf_relabel
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -109,6 +109,24 @@ def test_closed_form_examples():
         NS2_ROUND_1, abs=1e-12)
     assert closed_form_ns2(2, np.pi / 4, np.pi / 4, schedule.gammas) == pytest.approx(
         NS2_ROUND_2, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["printed", "normalized"])
+def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant):
+    # a run evaluates the closed form once per round over its whole theta axis;
+    # each entry must carry the bits of the scalar call the reports used to make
+    thetas = sweep_values((0.01, np.pi / 2, 0.01))
+    assert len(thetas) == 157
+    schedule = gamma_sequence(validity_region(5, 0.001, variant), 0.001, 5, variant)
+    assert schedule.valid_upto == 5
+    for alpha in (np.pi / 8, np.pi / 4, 0.6):
+        for k in range(1, 6):
+            values = closed_form_ns2(k, alpha, thetas, schedule.gammas)
+            singles = [closed_form_ns2(k, alpha, theta, schedule.gammas) for theta in thetas]
+            assert values.shape == (157,)
+            assert np.array_equal(values, singles)
+            oracle = [bf_closed_form(k, alpha, theta, schedule.gammas) for theta in thetas]
+            assert np.max(np.abs(values - oracle)) < 1e-12
 
 
 def test_closed_form_validates():

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from nsshare.states import TripartiteState, build_gghz
 
-from conftest import SX, SZ, bf_gghz
+from conftest import SX, SZ, bf_gghz, random_density
 
 
 def test_gghz_alpha_zero():
@@ -76,7 +78,37 @@ def test_state_rejects_non_hermitian():
         TripartiteState(rho)
 
 
+def test_state_refuses_imaginary_parts():
+    # Hermitian, but no state of the scenario has an imaginary part to carry
+    for imag in (0.3, 2e-12):
+        rho = np.eye(8, dtype=complex) / 8
+        rho[0, 1], rho[1, 0] = 1j * imag, -1j * imag
+        message = (f"density operator must be real, got imaginary parts up to {imag!r} "
+                   "(tolerance 1e-12)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TripartiteState(rho)
+
+
+def test_state_takes_complex_input_without_imaginary_part_as_real(rng):
+    for rho in (np.eye(8) / 8, random_density(rng), bf_gghz(0.3).real):
+        state = TripartiteState(rho.astype(complex))
+        assert state.rho.dtype == np.float64
+        assert np.array_equal(state.rho, TripartiteState(rho).rho)
+    assert np.array_equal(TripartiteState(bf_gghz(0.3)).rho, build_gghz(0.3).rho)
+
+
+def test_state_refuses_non_finite_entries():
+    # NaN and inf slip through the trace and symmetry comparisons, so they are refused first
+    for value in (np.nan, np.inf, -np.inf):
+        rho = np.eye(8) / 8
+        rho[2, 5] = rho[5, 2] = value
+        message = rf"^density operator entry \(2, 5\) must be finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            TripartiteState(rho)
+    with pytest.raises(ValueError, match=r"^density operator entry \(0, 0\) must be finite"):
+        TripartiteState(np.full((8, 8), np.nan))
+
+
 def test_state_rejects_wrong_shape():
     with pytest.raises(ValueError, match="8x8"):
         TripartiteState(np.eye(4) / 4)
-

@@ -6,6 +6,7 @@ wrote there.  Untraced records (--trace 0) give, per workload and end-to-end
 metric of BENCHMARK.json, each side's median, Q1 and Q3 over its seeds, and
 how many seed pairs the change won (ties count for neither side).  Traced
 records (--trace 1) give the same for the per-layer metrics in LAYER_METRICS.
+Each side's src/nsshare/*.py line count is recorded as src_lines.
 
     python3 tools/bench_summary.py --parent PARENT_DIR --change CHANGE_DIR --out BENCH_6.json
 """
@@ -40,6 +41,21 @@ def load_records(checkout: str) -> dict[tuple[str, int, int], dict]:
         key = (record["workload"], record["trace"], record["environment"]["seed"])
         records[key] = record
     return records
+
+
+def src_lines(checkout: str) -> int:
+    """Line count of the checkout's src/nsshare/*.py, as `wc -l` totals it.
+
+    Raises ValueError, naming the checkout, when it holds no such file.
+    """
+    paths = glob.glob(os.path.join(checkout, "src", "nsshare", "*.py"))
+    if not paths:
+        raise ValueError(f"{checkout}: no src/nsshare/*.py")
+    total = 0
+    for path in paths:
+        with open(path, "rb") as handle:
+            total += handle.read().count(b"\n")
+    return total
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -94,6 +110,7 @@ def summarise(parent_dir: str, change_dir: str) -> dict:
         "seconds": any_record["seconds"],
         "seeds": sorted({seed for (_, _, seed) in change}),
         "runs": {side: len(records) for side, records in sides},
+        "src_lines": {"parent": src_lines(parent_dir), "change": src_lines(change_dir)},
         "failed_ops": {side: sum(sum(r["failures"].values()) for r in records.values())
                        for side, records in sides},
         "known_defect_failures": {
