@@ -6,7 +6,7 @@ round, and independent certification of genuine nonsignaling nonlocality by
 linear-programming membership in the hybrid local-nonlocal polytope.
 """
 
-from .behavior_io import export_behavior, import_behavior
+from .behavior_io import import_behavior
 from .certifier import (
     DecompositionResult,
     VertexSet,
@@ -23,7 +23,6 @@ from .engine import (
 )
 from .inequality import (
     NS2_BOUND,
-    SignalingTableError,
     closed_form_ns2,
     is_violation,
     ns2_orbit,

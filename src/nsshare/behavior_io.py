@@ -1,8 +1,9 @@
-"""JSON serialization of behavior tables.
+"""Behavior-table files: reading and checking their JSON, and atomic report writes.
 
 Format: {"round": k, "probs": {"xyz;abc": value, ...}} with one entry per
-input/outcome combination, keys as two 3-bit strings.  Floats serialize as
-shortest round-trip decimals, so export -> import -> export is byte-identical.
+input/outcome combination, keys as two 3-bit strings.  "round" is optional
+(default 1) and, when given, must be a positive integer; it names the table's
+round and is otherwise unused.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ def read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
-def export_behavior(table: BehaviorTable, path: str) -> None:
-    probs = {}
-    flat = table.probs.reshape(64)
-    for key, value in zip(TABLE_KEYS, flat):
-        probs[key] = float(value)
-    payload = {"round": int(table.round_index), "probs": probs}
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def import_behavior(path: str) -> BehaviorTable:
     """Read a table file; BehaviorTable checks the values, and errors name the file."""
     data = read_json(path)
@@ -72,6 +64,6 @@ def import_behavior(path: str) -> BehaviorTable:
         except OverflowError:  # an integer literal beyond the float range
             raise ValueError(f"{path}: probability ({key}) is too large for a float") from None
     try:
-        return BehaviorTable.from_vector(values, round_index=round_index)
+        return BehaviorTable.from_vector(values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -172,8 +172,7 @@ def lp_feasible(table: BehaviorTable, *,
     feasibility LP decides: its weights make a local verdict, its Farkas
     dual (scaled to max-abs 1) a nonlocal one.
     Each certificate is checked with numpy before it is returned; when it
-    does not hold the verdict is undecided and RuntimeError is raised.  A
-    signaling table raises SignalingTableError.
+    does not hold the verdict is undecided and RuntimeError is raised.
     """
     vertex_set = hybrid_vertices()
     values = ns2_orbit(table)

@@ -25,7 +25,7 @@ from .behavior_io import atomic_write_text, import_behavior, read_json
 from .certifier import lp_feasible
 # run_sequence stays importable from here: perfbench/layers.py wraps cli.run_sequence
 from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
-from .inequality import SignalingTableError, closed_form_ns2, is_violation, ns2_value, ns2_values
+from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
 from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
 from .states import build_gghz
 
@@ -33,6 +33,8 @@ CSV_HEADER = "k,gamma_k,ns2_oracle,ns2_closed_form,discrepancy,violated,lp_feasi
 
 # a sweep axis may hold at most this many steps, (stop - start) / step
 SWEEP_MAX_POINTS = 10**6
+# angles per engine stack along a theta axis; each holds a few kB of states and tables
+THETA_CHUNK = 2048
 
 _ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
 
@@ -51,13 +53,12 @@ def parse_angle(value) -> float:
         if not match:
             raise ConfigError(f"cannot parse angle {value!r}")
         coefficient, denominator = match.group(1), match.group(2)
-        if coefficient in ("", "+"):
-            factor = 1.0
-        elif coefficient == "-":
-            factor = -1.0
-        else:
-            factor = float(coefficient)
-        angle = factor * math.pi
+        if coefficient in ("", "+", "-"):
+            coefficient += "1"
+        try:  # the pattern also admits non-numbers such as "." or "e5"
+            angle = float(coefficient) * math.pi
+        except ValueError:
+            raise ConfigError(f"cannot parse angle {value!r}") from None
         if denominator:
             if float(denominator) == 0.0:
                 raise ConfigError(f"cannot parse angle {value!r}")
@@ -244,29 +245,35 @@ def _warm_certifier() -> Callable[[BehaviorTable], bool]:
 
 def _round_rows(schedule, thetas, alpha: float, rounds: int,
                 certify: Callable[[BehaviorTable], bool] | None) -> Iterator[list[dict]]:
-    """Yields, per theta, the rows of rounds 1..rounds; all thetas run as one engine stack."""
-    oracles, closed_forms, tables = [], [], []
-    stack = run_stack(build_gghz(alpha), thetas, schedule, rounds)
-    for k, round_tables in enumerate(stack, start=1):
-        oracles.append(ns2_values(round_tables).tolist())
-        closed_forms.append(closed_form_ns2(k, alpha, thetas, schedule.gammas).tolist())
-        if certify:
-            tables.append(round_tables)
-    for n in range(len(thetas)):
-        rows = []
-        for k in range(1, rounds + 1):
-            oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
-            verdict = certify(BehaviorTable(tables[k - 1][n], k)) if certify else None
-            rows.append({
-                "k": k,
-                "gamma": schedule.gammas[k - 1],
-                "ns2_oracle": oracle,
-                "ns2_closed_form": closed,
-                "discrepancy": abs(oracle - closed),
-                "violated": is_violation(oracle),
-                "lp_feasible": verdict,
-            })
-        yield rows
+    """Yields, per theta, the rows of rounds 1..rounds.
+
+    The thetas run in order through engine stacks of at most THETA_CHUNK
+    angles, so a sweep's memory does not grow with its theta axis.
+    """
+    initial = build_gghz(alpha)
+    for start in range(0, len(thetas), THETA_CHUNK):
+        chunk = thetas[start:start + THETA_CHUNK]
+        oracles, closed_forms, tables = [], [], []
+        for k, round_tables in enumerate(run_stack(initial, chunk, schedule, rounds), start=1):
+            oracles.append(ns2_values(round_tables).tolist())
+            closed_forms.append(closed_form_ns2(k, alpha, chunk, schedule.gammas).tolist())
+            if certify:
+                tables.append(round_tables)
+        for n in range(len(chunk)):
+            rows = []
+            for k in range(1, rounds + 1):
+                oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
+                verdict = certify(BehaviorTable(tables[k - 1][n])) if certify else None
+                rows.append({
+                    "k": k,
+                    "gamma": schedule.gammas[k - 1],
+                    "ns2_oracle": oracle,
+                    "ns2_closed_form": closed,
+                    "discrepancy": abs(oracle - closed),
+                    "violated": is_violation(oracle),
+                    "lp_feasible": verdict,
+                })
+            yield rows
 
 
 def _csv_line(entry: dict) -> str:
@@ -358,12 +365,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def _certify_table_command(path: str, out_json: str | None) -> int:
     table = import_behavior(path)
-    try:
-        value = ns2_value(table)
-    except SignalingTableError as exc:
-        print(f"certification refused: table is signaling "
-              f"({exc.label} varies by {exc.residual:.3e})", file=sys.stderr)
-        return 1
+    value = ns2_value(table)
     result = lp_feasible(table)
     verdict = "nonsignal-local" if result.feasible else "genuinely nonsignal nonlocal"
     print(f"ns2 = {value:.9g} (bound 3); verdict: {verdict}")

@@ -46,62 +46,6 @@ _AB_EFFECTS = np.array([[(IDENTITY_2 + _SIGMA_Z) / 2, (IDENTITY_2 - _SIGMA_Z) / 
 _BEHAVIOR_SUBSCRIPTS = "npqrstu,xasp,ybtq,nzcur->nxyzabc"
 
 
-def _check_tables(probs: np.ndarray) -> None:
-    """BehaviorTable's checks on a stack of shape (N, 2, 2, 2, 2, 2, 2).
-
-    Entries must be finite and >= ENTRY_FLOOR, and every (x, y, z) block must
-    sum to 1.  Raises for the first table that fails, naming the entry or block
-    by its "xyz;abc" key.
-    """
-    flat = probs.reshape(len(probs), 64)
-    infinite = ~np.isfinite(flat)
-    if infinite.any():
-        n, i = np.argwhere(infinite)[0]
-        raise ValueError(
-            f"behavior entry ({TABLE_KEYS[i]}) must be finite, got {float(flat[n, i])!r}"
-        )
-    low = flat < ENTRY_FLOOR
-    if low.any():
-        n, i = np.argwhere(low)[0]
-        raise ValueError(
-            f"behavior entry ({TABLE_KEYS[i]}) must be >= {ENTRY_FLOOR}, got {float(flat[n, i])!r}"
-        )
-    sums = probs.sum(axis=(4, 5, 6)).reshape(len(probs), 8)
-    off = np.abs(sums - 1.0) > NORMALIZATION_ATOL
-    if off.any():
-        n, block = np.argwhere(off)[0]
-        raise ValueError(
-            f"block ({TABLE_KEYS[8 * block][:3]};abc) sums to {float(sums[n, block])!r}, expected 1"
-        )
-
-
-@dataclass(frozen=True)
-class BehaviorTable:
-    """Conditional probabilities P(abc|xyz) for one round, indexed [x,y,z,a,b,c]."""
-
-    probs: np.ndarray
-    round_index: int = 1
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float).copy()
-        if p.shape != (2, 2, 2, 2, 2, 2):
-            raise ValueError(f"behavior table must have shape (2,)*6, got {p.shape}")
-        _check_tables(p[None])
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-    def as_vector(self) -> np.ndarray:
-        """The 64 probabilities in C order over (x, y, z, a, b, c)."""
-        return self.probs.reshape(64).copy()
-
-    @classmethod
-    def from_vector(cls, vector, round_index: int = 1) -> "BehaviorTable":
-        vec = np.asarray(vector, dtype=float)
-        if vec.shape != (64,):
-            raise ValueError(f"expected 64 probabilities, got shape {vec.shape}")
-        return cls(vec.reshape(2, 2, 2, 2, 2, 2), round_index)
-
-
 _MARGINAL_FAMILIES = (
     # (outcome axes summed out, input axes that must not matter, label)
     ((5,), (2,), "P(ab|xy) vs z"),
@@ -131,6 +75,70 @@ def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
         residual[:] = spread.reshape(len(probs), -1).max(axis=1)
     worst = residuals.argmax(axis=0)
     return residuals[worst, np.arange(len(probs))], [_MARGINAL_FAMILIES[i][2] for i in worst]
+
+
+def _check_tables(probs: np.ndarray) -> None:
+    """Decides whether every table of a stack (N, 2, 2, 2, 2, 2, 2) is a valid behavior.
+
+    Entries must be finite and >= ENTRY_FLOOR, every (x, y, z) block must sum
+    to 1, and no marginal may depend on another party's input by
+    NO_SIGNALING_ATOL or more: the inequality's two-party correlators and the
+    hybrid polytope both assume a non-signaling table.  Raises for the first
+    table that fails, naming the entry or block by its "xyz;abc" key, or the
+    worst marginal family with its residual.
+    """
+    flat = probs.reshape(len(probs), 64)
+    infinite = ~np.isfinite(flat)
+    if infinite.any():
+        n, i = np.argwhere(infinite)[0]
+        raise ValueError(
+            f"behavior entry ({TABLE_KEYS[i]}) must be finite, got {float(flat[n, i])!r}"
+        )
+    low = flat < ENTRY_FLOOR
+    if low.any():
+        n, i = np.argwhere(low)[0]
+        raise ValueError(
+            f"behavior entry ({TABLE_KEYS[i]}) must be >= {ENTRY_FLOOR}, got {float(flat[n, i])!r}"
+        )
+    sums = probs.sum(axis=(4, 5, 6)).reshape(len(probs), 8)
+    off = np.abs(sums - 1.0) > NORMALIZATION_ATOL
+    if off.any():
+        n, block = np.argwhere(off)[0]
+        raise ValueError(
+            f"block ({TABLE_KEYS[8 * block][:3]};abc) sums to {float(sums[n, block])!r}, expected 1"
+        )
+    residuals, labels = no_signaling_residuals(probs)
+    signaling = residuals >= NO_SIGNALING_ATOL
+    if signaling.any():
+        n = signaling.argmax()
+        raise ValueError(f"table is signaling: {labels[n]} varies by {residuals[n]:.3e} "
+                         f"(tolerance {NO_SIGNALING_ATOL})")
+
+
+@dataclass(frozen=True)
+class BehaviorTable:
+    """Conditional probabilities P(abc|xyz) for one round, indexed [x,y,z,a,b,c]."""
+
+    probs: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probs, dtype=float).copy()
+        if p.shape != (2, 2, 2, 2, 2, 2):
+            raise ValueError(f"behavior table must have shape (2,)*6, got {p.shape}")
+        _check_tables(p[None])
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
+
+    def as_vector(self) -> np.ndarray:
+        """The 64 probabilities in C order over (x, y, z, a, b, c)."""
+        return self.probs.reshape(64).copy()
+
+    @classmethod
+    def from_vector(cls, vector) -> "BehaviorTable":
+        vec = np.asarray(vector, dtype=float)
+        if vec.shape != (64,):
+            raise ValueError(f"expected 64 probabilities, got shape {vec.shape}")
+        return cls(vec.reshape(2, 2, 2, 2, 2, 2))
 
 
 def no_signaling_residual(table: BehaviorTable) -> tuple[float, str]:
@@ -210,4 +218,4 @@ def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule
                  rounds: int) -> list[BehaviorTable]:
     """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
     stack = run_stack(initial, (theta,), schedule, rounds)
-    return [BehaviorTable(tables[0], k) for k, tables in enumerate(stack, start=1)]
+    return [BehaviorTable(tables[0]) for tables in stack]

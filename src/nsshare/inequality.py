@@ -6,8 +6,9 @@ The inequality reads
 
 over behaviors admitting a hybrid (bipartite-nonsignaling x single-party)
 model.  Two-party correlators marginalize the excluded party with its input
-fixed to 0, which is convention-free exactly when the table is non-signaling;
-that precondition is therefore checked, not assumed.
+fixed to 0, which is convention-free exactly when the table is non-signaling.
+Every function here takes checked tables (run_stack's stacks or
+BehaviorTable.probs), and engine._check_tables refuses signaling ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .engine import NO_SIGNALING_ATOL, BehaviorTable, no_signaling_residual, no_signaling_residuals
+from .engine import BehaviorTable
+from .engine import no_signaling_residual  # noqa: F401  (perfbench/layers.py wraps it here)
 
 NS2_BOUND = 3.0
 VIOLATION_GUARD = 1e-12
@@ -37,24 +39,6 @@ _SIGNS = {
     parties: _sign_tensor(parties)
     for parties in ("A", "B", "C", "AB", "AC", "BC", "ABC")
 }
-
-
-class SignalingTableError(ValueError):
-    """Raised when a marginal correlator is requested on a signaling table."""
-
-    def __init__(self, residual: float, label: str):
-        self.residual = residual
-        self.label = label
-        super().__init__(
-            f"table is signaling: {label} varies by {residual:.3e} "
-            f"(tolerance {NO_SIGNALING_ATOL})"
-        )
-
-
-def _require_no_signaling(table: BehaviorTable) -> None:
-    residual, label = no_signaling_residual(table)
-    if residual >= NO_SIGNALING_ATOL:
-        raise SignalingTableError(residual, label)
 
 
 def _gather(terms) -> tuple[tuple, np.ndarray]:
@@ -167,16 +151,7 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
 
 
 def ns2_values(probs: np.ndarray) -> np.ndarray:
-    """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2).
-
-    Each table must be non-signaling; the first that is not raises
-    SignalingTableError.
-    """
-    residuals, labels = no_signaling_residuals(probs)
-    signaling = residuals >= NO_SIGNALING_ATOL
-    if signaling.any():
-        n = signaling.argmax()
-        raise SignalingTableError(float(residuals[n]), labels[n])
+    """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2)."""
     ab, ac, bc, abc0, abc1 = _correlators(probs, _NS2_TERMS).T
     return ab + ac + bc - abc0 + abc1
 
@@ -194,10 +169,8 @@ def ns2_orbit(table: BehaviorTable) -> np.ndarray:
     """The value of every image of the inequality in symmetry_orbit() on a table, shape (768,).
 
     Hybrid-model behaviors obey the same bound 3 in each, so exceeding it in
-    any image rules membership out.  Raises SignalingTableError on a
-    signaling table.
+    any image rules membership out.
     """
-    _require_no_signaling(table)
     return symmetry_orbit()[0] @ table.as_vector()
 
 

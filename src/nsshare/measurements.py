@@ -18,9 +18,11 @@ RECURSION_VARIANTS = ("printed", "normalized")
 
 DELTA_MAX = np.pi / 4
 BISECTION_RESOLUTION = 1e-6
-# below this delta the downward scan gives up; gamma_1 ~ delta/2 so any
-# physically meaningful schedule is far above it
-DELTA_SEARCH_FLOOR = 1e-300
+# the recursion runs on t = sin(delta/2)**2, which leaves the normal float range
+# (and reaches 0 further down, where every gamma reads 0) below _T_FLOOR:
+# sin(x) = x there, so t >= _T_FLOOR exactly when delta >= DELTA_SEARCH_FLOOR
+_T_FLOOR = float(np.finfo(float).tiny)
+DELTA_SEARCH_FLOOR = 2.0 * math.sqrt(_T_FLOOR)
 
 IDENTITY_2 = np.eye(2)
 IDENTITY_2.setflags(write=False)
@@ -85,7 +87,8 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
     q_k = 1 - prod_{j<k}(1+s_j)/2 (s_j = sqrt(1-gamma_j^2)), the bracket equals
     2^(k-1) [q_k + 2t(1-q_k)] exactly, and q is accumulated from
     u_j = gamma_j^2 / (2(1+s_j)) via q <- q + u - q*u.  This keeps the recursion
-    accurate down to the tiny deltas the validity search needs.
+    accurate down to the tiny deltas the validity search needs, and refused
+    below DELTA_SEARCH_FLOOR, where t is no longer a normal float.
     """
     if not 0.0 < delta <= DELTA_MAX + 1e-15:
         raise ValueError(f"delta must lie in (0, pi/4], got {delta!r}")
@@ -97,6 +100,9 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
         raise ValueError(f"variant must be one of {RECURSION_VARIANTS}, got {variant!r}")
 
     t = np.sin(delta / 2) ** 2
+    if t < _T_FLOOR:
+        raise ValueError(f"delta must be at least {DELTA_SEARCH_FLOOR!r}, got {delta!r}: "
+                         f"below it sin(delta/2)**2 leaves the normal float range")
     sin_d = np.sin(delta)
     gammas: list[float] = []
     q = 0.0

@@ -24,6 +24,8 @@ class TripartiteState:
 
     def __post_init__(self):
         rho = np.asarray(self.rho)
+        if not np.issubdtype(rho.dtype, np.number):
+            raise ValueError(f"density operator must be numeric, got dtype {rho.dtype}")
         if rho.shape != (DIM, DIM):
             raise ValueError(f"tripartite state must be {DIM}x{DIM}, got {rho.shape}")
         # every effect and Kraus root is real symmetric, so tr[rho E] = tr[Re(rho) E] and the

@@ -6,6 +6,9 @@ and the state update via an eigendecomposition square root.  Tests compare
 package output against these reference routes.
 """
 
+import json
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,24 @@ def bf_closed_form(k, alpha, theta, gammas):
     for g in gammas[:k - 1]:
         prod *= 1 + np.sqrt(1 - g * g)
     return 1 + base * (prod + gammas[k - 1]) / 2 ** (k - 1)
+
+
+def signaling_probs():
+    """Normalized but signaling: Alice's outcome copies Bob's input y."""
+    probs = np.zeros((2,) * 6)
+    for x, y, z in product((0, 1), repeat=3):
+        probs[x, y, z, y, 0, 0] = 1.0
+    return probs
+
+
+def write_table(path, probs, round_index=1):
+    """A behavior-table JSON file: {"round": k, "probs": {"xyz;abc": p}}, sorted keys."""
+    keys = ["".join(map(str, bits[:3])) + ";" + "".join(map(str, bits[3:]))
+            for bits in product((0, 1), repeat=6)]
+    payload = {"round": round_index,
+               "probs": {key: float(p) for key, p in zip(keys, np.ravel(probs))}}
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def random_density(rng, dim=8):

@@ -259,10 +259,10 @@ def test_claim_audit_scan_soundness():
     for delta in deltas:
         schedule = gamma_sequence(delta, 0.001, 5)
         rounds = min(5, schedule.valid_upto)
-        for k, tables in enumerate(run_stack(initial, thetas, schedule, rounds), start=1):
+        for tables in run_stack(initial, thetas, schedule, rounds):
             for probs, value in zip(tables, ns2_values(tables)):
                 if is_violation(value):
-                    violating_tables.append(BehaviorTable(probs, k))
+                    violating_tables.append(BehaviorTable(probs))
     assert len(violating_tables) == 360
     for table in violating_tables:
         result = lp_feasible(table)

@@ -14,10 +14,10 @@ from nsshare.engine import (
     BehaviorTable,
     behavior,
     no_signaling_residual,
+    no_signaling_residuals,
     run_sequence,
 )
 from nsshare.inequality import (
-    SignalingTableError,
     is_violation,
     ns2_orbit,
     ns2_value,
@@ -27,7 +27,7 @@ from nsshare.inequality import (
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
 
-from conftest import bf_relabel
+from conftest import bf_relabel, signaling_probs
 
 
 def uniform_table():
@@ -116,15 +116,10 @@ def test_check_no_signaling_quantum_table():
 
 
 def test_check_no_signaling_flags_offender():
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                probs[x, y, z, y, 0, 0] = 1.0  # Alice's outcome copies y
-    residual, label = no_signaling_residual(BehaviorTable(probs))
-    assert not residual < NO_SIGNALING_ATOL
-    assert residual == pytest.approx(1.0)
-    assert "vs y" in label
+    residuals, labels = no_signaling_residuals(signaling_probs()[None])
+    assert not residuals[0] < NO_SIGNALING_ATOL
+    assert residuals[0] == pytest.approx(1.0)
+    assert "vs y" in labels[0]
 
 
 def test_check_no_signaling_uniform():
@@ -383,13 +378,9 @@ def test_feasibility_matches_scipy_on_random_mixtures(rng):
 
 
 def test_lp_feasible_rejects_signaling_input():
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                probs[x, y, z, y, 0, 0] = 1.0
-    with pytest.raises(SignalingTableError):
-        lp_feasible(BehaviorTable(probs))
+    # lp_feasible takes a BehaviorTable, and a signaling one cannot be built
+    with pytest.raises(ValueError, match="^table is signaling: "):
+        lp_feasible(BehaviorTable(signaling_probs()))
 
 
 def test_feasible_weights_reconstruct_table(rng):

@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from nsshare import cli
-from nsshare.behavior_io import export_behavior
+from nsshare import cli, engine
 from nsshare.cli import (
     CSV_HEADER,
     SWEEP_MAX_POINTS,
@@ -20,11 +19,11 @@ from nsshare.cli import (
     run_experiment,
     sweep_values,
 )
-from nsshare.engine import BehaviorTable, behavior
+from nsshare.engine import behavior
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import bf_closed_form
+from conftest import bf_closed_form, signaling_probs, write_table
 
 
 def test_parse_angle_literals():
@@ -41,8 +40,9 @@ def test_parse_angle_literals():
 
 
 def test_parse_angle_rejects_garbage():
-    for bad in ("pie", "pi/", "two", "pi/4/2", "", "pi/0", "0pi/0", "-2pi/0.0"):
-        with pytest.raises(ConfigError):
+    for bad in ("pie", "pi/", "two", "pi/4/2", "", "pi/0", "0pi/0", "-2pi/0.0", ".pi", "e5pi",
+                "-.pi/2"):
+        with pytest.raises(ConfigError, match=f"^cannot parse angle {re.escape(repr(bad))}$"):
             parse_angle(bad)
 
 
@@ -301,6 +301,22 @@ def test_sweep_summary_and_determinism(tmp_path):
     assert normalized["violations"] == 0
 
 
+def test_chunked_theta_axis_writes_the_same_reports(tmp_path, monkeypatch):
+    # a theta axis runs through the engine in chunks; chunks of 3 angles give
+    # the bytes of one stack, certified verdicts included
+    outputs = []
+    for tag, chunk in (("whole", cli.THETA_CHUNK), ("chunked", 3)):
+        monkeypatch.setattr(cli, "THETA_CHUNK", chunk)
+        csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        run_experiment(ExperimentConfig(
+            n=2, certify=True, recursion="both", sweep_delta=(0.74, math.pi / 4, 0.04),
+            sweep_theta=(0.01, math.pi / 2, 0.07), out_csv=str(csv_path),
+            out_json=str(json_path)))
+        outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") == 1 + 2 * 2 * 2 * 23  # variants x deltas x thetas x k
+
+
 def record_verdicts(monkeypatch) -> tuple[list, list]:
     """Records (table, verdict) for every run verdict and counts simplex.solve calls."""
     from nsshare import cli, simplex
@@ -370,7 +386,7 @@ def test_cli_main_end_to_end(tmp_path, capsys):
 
 def test_cli_certify_table_nonlocal(tmp_path, capsys):
     path, report = tmp_path / "table.json", tmp_path / "verdict.json"
-    export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0), str(path))
+    write_table(str(path), behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0).probs)
     code = main(["--certify-table", str(path), "--out-json", str(report)])
     assert code == 0
     out = capsys.readouterr().out
@@ -383,7 +399,7 @@ def test_cli_certify_table_nonlocal(tmp_path, capsys):
 
 def test_cli_certify_table_local(tmp_path, capsys):
     path, report = tmp_path / "table.json", tmp_path / "verdict.json"
-    export_behavior(BehaviorTable(np.full((2,) * 6, 0.125)), str(path))
+    write_table(str(path), np.full((2,) * 6, 0.125))
     assert main(["--certify-table", str(path), "--out-json", str(report)]) == 0
     assert "verdict: nonsignal-local" in capsys.readouterr().out
     data = json.loads(report.read_text())
@@ -392,23 +408,45 @@ def test_cli_certify_table_local(tmp_path, capsys):
 
 
 def test_cli_certify_table_refuses_signaling(tmp_path, capsys):
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                probs[x, y, z, y, 0, 0] = 1.0
-    path = tmp_path / "signaling.json"
-    export_behavior(BehaviorTable(probs), str(path))
-    code = main(["--certify-table", str(path)])
+    path, report = tmp_path / "signaling.json", tmp_path / "verdict.json"
+    write_table(str(path), signaling_probs())
+    code = main(["--certify-table", str(path), "--out-json", str(report)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "refused" in err
-    assert "varies by" in err
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {path}: table is signaling: P(ac|xz) vs y varies by "
+                            f"1.000e+00 (tolerance 1e-10)\n")
+    assert captured.out == "" and not report.exists()
+
+
+def test_cli_certify_table_checks_no_signaling_once(tmp_path, capsys, monkeypatch):
+    # the table is checked once, when it is imported; nothing downstream re-checks it
+    calls = []
+    original = engine.no_signaling_residuals
+
+    def counting(probs):
+        calls.append(len(probs))
+        return original(probs)
+
+    monkeypatch.setattr(engine, "no_signaling_residuals", counting)
+    for probs in (np.full((2,) * 6, 0.125),
+                  behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0).probs):
+        path, report = tmp_path / "table.json", tmp_path / "verdict.json"
+        write_table(str(path), probs)
+        calls.clear()
+        assert main(["--certify-table", str(path), "--out-json", str(report)]) == 0
+        assert calls == [1]
+    calls.clear()
+    write_table(str(path), signaling_probs())
+    report.unlink()
+    assert main(["--certify-table", str(path), "--out-json", str(report)]) == 1
+    assert calls == [1] and not report.exists()
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert str(path) in err and "signaling" in err and "varies by" in err
 
 
 def test_cli_certify_table_refuses_nan(tmp_path, capsys):
     path = tmp_path / "nan.json"
-    export_behavior(behavior(build_gghz(math.pi / 4), math.pi / 4, 0.5), str(path))
+    write_table(str(path), behavior(build_gghz(math.pi / 4), math.pi / 4, 0.5).probs)
     data = json.loads(path.read_text())
     data["probs"]["101;011"] = float("nan")
     path.write_text(json.dumps(data))
@@ -428,11 +466,20 @@ def test_cli_exits_cleanly_on_lp_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(simplex, "solve", failing)
     # both inputs obey the inequality, so only the LP can decide them
     path = tmp_path / "table.json"
-    export_behavior(BehaviorTable(np.full((2,) * 6, 0.125)), str(path))
+    write_table(str(path), np.full((2,) * 6, 0.125))
     assert main(["--certify-table", str(path)]) == 1
     assert main(["--n", "1", "--certify", "--alpha", "0.05"]) == 1
     err = capsys.readouterr().err
     assert err.count("error: simplex did not terminate") == 2
+
+
+def test_cli_refuses_delta_below_the_normal_float_range(capsys):
+    # every gamma used to read 0 here, until 2.0 ** (k - 1) overflowed at k = 1025
+    code = main(["--n", "2000", "--recursion", "printed", "--delta", "1e-300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta must be at least ") and "got 1e-300" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_refuses_theta_axis_touching_zero(capsys):

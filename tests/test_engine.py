@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
+from nsshare import engine
 from nsshare.engine import (
     TABLE_KEYS,
     BehaviorTable,
     behavior,
     luders_update,
     no_signaling_residual,
+    no_signaling_residuals,
     run_sequence,
     run_stack,
 )
@@ -14,21 +18,11 @@ from nsshare.inequality import ns2_value, ns2_values
 from nsshare.measurements import gamma_sequence
 from nsshare.states import TripartiteState, build_gghz
 
-from conftest import SX, bf_behavior, bf_luders, random_density
+from conftest import SX, bf_behavior, bf_luders, random_density, signaling_probs
 
 
 def quantum_table(alpha, theta, gamma):
     return behavior(build_gghz(alpha), theta, gamma)
-
-
-def signaling_table():
-    """a copies Bob's input: normalized but signaling."""
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                probs[x, y, z, y, 0, 0] = 1.0
-    return BehaviorTable(probs)
 
 
 def test_behavior_product_state_sharp():
@@ -144,10 +138,14 @@ def test_run_sequence_single_round_is_behavior():
     assert np.max(np.abs(tables[0].probs - direct.probs)) < 1e-15
 
 
-def test_run_sequence_rounds_and_labels():
+def test_run_sequence_rounds():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    tables = run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 2)
-    assert [t.round_index for t in tables] == [1, 2]
+    initial = build_gghz(np.pi / 4)
+    tables = run_sequence(initial, np.pi / 4, schedule, 2)
+    updated = luders_update(initial, np.pi / 4, schedule.gammas[0])
+    assert len(tables) == 2
+    assert np.array_equal(tables[1].probs,
+                          behavior(updated, np.pi / 4, schedule.gammas[1]).probs)
 
 
 def test_run_sequence_rejects_truncated_schedule():
@@ -218,9 +216,35 @@ def test_no_signaling_residual_uniform_zero():
 
 
 def test_no_signaling_residual_flags_signaling():
-    residual, label = no_signaling_residual(signaling_table())
-    assert residual == pytest.approx(1.0)
-    assert "vs y" in label or "vs y,z" in label
+    residuals, labels = no_signaling_residuals(signaling_probs()[None])
+    assert residuals[0] == pytest.approx(1.0)
+    assert "vs y" in labels[0] or "vs y,z" in labels[0]
+
+
+def test_behavior_table_rejects_signaling():
+    message = "table is signaling: P(ac|xz) vs y varies by 1.000e+00 (tolerance 1e-10)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BehaviorTable(signaling_probs())
+    # below the tolerance a table passes; at it, it is refused
+    for shift, passes in ((0.99e-10, True), (1.01e-10, False)):
+        probs = np.full((2,) * 6, 0.125)
+        probs[0, 0, 0, 0, 0, 0] += shift
+        probs[0, 0, 0, 1, 0, 0] -= shift
+        if passes:
+            BehaviorTable(probs)
+        else:
+            with pytest.raises(ValueError, match="^table is signaling: P"):
+                BehaviorTable(probs)
+
+
+def test_run_stack_refuses_a_signaling_stack(monkeypatch):
+    # the engine's own tables are non-signaling by physics; a signaling one
+    # planted in the stack stops the run before it is yielded
+    planted = np.stack([np.full((2,) * 6, 0.125), signaling_probs()])
+    monkeypatch.setattr(engine, "_behavior_stack", lambda rhos, effects: planted)
+    schedule = gamma_sequence(np.pi / 4, 0.001, 1)
+    with pytest.raises(ValueError, match="^table is signaling: P"):
+        next(run_stack(build_gghz(np.pi / 4), (0.5, 0.6), schedule, 1))
 
 
 def test_behavior_table_rejects_negative_entries():
@@ -248,6 +272,6 @@ def test_behavior_table_rejects_bad_normalization():
 
 def test_behavior_table_vector_round_trip(rng):
     table = quantum_table(0.7, 0.4, 0.8)
-    rebuilt = BehaviorTable.from_vector(table.as_vector(), table.round_index)
+    rebuilt = BehaviorTable.from_vector(table.as_vector())
     assert np.array_equal(rebuilt.probs, table.probs)
 

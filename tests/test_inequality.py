@@ -8,7 +8,6 @@ from nsshare.cli import ConfigError, ExperimentConfig, run_experiment, sweep_val
 from nsshare.engine import BehaviorTable, behavior
 from nsshare.inequality import (
     NS2_BOUND,
-    SignalingTableError,
     closed_form_ns2,
     is_violation,
     ns2_orbit,
@@ -19,7 +18,7 @@ from nsshare.inequality import (
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import I2, SX, SZ, bf_behavior, bf_closed_form, bf_ns2, bf_relabel
+from conftest import I2, SX, SZ, bf_behavior, bf_closed_form, bf_ns2, bf_relabel, signaling_probs
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -66,13 +65,9 @@ def test_ns2_sharp_against_trace_oracle(rng):
 
 
 def test_ns2_rejects_signaling_table():
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                probs[x, y, z, y, 0, 0] = 1.0
-    with pytest.raises(SignalingTableError, match="signaling"):
-        ns2_value(BehaviorTable(probs))
+    # ns2_value takes a BehaviorTable, and a signaling one cannot be built
+    with pytest.raises(ValueError, match="^table is signaling: "):
+        ns2_value(BehaviorTable(signaling_probs()))
 
 
 def test_ns2_uniform_zero():

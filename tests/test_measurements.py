@@ -1,9 +1,12 @@
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from nsshare.engine import _AB_EFFECTS
 from nsshare.measurements import (
+    DELTA_SEARCH_FLOOR,
     RECURSION_VARIANTS,
     charlie_setting,
     gamma_sequence,
@@ -181,6 +184,25 @@ def test_gamma_sequence_validates_arguments():
         gamma_sequence(0.3, 0.001, 0)
     with pytest.raises(ValueError):
         gamma_sequence(0.3, 0.001, 1, variant="other")
+
+
+def test_gamma_sequence_refuses_deltas_below_the_normal_float_range():
+    # t = sin(delta/2)**2 is a normal float exactly down to DELTA_SEARCH_FLOOR
+    assert np.sin(DELTA_SEARCH_FLOOR / 2) ** 2 >= np.finfo(float).tiny
+    assert gamma_sequence(DELTA_SEARCH_FLOOR, 0.001, 3).gammas[0] > 0.0
+    for delta in (np.nextafter(DELTA_SEARCH_FLOOR, 0.0), 1e-160, 1e-300, 5e-324):
+        message = f"delta must be at least {DELTA_SEARCH_FLOOR!r}, got {delta!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}: "):
+            gamma_sequence(delta, 0.001, 3)
+
+
+def test_validity_region_ends_at_the_normal_float_range():
+    # n = 10 still has a valid delta, bit for bit as before the floor moved;
+    # from n = 11 on the boundary lies below the floor, where every gamma read 0
+    assert validity_region(10, 0.001) == 1.499588380742918e-152
+    for n in (11, 12, 13):
+        assert validity_region(n, 0.001) is None
+    assert validity_region(11, 0.001, variant="normalized") == 0.1065171953601653
 
 
 def test_validity_region_endpoint_cases():

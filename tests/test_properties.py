@@ -1,4 +1,4 @@
-"""Property tests: symmetries of the hybrid polytope and the behavior JSON round trip.
+"""Property tests: symmetries of the hybrid polytope and the behavior JSON import.
 
 The hybrid polytope is closed under per-party outcome relabelings and input
 swaps and under permutations of the parties (the three bipartitions map onto
@@ -16,13 +16,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsshare.behavior_io import export_behavior, import_behavior
+from nsshare.behavior_io import import_behavior
 from nsshare.certifier import hybrid_vertices, lp_feasible
 from nsshare.engine import BehaviorTable, behavior
 from nsshare.inequality import is_violation, ns2_value
 from nsshare.states import build_gghz
 
-from conftest import bf_relabel
+from conftest import bf_relabel, write_table
 
 # per party, bf_relabel's code 3 flips its outcome at both inputs
 FLIPS = list(itertools.product((0, 3), repeat=3))
@@ -36,7 +36,7 @@ PROPERTY_SETTINGS = settings(max_examples=6, deadline=None, derandomize=True)
 def permute_parties(table: BehaviorTable, order) -> BehaviorTable:
     """New party i is old party order[i], for inputs and outcomes together."""
     axes = tuple(order) + tuple(p + 3 for p in order)
-    return BehaviorTable(np.transpose(table.probs, axes).copy(), table.round_index)
+    return BehaviorTable(np.transpose(table.probs, axes).copy())
 
 
 def relabeled_verdicts(table: BehaviorTable) -> set[bool]:
@@ -110,13 +110,17 @@ def test_near_boundary_verdict_matches_inequality_and_its_certificate_holds(dist
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.lists(st.floats(1e-300, 1.0), min_size=64, max_size=64), st.integers(1, 10**6))
-def test_behavior_json_round_trip_is_byte_identical(entries, round_index):
-    probs = np.array(entries).reshape((2,) * 6)
-    probs /= probs.sum(axis=(3, 4, 5), keepdims=True)
+@given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6), st.integers(1, 10**6))
+def test_behavior_json_round_trip_is_byte_identical(marginals, round_index):
+    # a product of single-party behaviors, P(a|x) P(b|y) P(c|z), is non-signaling;
+    # import_behavior must hand back every float of the file unchanged
+    (a0, a1, b0, b1, c0, c1), probs = marginals, np.empty((2,) * 6)
+    for x, y, z, a, b, c in itertools.product((0, 1), repeat=6):
+        pa, pb, pc = (a0, a1)[x], (b0, b1)[y], (c0, c1)[z]
+        probs[x, y, z, a, b, c] = ((pa, 1 - pa)[a] * (pb, 1 - pb)[b] * (pc, 1 - pc)[c])
     with tempfile.TemporaryDirectory() as directory:
         first, second = os.path.join(directory, "a.json"), os.path.join(directory, "b.json")
-        export_behavior(BehaviorTable(probs, round_index), first)
-        export_behavior(import_behavior(first), second)
+        write_table(first, probs, round_index)
+        write_table(second, import_behavior(first).probs, round_index)
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()

@@ -109,6 +109,15 @@ def test_state_refuses_non_finite_entries():
         TripartiteState(np.full((8, 8), np.nan))
 
 
+def test_state_refuses_non_numeric_entries():
+    # strings would meet numpy's own ufunc error, None would pass as a NaN entry
+    for entries, dtype in (([["a"] * 8] * 8, "<U1"), ([[None] * 8] * 8, "object"),
+                           (np.eye(8, dtype=bool), "bool")):
+        message = rf"^density operator must be numeric, got dtype {re.escape(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            TripartiteState(entries)
+
+
 def test_state_rejects_wrong_shape():
     with pytest.raises(ValueError, match="8x8"):
         TripartiteState(np.eye(4) / 4)
