@@ -33,11 +33,13 @@ BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 class VertexSet:
     """All 288 hybrid-polytope vertices as rows of a (288, 64) matrix.
 
-    bipartition_index[i] is the position of vertex i's bipartition in BIPARTITIONS.
+    bipartition_index[i] is the position of vertex i's bipartition in BIPARTITIONS;
+    constraints is [vectors.T; 1], the (65, 288) matrix of the membership LP.
     """
 
     vectors: np.ndarray
     bipartition_index: np.ndarray
+    constraints: np.ndarray
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -73,9 +75,10 @@ def hybrid_vertices() -> VertexSet:
                 np.einsum("nyzbc,mxa->nmxyzabc", boxes, responses))   # BC|A
     vectors = np.concatenate(products).reshape(-1, 64)
     index = np.repeat(np.arange(len(BIPARTITIONS)), len(vectors) // len(BIPARTITIONS))
-    vectors.setflags(write=False)
-    index.setflags(write=False)
-    return VertexSet(vectors, index)
+    constraints = np.vstack([vectors.T, np.ones((1, len(vectors)))])
+    for array in (vectors, index, constraints):
+        array.setflags(write=False)
+    return VertexSet(vectors, index, constraints)
 
 
 @dataclass(frozen=True)
@@ -145,11 +148,11 @@ def _warm_local(vertex_set: VertexSet, support: np.ndarray,
                 target: np.ndarray) -> DecompositionResult | None:
     """The local verdict from the vertices in support alone, if they rebuild the target.
 
-    Solves a[:, support] w = (target, 1) by its normal equations.  The
-    support comes from a simplex solution or from a subset of one, so its
+    Solves constraints[:, support] w = (target, 1) by its normal equations.
+    The support comes from a simplex solution or from a subset of one, so its
     columns are independent and the system is regular.
     """
-    columns = np.vstack([vertex_set.vectors[support].T, np.ones(len(support))])
+    columns = vertex_set.constraints[:, support]
     try:
         solution = np.linalg.solve(columns.T @ columns, columns.T @ np.append(target, 1.0))
     except np.linalg.LinAlgError:
@@ -193,9 +196,7 @@ def lp_feasible(table: BehaviorTable, *,
         if verdict is not None:
             return verdict
 
-    n = len(vertex_set)
-    a = np.vstack([vertex_set.vectors.T, np.ones((1, n))])
-    result = simplex.solve(a, np.append(target, 1.0), tol=RESIDUAL_ATOL)
+    result = simplex.solve(vertex_set.constraints, np.append(target, 1.0), tol=RESIDUAL_ATOL)
     if result.feasible:
         verdict = _local(vertex_set, result.x, target)
     else:

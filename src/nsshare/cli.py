@@ -263,7 +263,7 @@ def _round_rows(schedule, thetas, alpha: float, rounds: int,
             rows = []
             for k in range(1, rounds + 1):
                 oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
-                verdict = certify(BehaviorTable(tables[k - 1][n])) if certify else None
+                verdict = certify(BehaviorTable._from_checked(tables[k - 1][n])) if certify else None
                 rows.append({
                     "k": k,
                     "gamma": schedule.gammas[k - 1],

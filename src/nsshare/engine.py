@@ -129,6 +129,14 @@ class BehaviorTable:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _from_checked(cls, probs: np.ndarray) -> "BehaviorTable":
+        """A copy of one table of a stack that _check_tables passed, not checked again."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "probs", probs.copy())
+        table.probs.setflags(write=False)
+        return table
+
     def as_vector(self) -> np.ndarray:
         """The 64 probabilities in C order over (x, y, z, a, b, c)."""
         return self.probs.reshape(64).copy()
@@ -218,4 +226,4 @@ def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule
                  rounds: int) -> list[BehaviorTable]:
     """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
     stack = run_stack(initial, (theta,), schedule, rounds)
-    return [BehaviorTable(tables[0]) for tables in stack]
+    return [BehaviorTable._from_checked(tables[0]) for tables in stack]

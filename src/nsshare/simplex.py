@@ -7,8 +7,11 @@ over; the ratio test breaks ties on the smallest basis index.  A minimum
 within tol gives x >= 0 (the right-hand side is clamped at zero after every
 pivot).  A larger one gives the phase-1 duals y, read from the artificial
 columns of the final tableau, which hold the inverse basis: A^T y <= 0 < b.y,
-a Farkas certificate that no such x exists.  Problem sizes here are a few
-hundred columns, so clarity beats sparsity.
+a Farkas certificate that no such x exists.  A pivot updates in place only the
+rows its entering column reaches, a third of the rows at a time (einsum forms
+the products without broadcast buffers), so its temporaries stay below the
+tableau's size.  Next to a full update, that changes at most the sign of a zero
+in the columns of A, which no comparison and no result reads.
 """
 
 from __future__ import annotations
@@ -43,20 +46,19 @@ def solve(a, b, tol: float = 1e-9) -> LpResult:
 
     # sign-flip rows to make b >= 0; artificial i starts basic in row i
     signs = np.where(b < 0, -1.0, 1.0)
-    tableau = np.hstack([a * signs[:, None], np.eye(m), np.abs(b)[:, None]])
+    tableau = np.zeros((m, n + m + 1))
+    np.einsum("ij,i->ij", a, signs, out=tableau[:, :n])
+    np.fill_diagonal(tableau[:, n:], 1.0)
+    np.abs(b, out=tableau[:, -1])
     basis = np.arange(n, n + m)
-    cost = np.zeros(n + m)
-    cost[n:] = 1.0
-    allowed = np.arange(n + m) < n  # artificials only leave, never re-enter
+    cost = np.repeat([0.0, 1.0], [n, m])
     max_iterations = 200 + 40 * (n + 2 * m)
+    block_rows = max(1, m // 3)
 
-    iterations = 0
-    bland = False
-    best_objective = np.inf
-    stall = 0
+    iterations, stall, bland, best_objective = 0, 0, False, np.inf
     while True:
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        candidates = np.where(allowed & (reduced < -REDUCED_COST_TOL))[0]
+        candidates = (reduced[:n] < -REDUCED_COST_TOL).nonzero()[0]  # artificials never re-enter
         if candidates.size == 0:
             break
         if iterations >= max_iterations:
@@ -64,22 +66,23 @@ def solve(a, b, tol: float = 1e-9) -> LpResult:
         if bland:
             enter = int(candidates[0])
         else:
-            enter = int(candidates[np.argmin(reduced[candidates])])
+            enter = int(candidates[reduced[candidates].argmin()])
 
         column = tableau[:, enter]
-        rows = np.where(column > PIVOT_TOL)[0]
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:  # a bounded objective leaves this only to rounding
             raise RuntimeError("simplex phase 1 found no pivot row")
         ratios = tableau[rows, -1] / column[rows]
-        best = np.min(ratios)
-        ties = rows[ratios <= best + 1e-12]
-        leave = int(ties[np.argmin(basis[ties])])
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        leave = int(ties[basis[ties].argmin()])
 
-        pivot = tableau[leave, enter]
-        tableau[leave] /= pivot
-        scale = tableau[:, enter].copy()
-        scale[leave] = 0.0
-        tableau -= np.outer(scale, tableau[leave])
+        row = tableau[leave]
+        row /= row[enter]
+        others = column.nonzero()[0]
+        others = others[others != leave]
+        for start in range(0, others.size, block_rows):
+            block = others[start:start + block_rows]
+            tableau[block] -= np.einsum("i,j->ij", column[block], row)
         tableau[:, enter] = 0.0
         tableau[leave, enter] = 1.0
         np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
@@ -88,12 +91,10 @@ def solve(a, b, tol: float = 1e-9) -> LpResult:
 
         objective = float(cost[basis] @ tableau[:, -1])
         if objective < best_objective - 1e-12:
-            best_objective = objective
-            stall = 0
+            best_objective, stall = objective, 0
         else:
             stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
+        bland = bland or stall >= STALL_LIMIT
 
     infeasibility = float(cost[basis] @ tableau[:, -1])
     if infeasibility > tol:

@@ -7,6 +7,7 @@ package output against these reference routes.
 """
 
 import json
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -137,6 +138,16 @@ def signaling_probs():
     return probs
 
 
+def svetlichny_probs():
+    """The Svetlichny box, a xor b xor c = xy xor yz xor xz: outside the hybrid
+    polytope, yet every image of the inequality gives it at most 2."""
+    probs = np.zeros((2,) * 6)
+    for x, y, z, a, b, c in product((0, 1), repeat=6):
+        if a ^ b ^ c == (x & y) ^ (y & z) ^ (x & z):
+            probs[x, y, z, a, b, c] = 0.25
+    return probs
+
+
 def write_table(path, probs, round_index=1):
     """A behavior-table JSON file: {"round": k, "probs": {"xyz;abc": p}}, sorted keys."""
     keys = ["".join(map(str, bits[:3])) + ";" + "".join(map(str, bits[3:]))
@@ -168,3 +179,89 @@ def bf_relabel(probs, order, local):
         if code & 4:
             probs = np.flip(probs, axis=party)
     return np.transpose(probs, tuple(order) + tuple(p + 3 for p in order)).copy()
+
+
+# The dense phase-1 simplex as it stood before its pivots became row-sparse,
+# kept verbatim (bar the result type's name) as the oracle that the sparse
+# pivots leave every bit of a result unchanged.
+PIVOT_TOL = 1e-10
+REDUCED_COST_TOL = 1e-10
+STALL_LIMIT = 80
+
+
+@dataclass
+class BfLpResult:
+    x: np.ndarray | None
+    farkas: np.ndarray | None
+    infeasibility: float
+    iterations: int
+
+
+def bf_simplex_solve(a, b, tol: float = 1e-9) -> BfLpResult:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.shape != (a.shape[0],):
+        raise ValueError(f"A has shape {a.shape} but b has shape {b.shape}")
+    m, n = a.shape
+
+    # sign-flip rows to make b >= 0; artificial i starts basic in row i
+    signs = np.where(b < 0, -1.0, 1.0)
+    tableau = np.hstack([a * signs[:, None], np.eye(m), np.abs(b)[:, None]])
+    basis = np.arange(n, n + m)
+    cost = np.zeros(n + m)
+    cost[n:] = 1.0
+    allowed = np.arange(n + m) < n  # artificials only leave, never re-enter
+    max_iterations = 200 + 40 * (n + 2 * m)
+
+    iterations = 0
+    bland = False
+    best_objective = np.inf
+    stall = 0
+    while True:
+        reduced = cost - cost[basis] @ tableau[:, :-1]
+        candidates = np.where(allowed & (reduced < -REDUCED_COST_TOL))[0]
+        if candidates.size == 0:
+            break
+        if iterations >= max_iterations:
+            raise RuntimeError(f"simplex did not terminate within {max_iterations} iterations")
+        if bland:
+            enter = int(candidates[0])
+        else:
+            enter = int(candidates[np.argmin(reduced[candidates])])
+
+        column = tableau[:, enter]
+        rows = np.where(column > PIVOT_TOL)[0]
+        if rows.size == 0:  # a bounded objective leaves this only to rounding
+            raise RuntimeError("simplex phase 1 found no pivot row")
+        ratios = tableau[rows, -1] / column[rows]
+        best = np.min(ratios)
+        ties = rows[ratios <= best + 1e-12]
+        leave = int(ties[np.argmin(basis[ties])])
+
+        pivot = tableau[leave, enter]
+        tableau[leave] /= pivot
+        scale = tableau[:, enter].copy()
+        scale[leave] = 0.0
+        tableau -= np.outer(scale, tableau[leave])
+        tableau[:, enter] = 0.0
+        tableau[leave, enter] = 1.0
+        np.maximum(tableau[:, -1], 0.0, out=tableau[:, -1])
+        basis[leave] = enter
+        iterations += 1
+
+        objective = float(cost[basis] @ tableau[:, -1])
+        if objective < best_objective - 1e-12:
+            best_objective = objective
+            stall = 0
+        else:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                bland = True
+
+    infeasibility = float(cost[basis] @ tableau[:, -1])
+    if infeasibility > tol:
+        farkas = signs * (cost[basis] @ tableau[:, n:n + m])
+        return BfLpResult(None, farkas, infeasibility, iterations)
+    x = np.zeros(n + m)
+    x[basis] = tableau[:, -1]
+    return BfLpResult(x[:n], None, infeasibility, iterations)

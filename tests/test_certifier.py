@@ -1,7 +1,6 @@
 import hashlib
 import re
 from dataclasses import replace
-from itertools import product
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from nsshare.inequality import (
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
 
-from conftest import bf_relabel, signaling_probs
+from conftest import bf_relabel, signaling_probs, svetlichny_probs
 
 
 def uniform_table():
@@ -35,13 +34,7 @@ def uniform_table():
 
 
 def svetlichny_table():
-    """The Svetlichny box, a xor b xor c = xy xor yz xor xz: outside the polytope,
-    yet every image of the inequality gives it at most 2."""
-    probs = np.zeros((2,) * 6)
-    for x, y, z, a, b, c in product((0, 1), repeat=6):
-        if a ^ b ^ c == (x & y) ^ (y & z) ^ (x & z):
-            probs[x, y, z, a, b, c] = 0.25
-    return BehaviorTable(probs)
+    return BehaviorTable(svetlichny_probs())
 
 
 LOCAL_CERTIFICATE = re.compile(r"nonsignal-local: decomposition with residual \d\.\d{3}e[+-]\d+; "
@@ -86,6 +79,24 @@ def test_vertex_matrix_is_pinned():
     index = np.asarray(vertices.bipartition_index, dtype=np.int64)
     assert (hashlib.sha256(index.tobytes()).hexdigest()
             == "98bb2006d4e89b7f9ef3bcbc736937dda01158af031c901ee87c2b7dc062765e")
+
+
+def test_membership_constraints_are_built_once_and_read_only(monkeypatch):
+    vertices = hybrid_vertices()
+    constraints = vertices.constraints
+    assert np.array_equal(constraints, np.vstack([vertices.vectors.T, np.ones((1, 288))]))
+    assert not constraints.flags.writeable
+    seen = []
+    original = simplex.solve
+
+    def recording(a, b, tol):
+        seen.append(a)
+        return original(a, b, tol)
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    for table in (uniform_table(), svetlichny_table()):
+        lp_feasible(table)
+    assert len(seen) == 2 and all(a is constraints for a in seen)
 
 
 def test_vertices_normalized_and_nonsignaling_exactly():

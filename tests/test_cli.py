@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from nsshare.engine import behavior
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import bf_closed_form, signaling_probs, write_table
+from conftest import bf_closed_form, signaling_probs, svetlichny_probs, write_table
 
 
 def test_parse_angle_literals():
@@ -442,6 +443,52 @@ def test_cli_certify_table_checks_no_signaling_once(tmp_path, capsys, monkeypatc
     assert calls == [1] and not report.exists()
     err = capsys.readouterr().err.splitlines()[-1]
     assert str(path) in err and "signaling" in err and "varies by" in err
+
+
+@pytest.mark.parametrize("argv, stacks", [
+    ([], [1] * 4),                                   # 2 variants x 2 rounds, one theta
+    (["--sweep-theta", "0.5:0.7:0.1"], [3] * 4),     # the same, three thetas per stack
+])
+def test_certified_run_checks_each_round_stack_once(tmp_path, monkeypatch, argv, stacks):
+    # run_stack checks every round's stack once; the certifier takes its tables
+    # without checking them again
+    calls = []
+    original = engine.no_signaling_residuals
+
+    def counting(probs):
+        calls.append(len(probs))
+        return original(probs)
+
+    monkeypatch.setattr(engine, "no_signaling_residuals", counting)
+    assert main(["--n", "2", "--certify", "--recursion", "both",
+                 "--out-json", str(tmp_path / "run.json"), *argv]) == 0
+    assert calls == stacks
+
+
+# sha256 of --certify-table's stdout and --out-json report, each table decided
+# by the feasibility LP: the uniform table by its weights (local), the
+# Svetlichny box at weight 0.5 + 1e-6 by its Farkas dual.  Any change to the
+# LP's digits (residual, group masses, functional, bound, margin) moves them.
+CERTIFY_TABLE_DIGESTS = {
+    "uniform": ("4fbce17c02a1dcbd48714a589a4eb0670734e0b69c56383c8e100e7cdc7c33b1",
+                "a9ccf7bfbd8ae083ab3a4553149b0e2e8e11afb98c038c05a2841e7b0484c41e"),
+    "svnoise": ("ddfa226d61d0c0fb00b4bbd240d8488af5ba24e2f6693f3c7dda335f89fb0345",
+                "ca6e6b64f49d106d7c576865b5a5228ad3273a6b86207a129e06bbcc8e0ae10e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_TABLE_DIGESTS))
+def test_certify_table_reports_are_pinned(tmp_path, capsys, monkeypatch, name):
+    weight, uniform = 0.5 + 1e-6, np.full((2,) * 6, 0.125)
+    probs = {"uniform": uniform,
+             "svnoise": weight * svetlichny_probs() + (1 - weight) * uniform}[name]
+    monkeypatch.chdir(tmp_path)  # the report names the table by the path given
+    write_table(f"{name}.json", probs)
+    assert main(["--certify-table", f"{name}.json", "--out-json", f"v_{name}.json"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    report = (tmp_path / f"v_{name}.json").read_bytes()
+    assert (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(report).hexdigest()) \
+        == CERTIFY_TABLE_DIGESTS[name]
 
 
 def test_cli_certify_table_refuses_nan(tmp_path, capsys):

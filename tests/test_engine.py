@@ -148,6 +148,23 @@ def test_run_sequence_rounds():
                           behavior(updated, np.pi / 4, schedule.gammas[1]).probs)
 
 
+def test_run_sequence_checks_each_round_once(monkeypatch):
+    # run_stack checks each round's stack; wrapping its tables checks nothing again
+    calls = []
+    original = engine.no_signaling_residuals
+
+    def counting(probs):
+        calls.append(len(probs))
+        return original(probs)
+
+    monkeypatch.setattr(engine, "no_signaling_residuals", counting)
+    schedule = gamma_sequence(np.pi / 4, 0.001, 3, "normalized")
+    tables = run_sequence(build_gghz(np.pi / 4), 0.6, schedule, 3)
+    assert calls == [1, 1, 1]
+    for table in tables:
+        assert not table.probs.flags.writeable and table.probs.flags.c_contiguous
+
+
 def test_run_sequence_rejects_truncated_schedule():
     schedule = gamma_sequence(np.pi / 4, 0.001, 3)  # valid_upto == 2
     with pytest.raises(ValueError, match="valid"):

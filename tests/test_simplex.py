@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import conftest
+from conftest import bf_simplex_solve, svetlichny_probs
+from nsshare import simplex
+from nsshare.certifier import hybrid_vertices
 from nsshare.simplex import solve
 
 
@@ -36,10 +42,10 @@ def test_infeasible_pair():
     assert_farkas(a, b, result)
 
 
-def test_degenerate_vertex():
-    # Beale's cycling example as equalities with slacks; pinning its objective
-    # at the optimum makes phase 1 walk its degenerate corner, and just below
-    # the optimum the system is infeasible
+def beale_system(offset: float = 0.0):
+    """Beale's cycling example as equalities with slacks, its objective pinned
+    at the optimum plus offset: phase 1 walks the degenerate corner at offset
+    0, and below the optimum the system is infeasible."""
     c = np.array([-0.75, 150.0, -0.02, 6.0])
     a_ub = np.array([
         [0.25, -60.0, -0.04, 9.0],
@@ -49,10 +55,15 @@ def test_degenerate_vertex():
     b_ub = np.array([0.0, 0.0, 1.0])
     optimum = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs").fun
     a = np.vstack([np.hstack([a_ub, np.eye(3)]), np.append(c, np.zeros(3))])
-    result = solve(a, np.append(b_ub, optimum))
+    return a, np.append(b_ub, optimum + offset)
+
+
+def test_degenerate_vertex():
+    a, b = beale_system()
+    result = solve(a, b)
     assert result.feasible
-    assert np.max(np.abs(a @ result.x - np.append(b_ub, optimum))) < 1e-9
-    below = np.append(b_ub, optimum - 1e-3)
+    assert np.max(np.abs(a @ result.x - b)) < 1e-9
+    a, below = beale_system(-1e-3)
     assert_farkas(a, below, solve(a, below))
 
 
@@ -116,3 +127,88 @@ def test_requires_constraints():
         solve(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         solve(np.ones((2, 3)), np.ones(3))
+
+
+def assert_same_bits(result, oracle):
+    """Every field of the two results holds the same bits, signs of zero included."""
+    for name in ("x", "farkas"):
+        ours, theirs = getattr(result, name), getattr(oracle, name)
+        assert (ours is None) == (theirs is None), name
+        if ours is not None:
+            assert ours.tobytes() == theirs.tobytes(), name
+    assert np.float64(result.infeasibility).tobytes() == np.float64(oracle.infeasibility).tobytes()
+    assert result.iterations == oracle.iterations
+
+
+def membership_lps(rng, count: int):
+    """Membership LPs [vertices^T; 1] w = (p, 1) over the 288 hybrid vertices.
+
+    Even draws are vertex mixtures (feasible); odd draws mix the Svetlichny box
+    at weight above 2/3 with a vertex mixture, which puts them outside the
+    polytope, with a Farkas dual.
+    """
+    vectors = hybrid_vertices().vectors
+    a = np.vstack([vectors.T, np.ones((1, len(vectors)))])
+    for i in range(count):
+        weights = np.zeros(len(vectors))
+        support = rng.choice(len(vectors), size=int(rng.integers(1, 40)), replace=False)
+        weights[support] = rng.dirichlet(np.ones(len(support)))
+        table = vectors.T @ weights
+        if i % 2:
+            share = rng.uniform(0.7, 1.0)
+            table = share * svetlichny_probs().reshape(64) + (1 - share) * table
+        yield a, np.append(table, 1.0)
+
+
+def random_lps(rng, count: int):
+    """Small dense systems with zero entries and mixed-sign right-hand sides,
+    so that sign-flipped rows carry zeros of both signs; about half are infeasible."""
+    for i in range(count):
+        m, n = int(rng.integers(1, 10)), int(rng.integers(2, 25))
+        a = rng.normal(size=(m, n))
+        a[rng.random((m, n)) < 0.4] = 0.0
+        yield a, (a @ rng.random(n) if i % 2 else rng.normal(size=m))
+
+
+def test_sparse_pivots_match_the_dense_oracle_bit_for_bit(rng):
+    verdicts = {True: 0, False: 0}
+    cases = [*membership_lps(rng, 24), *random_lps(rng, 120),
+             beale_system(), beale_system(-1e-3)]
+    for a, b in cases:
+        result = solve(a, b)
+        assert_same_bits(result, bf_simplex_solve(a, b))
+        verdicts[result.feasible] += 1
+    assert min(verdicts.values()) > 20  # plenty of Farkas duals and of solutions
+
+
+def test_bland_fallback_matches_the_dense_oracle(rng, monkeypatch):
+    # Beale ends in 8 pivots and never stalls for 80, so the fallback runs
+    # only with the stall limit at 1 (in both solvers)
+    cases = [beale_system(), beale_system(-1e-3), *membership_lps(rng, 6)]
+    default = [solve(a, b).iterations for a, b in cases]
+    monkeypatch.setattr(simplex, "STALL_LIMIT", 1)
+    monkeypatch.setattr(conftest, "STALL_LIMIT", 1)
+    bland = []
+    for a, b in cases:
+        result = solve(a, b)
+        assert_same_bits(result, bf_simplex_solve(a, b))
+        bland.append(result.iterations)
+    assert bland != default  # Bland's rule took over somewhere
+
+
+def test_solve_allocates_no_tableau_sized_temporary(rng):
+    # the tableau is the one tableau-sized array of a solve: a pivot touches
+    # only the rows its column reaches, so the peak stays below two tableaus
+    for a, b in membership_lps(rng, 2):  # one feasible, one with a Farkas dual
+        m, n = a.shape
+        tableau_bytes = m * (n + m + 1) * 8
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = solve(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations > 10
+        assert peak - baseline < 2 * tableau_bytes

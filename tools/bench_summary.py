@@ -22,7 +22,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LAYER_METRICS = ("certifier.lp_solves_per_verdict", "simplex.solve.calls",
-                 "certifier.lp_feasible.calls")
+                 "certifier.lp_feasible.calls", "simplex.iterations", "simplex.solve.self_s",
+                 "simplex.solve.p50_ms")
 ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "numpy", "blas_threads_in_use")
 
 
