@@ -19,7 +19,9 @@ import re
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
-from itertools import count, takewhile
+from itertools import islice, product, takewhile
+
+import numpy as np
 
 from .behavior_io import atomic_write_text, import_behavior, read_json
 from .certifier import lp_feasible
@@ -33,8 +35,9 @@ CSV_HEADER = "k,gamma_k,ns2_oracle,ns2_closed_form,discrepancy,violated,lp_feasi
 
 # a sweep axis may hold at most this many steps, (stop - start) / step
 SWEEP_MAX_POINTS = 10**6
-# angles per engine stack along a theta axis; each holds a few kB of states and tables
-THETA_CHUNK = 2048
+# (theta, alpha) pairs per engine stack; each member holds a few kB of states,
+# tables and temporaries, so a stack of 256 stays near 1 MB
+THETA_CHUNK = 256
 
 _ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
 
@@ -94,8 +97,16 @@ def parse_sweep(value) -> tuple[float, float, float] | None:
 
 
 def sweep_values(spec: tuple[float, float, float]) -> list[float]:
+    """start, start + step, ... up to stop: at most the SWEEP_MAX_POINTS steps parse_sweep allows.
+
+    A value up to 1e-12 past stop still counts, which absorbs the rounding of
+    start + i * step; on an axis of steps below 2e-12 the slack is half a step,
+    so no value lies more than half a step past stop.
+    """
     start, stop, step = spec
-    return list(takewhile(lambda v: v <= stop + 1e-12, (start + i * step for i in count())))
+    end = stop + min(1e-12, step / 2)
+    values = (start + i * step for i in range(SWEEP_MAX_POINTS + 1))
+    return list(takewhile(lambda v: v <= end, values))
 
 
 @dataclass(frozen=True)
@@ -243,23 +254,30 @@ def _warm_certifier() -> Callable[[BehaviorTable], bool]:
     return certify
 
 
-def _round_rows(schedule, thetas, alpha: float, rounds: int,
-                certify: Callable[[BehaviorTable], bool] | None) -> Iterator[list[dict]]:
-    """Yields, per theta, the rows of rounds 1..rounds.
+def _round_rows(schedule, thetas, alphas, rounds: int,
+                certify: Callable[[BehaviorTable], bool] | None) -> Iterator[tuple]:
+    """Yields (theta, alpha, rows of rounds 1..rounds) per pair, theta-major.
 
-    The thetas run in order through engine stacks of at most THETA_CHUNK
-    angles, so a sweep's memory does not grow with its theta axis.
+    The pairs run in that order through engine stacks of at most THETA_CHUNK
+    members, so a sweep's memory grows with neither its theta nor its alpha
+    axis.  A stack builds each of its alphas' initial states once.
     """
-    initial = build_gghz(alpha)
-    for start in range(0, len(thetas), THETA_CHUNK):
-        chunk = thetas[start:start + THETA_CHUNK]
+    pairs = product(range(len(thetas)), range(len(alphas)))
+    while chunk := list(islice(pairs, THETA_CHUNK)):
+        states = {j: build_gghz(alphas[j]) for j in {j for _, j in chunk}}
+        # the thetas stay floats, which run_stack names by repr when it refuses one
+        chunk_thetas = [thetas[i] for i, _ in chunk]
+        chunk_alphas = np.array([alphas[j] for _, j in chunk])
+        initials = [states[j] for _, j in chunk]
         oracles, closed_forms, tables = [], [], []
-        for k, round_tables in enumerate(run_stack(initial, chunk, schedule, rounds), start=1):
+        for k, round_tables in enumerate(run_stack(initials, chunk_thetas, schedule, rounds),
+                                         start=1):
             oracles.append(ns2_values(round_tables).tolist())
-            closed_forms.append(closed_form_ns2(k, alpha, chunk, schedule.gammas).tolist())
+            closed_forms.append(
+                closed_form_ns2(k, chunk_alphas, chunk_thetas, schedule.gammas).tolist())
             if certify:
                 tables.append(round_tables)
-        for n in range(len(chunk)):
+        for n, (i, j) in enumerate(chunk):
             rows = []
             for k in range(1, rounds + 1):
                 oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
@@ -273,7 +291,7 @@ def _round_rows(schedule, thetas, alpha: float, rounds: int,
                     "violated": is_violation(oracle),
                     "lp_feasible": verdict,
                 })
-            yield rows
+            yield thetas[i], alphas[j], rows
 
 
 def _csv_line(entry: dict) -> str:
@@ -309,11 +327,8 @@ def _grid(config: ExperimentConfig, variant: str,
     for delta in deltas:
         resolved_delta, schedule = _resolve_schedule(config, variant, delta, needed)
         rounds = min(config.n, schedule.valid_upto)
-        # one engine stack per (delta, variant, alpha) row, over the theta axis
-        stacks = [_round_rows(schedule, thetas, alpha, rounds, certify) for alpha in alphas]
-        for theta, *alpha_rows in zip(thetas, *stacks):
-            for alpha, rows in zip(alphas, alpha_rows):
-                yield resolved_delta, schedule, theta, alpha, rows
+        for theta, alpha, rows in _round_rows(schedule, thetas, alphas, rounds, certify):
+            yield resolved_delta, schedule, theta, alpha, rows
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -8,17 +8,28 @@ and forwards his qubit.  Averaged over input and outcome the state update is
 which is trace preserving and completely positive.  Alice and Bob never update
 the state; their statistics enter only through the behavior table.
 
-run_stack evolves a stack of N sequences that differ only in Charlie's angle,
-round by round, as (N, 8, 8) arrays.  Every array operation acts on each
-member of the stack exactly as it would on that member alone, so a table of
-the stack is bit-identical to the same table computed with N = 1;
+run_stack evolves a stack of N sequences, each with its own initial state and
+Charlie angle, round by round, as (N, 8, 8) arrays.  Every array operation
+acts on each member of the stack exactly as it would on that member alone, so
+a table of the stack is bit-identical to the same table computed with N = 1;
 behavior, luders_update and run_sequence are those N = 1 calls.
+
+A table entry is the 4,096-term sum over (p, q, r, s, t, u) of
+((rho[pqrstu] X[x,a,s,p]) Y[y,b,t,q]) Z[z,c,u,r], and _behavior_stack returns
+the bits of numpy's unoptimized einsum of it: that einsum adds the terms one
+at a time, from +0, in C order over (p, q, r, s, t, u), and so does the
+kernel.  Alice's and Bob's effects have exact zeros, which leave 4, 16 or 64
+nonzero terms per entry (1,600 per table), and the kernel skips the rest.
+A skipped term is +0 or -0 (rho and Z are finite), and adding it changes
+nothing: the running sum starts at +0 and a rounded sum is -0 only when both
+addends are, so the sum never holds -0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -41,9 +52,41 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _AB_EFFECTS = np.array([[(IDENTITY_2 + _SIGMA_Z) / 2, (IDENTITY_2 - _SIGMA_Z) / 2],
                         [(IDENTITY_2 + _SIGMA_X) / 2, (IDENTITY_2 - _SIGMA_X) / 2]])
 
-# all indices but the stack's n are binary, so the unoptimized kernel (4096
-# terms per table) beats einsum's path machinery
-_BEHAVIOR_SUBSCRIPTS = "npqrstu,xasp,ybtq,nzcur->nxyzabc"
+# states per pass of the behavior kernel: its two term arrays of 1,600 rows
+# stay at 400 kB each however large the stack
+BEHAVIOR_CHUNK = 32
+
+
+@lru_cache(maxsize=1)
+def _behavior_plan() -> tuple:
+    """The nonzero terms of all 64 entries, (rho_index, x_factor, y_factor, z_index, groups).
+
+    Row i of the four term arrays is one term: rho_index into the flat state,
+    x_factor and y_factor from Alice's and Bob's effects, z_index into
+    Charlie's flat (z, c, i, j) effects.  The rows run group by group, the
+    entries grouped by their term count; a group (entries, count) holds count
+    blocks, one per term position in C order, each of one row per entry.
+    Built on first use.
+    """
+    # every (entry, term) pair, the entry in C order over (x, y, z, a, b, c) and
+    # the term in C order over (p, q, r, s, t, u), which is also its rho index
+    x, y, z, a, b, c, p, q, r, s, t, u = np.indices((2,) * 12).reshape(12, 64, 64)
+    x_factor, y_factor = _AB_EFFECTS[x, a, s, p], _AB_EFFECTS[y, b, t, q]
+    z_index = ((z * 2 + c) * 2 + u) * 2 + r
+    live = (x_factor != 0.0) & (y_factor != 0.0)
+    counts = live.sum(axis=1)
+    rows, groups = [], []
+    for count in sorted(set(counts.tolist())):
+        entries = np.flatnonzero(counts == count)
+        # nonzero lists each entry's terms in C order; transposed, term position leads
+        index = np.nonzero(live[entries])[1].reshape(len(entries), count).T
+        rows.append((np.broadcast_to(entries, index.shape).ravel(), index.ravel()))
+        groups.append((entries, count))
+    entry, term = (np.concatenate(column) for column in zip(*rows))
+    plan = (term, x_factor[entry, term, None], y_factor[entry, term, None], z_index[entry, term])
+    for array in plan:
+        array.setflags(write=False)
+    return plan + (tuple(groups),)
 
 
 _MARGINAL_FAMILIES = (
@@ -156,10 +199,34 @@ def no_signaling_residual(table: BehaviorTable) -> tuple[float, str]:
 
 
 def _behavior_stack(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:
-    """P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})] for every state of the stack."""
-    rho6 = rhos.reshape((len(rhos),) + (2,) * 6)
-    return np.einsum(_BEHAVIOR_SUBSCRIPTS, rho6, _AB_EFFECTS, _AB_EFFECTS, effects,
-                     optimize=False)
+    """P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})] for every state of the stack.
+
+    rhos (N, 8, 8) and effects (N, 2, 2, 2, 2) must be finite.  Returns a
+    C-contiguous (N, 2, 2, 2, 2, 2, 2) stack with the bits of the unoptimized
+    einsum (see the module docstring), BEHAVIOR_CHUNK states at a time.
+    """
+    rho_index, x_factor, y_factor, z_index, groups = _behavior_plan()
+    n = len(rhos)
+    tables = np.empty((n, 64))
+    rho_flat, z_flat = rhos.reshape(n, 64), effects.reshape(n, 16)
+    for start in range(0, n, BEHAVIOR_CHUNK):
+        chunk = slice(start, start + BEHAVIOR_CHUNK)
+        rho_t, z_t = rho_flat[chunk].T, z_flat[chunk].T
+        shape = (len(rho_index), rho_t.shape[1])
+        # the term arrays are C-ordered, term rows outermost, so that add.reduce
+        # adds each entry's terms one by one, from its identity +0, as einsum does
+        # (along an inner axis it sums pairwise); "clip" spares take a buffered
+        # copy, and the indices are valid
+        terms = np.take(rho_t, rho_index, axis=0, out=np.empty(shape), mode="clip")
+        terms *= x_factor
+        terms *= y_factor
+        terms *= np.take(z_t, z_index, axis=0, out=np.empty(shape), mode="clip")
+        row = 0
+        for entries, count in groups:
+            block = terms[row:row + count * len(entries)].reshape(count, len(entries), -1)
+            tables[chunk, entries] = np.add.reduce(block, axis=0).T
+            row += count * len(entries)
+    return tables.reshape((n,) + (2,) * 6)
 
 
 def _luders_stack(rhos: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -192,15 +259,18 @@ def behavior(state: TripartiteState, theta: float, gamma_k: float) -> BehaviorTa
     return BehaviorTable(_behavior_stack(state.rho[None], effects)[0])
 
 
-def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
-              rounds: int) -> Iterator[np.ndarray]:
-    """Behavior tables of rounds 1..rounds for every Charlie angle in thetas.
+def run_stack(initials, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np.ndarray]:
+    """Behavior tables of rounds 1..rounds for every member (initials[n], thetas[n]).
 
-    All sequences start from initial and share the schedule; they evolve
-    together as one (N, 8, 8) stack.  Yields, round by round, an array of
-    shape (N, 2, 2, 2, 2, 2, 2) whose tables passed the BehaviorTable checks;
-    the states behind them passed the TripartiteState checks.
+    Member n starts from the TripartiteState initials[n] and measures at
+    Charlie angle thetas[n]; all share the schedule and evolve together as one
+    (N, 8, 8) stack.  Yields, round by round, an array of shape
+    (N, 2, 2, 2, 2, 2, 2) whose tables passed the BehaviorTable checks; the
+    states behind them passed the TripartiteState checks.
     """
+    if len(initials) != len(thetas):
+        raise ValueError(f"run_stack needs one initial state per theta, got {len(initials)} "
+                         f"states for {len(thetas)} thetas")
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds!r}")
     if rounds > schedule.valid_upto:
@@ -211,7 +281,7 @@ def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
     for theta in thetas:
         if not 0.0 < theta < np.pi / 2:
             raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
-    rhos = np.repeat(initial.rho[None], len(thetas), axis=0)
+    rhos = np.array([initial.rho for initial in initials]).reshape(len(thetas), 8, 8)
     for k in range(rounds):
         effects, roots = charlie_setting(thetas, schedule.gammas[k])
         tables = _behavior_stack(rhos, effects)
@@ -225,5 +295,5 @@ def run_stack(initial: TripartiteState, thetas, schedule: GammaSchedule,
 def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule,
                  rounds: int) -> list[BehaviorTable]:
     """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
-    stack = run_stack(initial, (theta,), schedule, rounds)
+    stack = run_stack((initial,), (theta,), schedule, rounds)
     return [BehaviorTable._from_checked(tables[0]) for tables in stack]

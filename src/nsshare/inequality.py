@@ -174,14 +174,16 @@ def ns2_orbit(table: BehaviorTable) -> np.ndarray:
     return symmetry_orbit()[0] @ table.as_vector()
 
 
-def closed_form_ns2(k: int, alpha: float, theta: float | np.ndarray, gammas) -> float | np.ndarray:
+def closed_form_ns2(k: int, alpha: float | np.ndarray, theta: float | np.ndarray,
+                    gammas) -> float | np.ndarray:
     """Predicted inequality value on the generalized GHZ state at round k.
 
     k = 1:  1 + (1 + gamma_1) [cos t + sin t sin 2a]
     k >= 2: 1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
 
-    theta may be one angle or an array of them; the value has its shape, and
-    each angle's value is the same bit for bit whichever array it comes from.
+    alpha and theta may each be one angle or an array of them; the value has
+    their broadcast shape, and each (alpha, theta) value is the same bit for
+    bit whichever arrays it comes from.
     Exact at t = pi/4; away from it the true value picks up cos(2t) cross
     terms that this form omits (run reports record the difference).
     """

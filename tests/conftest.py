@@ -70,6 +70,20 @@ def bf_behavior(rho, theta, gamma):
     return probs
 
 
+# The behavior kernel as it stood before it skipped the effects' zeros: numpy's
+# unoptimized einsum, kept verbatim (bar the names) as the oracle for its bits.
+BF_AB_EFFECTS = np.ascontiguousarray(
+    np.array([[(I2 + sigma) / 2, (I2 - sigma) / 2] for sigma in (SZ, SX)]).real)
+BF_BEHAVIOR_SUBSCRIPTS = "npqrstu,xasp,ybtq,nzcur->nxyzabc"
+
+
+def bf_behavior_stack(rhos, effects):
+    """P(abc|xyz) for a stack of states (N, 8, 8) and Charlie effects (N, 2, 2, 2, 2)."""
+    rho6 = rhos.reshape((len(rhos),) + (2,) * 6)
+    return np.einsum(BF_BEHAVIOR_SUBSCRIPTS, rho6, BF_AB_EFFECTS, BF_AB_EFFECTS, effects,
+                     optimize=False)
+
+
 def bf_sqrtm_psd(matrix):
     """Eigendecomposition square root; eigenvalues below 1e-13 count as zero."""
     vals, vecs = np.linalg.eigh(matrix)

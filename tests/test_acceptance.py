@@ -259,7 +259,7 @@ def test_claim_audit_scan_soundness():
     for delta in deltas:
         schedule = gamma_sequence(delta, 0.001, 5)
         rounds = min(5, schedule.valid_upto)
-        for tables in run_stack(initial, thetas, schedule, rounds):
+        for tables in run_stack([initial] * len(thetas), thetas, schedule, rounds):
             for probs, value in zip(tables, ns2_values(tables)):
                 if is_violation(value):
                     violating_tables.append(BehaviorTable(probs))

@@ -94,6 +94,25 @@ def test_sweep_values_grid():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
+def test_sweep_values_stay_within_the_checked_steps():
+    # the slack past stop once was an absolute 1e-12: a tiny-scale axis ran on
+    # toward stop + 1e-12, some 1e288 steps away
+    values = sweep_values(parse_sweep("1e-300:1e-299:1e-300"))
+    assert len(values) == 10 and values[-1] == pytest.approx(1e-299, rel=1e-12)
+    # 999,999.9995 steps: at most one value past the last whole step, not 1,000,010 values
+    values = sweep_values(parse_sweep("0.5:0.5000001:1e-13"))
+    assert len(values) == SWEEP_MAX_POINTS + 1 and values[-1] - 0.5000001 < 0.5e-13
+    # on ordinary axes the slack still absorbs rounding: 3 * 0.1 > 0.3
+    assert sweep_values((0.0, 0.3, 0.1)) == [0.0, 0.1, 0.2, 0.30000000000000004]
+    assert len(sweep_values(parse_sweep("0.01:pi/2:0.01"))) == 157
+
+
+def test_cli_runs_a_tiny_scale_alpha_axis(tmp_path):
+    report = tmp_path / "tiny.json"
+    assert main(["--sweep-alpha", "1e-300:1e-299:1e-300", "--out-json", str(report)]) == 0
+    assert json.loads(report.read_text())["variants"]["printed"]["points"] == 10
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"n": 1, "alpha": "pi/8", "certify": True,
@@ -316,6 +335,52 @@ def test_chunked_theta_axis_writes_the_same_reports(tmp_path, monkeypatch):
         outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0].count(b"\n") == 1 + 2 * 2 * 2 * 23  # variants x deltas x thetas x k
+
+
+# sha256 of the CSV and JSON reports of THETA_ALPHA_GRID, taken when every
+# alpha of a row ran as its own engine stack over the theta axis
+THETA_ALPHA_DIGESTS = ("d3d2b3c542e351db23a35411bfb99199e799dd0004c97b0c899e2eca59f3e28d",
+                       "af70e67c44ab2dffd36c6d6443808b4abda538e3f6e64d094522370ccf8334e8")
+THETA_ALPHA_GRID = dict(n=2, certify=True, recursion="both", delta=0.78,
+                        sweep_theta=(0.05, 1.5, 0.29), sweep_alpha=(0.1, 1.5, 0.35))
+
+
+def test_chunked_theta_alpha_grid_writes_the_same_reports(tmp_path, monkeypatch):
+    # a row's (theta, alpha) pairs run through the engine in report order, in
+    # chunks; chunks of 7 pairs (straddling thetas), of 1 and of the default
+    # size certify the same tables in the same order and write the pinned bytes
+    orders = []
+    for chunk in (cli.THETA_CHUNK, 7, 1):
+        monkeypatch.setattr(cli, "THETA_CHUNK", chunk)
+        verdicts, _ = record_verdicts(monkeypatch)
+        csv_path, json_path = tmp_path / f"{chunk}.csv", tmp_path / f"{chunk}.json"
+        run_experiment(ExperimentConfig(out_csv=str(csv_path), out_json=str(json_path),
+                                        **THETA_ALPHA_GRID))
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (csv_path, json_path))
+        assert digests == THETA_ALPHA_DIGESTS
+        orders.append(np.array([table.probs for table, _ in verdicts]))
+    assert len(orders[0]) == 2 * 6 * 5 * 2  # variants x thetas x alphas x rounds
+    assert all(np.array_equal(order.view(np.int64), orders[0].view(np.int64))
+               for order in orders)
+
+
+def test_alpha_axis_memory_does_not_grow(monkeypatch):
+    # every alpha once kept its own engine stack alive, about 3.4 kB each
+    import tracemalloc
+
+    monkeypatch.setattr(cli, "THETA_CHUNK", 16)
+
+    def peak(alphas):
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentConfig(n=2, sweep_alpha=(1e-3, alphas * 1e-3, 1e-3)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # the first run builds the lazy caches
+    assert peak(400) - peak(16) < 100 * 1024
 
 
 def record_verdicts(monkeypatch) -> tuple[list, list]:

@@ -15,10 +15,17 @@ from nsshare.engine import (
     run_stack,
 )
 from nsshare.inequality import ns2_value, ns2_values
-from nsshare.measurements import gamma_sequence
+from nsshare.measurements import charlie_setting, gamma_sequence
 from nsshare.states import TripartiteState, build_gghz
 
-from conftest import SX, bf_behavior, bf_luders, random_density, signaling_probs
+from conftest import (
+    SX,
+    bf_behavior,
+    bf_behavior_stack,
+    bf_luders,
+    random_density,
+    signaling_probs,
+)
 
 
 def quantum_table(alpha, theta, gamma):
@@ -191,7 +198,7 @@ def test_stack_equals_single_runs_bitwise(variant):
         schedule = gamma_sequence(delta, 0.001, 5, variant)
         rounds = min(5, schedule.valid_upto)
         for alpha in (np.pi / 8, np.pi / 4, 3 * np.pi / 8):
-            tables = list(run_stack(build_gghz(alpha), thetas, schedule, rounds))
+            tables = list(run_stack([build_gghz(alpha)] * len(thetas), thetas, schedule, rounds))
             assert len(tables) == rounds
             assert all(t.shape == (len(thetas),) + (2,) * 6 for t in tables)
             # numpy's sums follow the memory layout, so the layout is part of the bits
@@ -204,6 +211,78 @@ def test_stack_equals_single_runs_bitwise(variant):
                     assert bits(values[k][n]) == bits(ns2_value(single))
 
 
+# stacks of one, around the kernel's chunk of 32 states, an audit row, a large stack
+KERNEL_SIZES = (1, 2, 31, 32, 33, 157, 2048)
+
+
+def same_bits(ours, oracle):
+    """Equal bit for bit, signs of zero included, in the same C-contiguous shape."""
+    return (ours.shape == oracle.shape and ours.flags.c_contiguous
+            and np.array_equal(bits(ours), bits(oracle)))
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_behavior_kernel_matches_the_einsum_oracle_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    dense = rng.normal(size=(n, 8, 8))
+    rhos = dense + dense.transpose(0, 2, 1)  # symmetric, not a state
+    effects, _ = charlie_setting(rng.uniform(1e-6, np.pi / 2 - 1e-6, n), rng.uniform())
+    for z in (effects, rng.normal(size=(n, 2, 2, 2, 2))):
+        assert same_bits(engine._behavior_stack(rhos, z), bf_behavior_stack(rhos, z))
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_behavior_kernel_matches_the_oracle_on_run_states(monkeypatch, n):
+    # every stack that run_stack hands the kernel, the product states at
+    # alpha = 0 and pi/2 among them, whose tables hold exact zeros
+    calls, kernel = [], engine._behavior_stack
+
+    def recording(rhos, effects):
+        tables = kernel(rhos, effects)
+        calls.append((rhos.copy(), effects.copy(), tables))
+        return tables
+
+    monkeypatch.setattr(engine, "_behavior_stack", recording)
+    rng = np.random.default_rng(100 + n)
+    alphas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0, np.pi / 2, n)])[:n]
+    thetas = rng.uniform(1e-6, np.pi / 2 - 1e-6, n)
+    schedule = gamma_sequence(0.02, 0.001, 4)
+    list(run_stack([build_gghz(alpha) for alpha in alphas], thetas, schedule, 4))
+    assert len(calls) == 4
+    for rhos, effects, tables in calls:
+        assert same_bits(tables, bf_behavior_stack(rhos, effects))
+        assert not np.signbit(tables[tables == 0.0]).any()
+    assert (calls[0][2] == 0.0).any()
+
+
+def test_behavior_kernel_never_returns_negative_zero():
+    # with a -0 state every term is a signed zero, and some entries get only
+    # -0 terms; einsum's sums start at +0, so each entry is +0
+    rhos = np.full((3, 8, 8), -0.0)
+    effects, _ = charlie_setting((0.3, 0.7, 1.1), 0.5)
+    tables = engine._behavior_stack(rhos, effects)
+    assert same_bits(tables, bf_behavior_stack(rhos, effects))
+    assert (tables == 0.0).all() and not np.signbit(tables).any()
+
+
+def test_run_stack_needs_one_initial_state_per_theta():
+    schedule = gamma_sequence(np.pi / 4, 0.001, 1)
+    with pytest.raises(ValueError, match="^run_stack needs one initial state per theta, "
+                                         "got 1 states for 2 thetas$"):
+        next(run_stack([build_gghz(0.3)], (0.5, 0.6), schedule, 1))
+
+
+def test_stack_members_keep_their_own_initial_states():
+    # a stack of (state, theta) members gives each member's N = 1 tables, bit for bit
+    schedule = gamma_sequence(0.1, 0.001, 3)
+    alphas, thetas = (0.1, 0.7, 1.2), (1.0, 0.2, 0.6)
+    stack = list(run_stack([build_gghz(a) for a in alphas], thetas, schedule, 3))
+    for n, (alpha, theta) in enumerate(zip(alphas, thetas)):
+        singles = run_sequence(build_gghz(alpha), theta, schedule, 3)
+        for tables, single in zip(stack, singles):
+            assert np.array_equal(bits(tables[n]), bits(single.probs))
+
+
 def test_stack_refuses_theta_axis_touching_the_ends():
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
     state = build_gghz(np.pi / 4)
@@ -212,7 +291,7 @@ def test_stack_refuses_theta_axis_touching_the_ends():
         with pytest.raises(ValueError) as single:
             run_sequence(state, bad, schedule, 2)
         with pytest.raises(ValueError) as stacked:
-            next(run_stack(state, thetas, schedule, 2))
+            next(run_stack([state] * 3, thetas, schedule, 2))
         assert str(stacked.value) == str(single.value) == f"theta must lie in (0, pi/2), got {bad!r}"
 
 
@@ -261,7 +340,7 @@ def test_run_stack_refuses_a_signaling_stack(monkeypatch):
     monkeypatch.setattr(engine, "_behavior_stack", lambda rhos, effects: planted)
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     with pytest.raises(ValueError, match="^table is signaling: P"):
-        next(run_stack(build_gghz(np.pi / 4), (0.5, 0.6), schedule, 1))
+        next(run_stack([build_gghz(np.pi / 4)] * 2, (0.5, 0.6), schedule, 1))
 
 
 def test_behavior_table_rejects_negative_entries():
