@@ -17,9 +17,10 @@ import math
 import numbers
 import re
 import sys
-from collections.abc import Callable, Iterator
+from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, fields
-from itertools import islice, product, takewhile
+from itertools import islice
 
 import numpy as np
 
@@ -96,17 +97,39 @@ def parse_sweep(value) -> tuple[float, float, float] | None:
     return (start, stop, step)
 
 
-def sweep_values(spec: tuple[float, float, float]) -> list[float]:
+@dataclass(frozen=True)
+class SweepAxis(Sequence):
+    """The length values start + i * step of a sweep axis, each a float made when read."""
+
+    start: float
+    step: float
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):
+        i = range(self.length)[index]
+        if isinstance(i, range):
+            return [self.start + j * self.step for j in i]
+        return self.start + i * self.step
+
+    def __iter__(self) -> Iterator[float]:
+        return (self.start + i * self.step for i in range(self.length))
+
+
+def sweep_values(spec: tuple[float, float, float]) -> SweepAxis:
     """start, start + step, ... up to stop: at most the SWEEP_MAX_POINTS steps parse_sweep allows.
 
     A value up to 1e-12 past stop still counts, which absorbs the rounding of
     start + i * step; on an axis of steps below 2e-12 the slack is half a step,
-    so no value lies more than half a step past stop.
+    so no value lies more than half a step past stop.  The values rise with i,
+    so those that count are a prefix, whose length a bisection finds.
     """
     start, stop, step = spec
     end = stop + min(1e-12, step / 2)
-    values = (start + i * step for i in range(SWEEP_MAX_POINTS + 1))
-    return list(takewhile(lambda v: v <= end, values))
+    length = bisect_right(range(SWEEP_MAX_POINTS + 1), end, key=lambda i: start + i * step)
+    return SweepAxis(start, step, length)
 
 
 @dataclass(frozen=True)
@@ -227,9 +250,9 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, roun
     schedule = gamma_sequence(delta, config.epsilon, config.n, variant)
     if schedule.valid_upto < rounds:
         raise ConfigError(
-            f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]:.6f} "
-            f"leaves [0, 1] at delta={delta:.6g} ({variant}); valid_upto={schedule.valid_upto}. "
-            f"Reduce --n or pass --auto-delta."
+            f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]!r} "
+            f"leaves [0, 1] at delta={float(delta)!r} ({variant}); "
+            f"valid_upto={schedule.valid_upto}. Reduce --n or pass --auto-delta."
         )
     return delta, schedule
 
@@ -262,22 +285,22 @@ def _round_rows(schedule, thetas, alphas, rounds: int,
     members, so a sweep's memory grows with neither its theta nor its alpha
     axis.  A stack builds each of its alphas' initial states once.
     """
-    pairs = product(range(len(thetas)), range(len(alphas)))
+    pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
     while chunk := list(islice(pairs, THETA_CHUNK)):
         states = {j: build_gghz(alphas[j]) for j in {j for _, j in chunk}}
         # the thetas stay floats, which run_stack names by repr when it refuses one
         chunk_thetas = [thetas[i] for i, _ in chunk]
-        chunk_alphas = np.array([alphas[j] for _, j in chunk])
+        chunk_alphas = [alphas[j] for _, j in chunk]
         initials = [states[j] for _, j in chunk]
         oracles, closed_forms, tables = [], [], []
         for k, round_tables in enumerate(run_stack(initials, chunk_thetas, schedule, rounds),
                                          start=1):
             oracles.append(ns2_values(round_tables).tolist())
             closed_forms.append(
-                closed_form_ns2(k, chunk_alphas, chunk_thetas, schedule.gammas).tolist())
+                closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas).tolist())
             if certify:
                 tables.append(round_tables)
-        for n, (i, j) in enumerate(chunk):
+        for n, (theta, alpha) in enumerate(zip(chunk_thetas, chunk_alphas)):
             rows = []
             for k in range(1, rounds + 1):
                 oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
@@ -291,7 +314,7 @@ def _round_rows(schedule, thetas, alphas, rounds: int,
                     "violated": is_violation(oracle),
                     "lp_feasible": verdict,
                 })
-            yield thetas[i], alphas[j], rows
+            yield theta, alpha, rows
 
 
 def _csv_line(entry: dict) -> str:

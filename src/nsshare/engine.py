@@ -23,6 +23,14 @@ nonzero terms per entry (1,600 per table), and the kernel skips the rest.
 A skipped term is +0 or -0 (rho and Z are finite), and adding it changes
 nothing: the running sum starts at +0 and a rounded sum is -0 only when both
 addends are, so the sum never holds -0.
+
+The no-signaling check gathers, for each of the six marginal families, the
+table entries of its marginals, adds each marginal's 2 or 4 terms in a fixed
+order, and takes the largest |difference| of a marginal between two settings
+of the inputs that must not matter: 16 such differences per pair family, 24
+per single-party one.  That is the marginal's max - min over those settings.
+Every step is elementwise over the stack, with no reduction along a table's
+axes and no BLAS call, so a table's residual has the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -90,7 +98,8 @@ def _behavior_plan() -> tuple:
 
 
 _MARGINAL_FAMILIES = (
-    # (outcome axes summed out, input axes that must not matter, label)
+    # (outcome axes summed out, input axes that must not matter, label); the
+    # 2-term families come first, which _no_signaling_plan's row order needs
     ((5,), (2,), "P(ab|xy) vs z"),
     ((4,), (1,), "P(ac|xz) vs y"),
     ((3,), (0,), "P(bc|yz) vs x"),
@@ -98,11 +107,43 @@ _MARGINAL_FAMILIES = (
     ((3, 5), (0, 2), "P(b|y) vs x,z"),
     ((3, 4), (0, 1), "P(c|z) vs x,y"),
 )
-# the same axes in a stack of tables, behind its leading axis
-_STACK_FAMILY_AXES = tuple(
-    (tuple(a + 1 for a in outcome_axes), tuple(a + 1 for a in input_axes))
-    for outcome_axes, input_axes, _ in _MARGINAL_FAMILIES
-)
+
+
+@lru_cache(maxsize=1)
+def _no_signaling_plan() -> tuple:
+    """The six families' marginals and their differences, (terms, left, right, starts, groups).
+
+    A marginal sums the table entries of one setting of its family's kept
+    inputs and outcomes and of the inputs that must not matter, in C order
+    over the summed outcomes.  terms lists those entries group by group, a
+    group (count, size) holding the size marginals of count terms as count
+    blocks, one per term position, of one row per marginal: 96 marginals of
+    the pair families, then 48 of the single-party ones.  Row i of left and
+    right is one difference, marginal left[i] minus marginal right[i] at two
+    settings of the inputs that must not matter; a family's differences run
+    from its entry in starts to the next.  Built on first use.
+    """
+    index = np.arange(64).reshape((2,) * 6)
+    blocks, left, right, starts = {}, [], [], []
+    marginal = 0
+    for outcome_axes, input_axes, _ in _MARGINAL_FAMILIES:
+        kept = [axis for axis in range(6) if axis not in outcome_axes + input_axes]
+        # [kept setting, setting of the inputs that must not matter, term]
+        family = index.transpose(kept + list(input_axes) + list(outcome_axes)).reshape(
+            2 ** len(kept), 2 ** len(input_axes), 2 ** len(outcome_axes))
+        kept_settings, settings, count = family.shape
+        blocks.setdefault(count, []).append(family.reshape(-1, count))
+        starts.append(len(left))
+        for first in range(marginal, marginal + kept_settings * settings, settings):
+            for i, j in combinations(range(first, first + settings), 2):
+                left.append(i)
+                right.append(j)
+        marginal += kept_settings * settings
+    terms = np.concatenate([np.concatenate(block).T.ravel() for block in blocks.values()])
+    plan = (terms, np.array(left), np.array(right), np.array(starts))
+    for array in plan:
+        array.setflags(write=False)
+    return plan + (tuple((count, sum(map(len, block))) for count, block in blocks.items()),)
 
 
 def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -110,14 +151,32 @@ def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
 
     probs is a stack of shape (N, 2, 2, 2, 2, 2, 2).  Returns the N residuals
     and, per table, the label of its worst marginal family (the first on ties).
+    A family's residual is the largest |difference| of a marginal between two
+    settings of the inputs that must not matter, which is the marginal's
+    max - min over those settings.  Each step is elementwise over the tables,
+    so a table's residual has the same bits in any stack.
     """
-    residuals = np.empty((len(_MARGINAL_FAMILIES), len(probs)))
-    for residual, (outcome_axes, input_axes) in zip(residuals, _STACK_FAMILY_AXES):
-        marginal = probs.sum(axis=outcome_axes)
-        spread = marginal.max(axis=input_axes) - marginal.min(axis=input_axes)
-        residual[:] = spread.reshape(len(probs), -1).max(axis=1)
+    terms, left, right, starts, groups = _no_signaling_plan()
+    n = len(probs)
+    # rows of N, term rows outermost, so that each marginal adds its terms in
+    # their fixed order and the family maxima are elementwise across rows
+    gathered = np.take(probs.reshape(n, 64).T, terms, axis=0)
+    marginals = np.empty((sum(size for _, size in groups), n))
+    row = column = 0
+    for count, size in groups:
+        block = gathered[row:row + count * size].reshape(count, size, n)
+        total = marginals[column:column + size]
+        np.add(block[0], block[1], out=total)
+        for term in block[2:]:
+            total += term
+        row += count * size
+        column += size
+    spread = np.take(marginals, left, axis=0)
+    spread -= np.take(marginals, right, axis=0)
+    np.abs(spread, out=spread)
+    residuals = np.maximum.reduceat(spread, starts, axis=0)
     worst = residuals.argmax(axis=0)
-    return residuals[worst, np.arange(len(probs))], [_MARGINAL_FAMILIES[i][2] for i in worst]
+    return residuals[worst, np.arange(n)], [_MARGINAL_FAMILIES[i][2] for i in worst]
 
 
 def _check_tables(probs: np.ndarray) -> None:

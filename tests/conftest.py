@@ -8,7 +8,7 @@ package output against these reference routes.
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, takewhile
 
 import numpy as np
 import pytest
@@ -142,6 +142,45 @@ def bf_closed_form(k, alpha, theta, gammas):
     for g in gammas[:k - 1]:
         prod *= 1 + np.sqrt(1 - g * g)
     return 1 + base * (prod + gammas[k - 1]) / 2 ** (k - 1)
+
+
+# The no-signaling check as it stood before it gathered fixed table entries:
+# numpy reductions over each family's axes, kept (bar the names) as the oracle.
+BF_MARGINAL_FAMILIES = (
+    # (outcome axes summed out, input axes that must not matter, label)
+    ((5,), (2,), "P(ab|xy) vs z"),
+    ((4,), (1,), "P(ac|xz) vs y"),
+    ((3,), (0,), "P(bc|yz) vs x"),
+    ((4, 5), (1, 2), "P(a|x) vs y,z"),
+    ((3, 5), (0, 2), "P(b|y) vs x,z"),
+    ((3, 4), (0, 1), "P(c|z) vs x,y"),
+)
+
+
+def bf_family_residuals(probs):
+    """Per family, a marginal's largest max - min over the inputs that must not matter: (6, N)."""
+    residuals = np.empty((len(BF_MARGINAL_FAMILIES), len(probs)))
+    for residual, (outcome_axes, input_axes, _) in zip(residuals, BF_MARGINAL_FAMILIES):
+        marginal = probs.sum(axis=tuple(a + 1 for a in outcome_axes))
+        axes = tuple(a + 1 for a in input_axes)
+        spread = marginal.max(axis=axes) - marginal.min(axis=axes)
+        residual[:] = spread.reshape(len(probs), -1).max(axis=1)
+    return residuals
+
+
+def bf_no_signaling_residuals(probs):
+    """(residual, label of the worst family, the first on ties) per table of a stack."""
+    residuals = bf_family_residuals(probs)
+    worst = residuals.argmax(axis=0)
+    return residuals[worst, np.arange(len(probs))], [BF_MARGINAL_FAMILIES[i][2] for i in worst]
+
+
+def bf_sweep_values(spec):
+    """A sweep axis as the list it once was: start + i * step while within the slack past stop."""
+    start, stop, step = spec
+    end = stop + min(1e-12, step / 2)
+    values = (start + i * step for i in range(10**6 + 1))
+    return list(takewhile(lambda v: v <= end, values))
 
 
 def signaling_probs():

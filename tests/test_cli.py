@@ -24,7 +24,13 @@ from nsshare.engine import behavior
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import bf_closed_form, signaling_probs, svetlichny_probs, write_table
+from conftest import (
+    bf_closed_form,
+    bf_sweep_values,
+    signaling_probs,
+    svetlichny_probs,
+    write_table,
+)
 
 
 def test_parse_angle_literals():
@@ -103,8 +109,52 @@ def test_sweep_values_stay_within_the_checked_steps():
     values = sweep_values(parse_sweep("0.5:0.5000001:1e-13"))
     assert len(values) == SWEEP_MAX_POINTS + 1 and values[-1] - 0.5000001 < 0.5e-13
     # on ordinary axes the slack still absorbs rounding: 3 * 0.1 > 0.3
-    assert sweep_values((0.0, 0.3, 0.1)) == [0.0, 0.1, 0.2, 0.30000000000000004]
+    assert list(sweep_values((0.0, 0.3, 0.1))) == [0.0, 0.1, 0.2, 0.30000000000000004]
     assert len(sweep_values(parse_sweep("0.01:pi/2:0.01"))) == 157
+
+
+def random_sweep_spec(rng):
+    """A checked start:stop:step spec of 1 to about 10**4 steps at a random scale; its
+    stop lies on a step, a few floats off one, or between two."""
+    step = float(10.0 ** rng.uniform(-300, 300))
+    start = float(rng.choice([0.0, 1.0, -1.0]) * step * 10.0 ** rng.uniform(-3, 8))
+    steps = int(10.0 ** rng.uniform(0, 4))
+    stop = start + steps * step
+    kind = rng.integers(4)
+    if kind == 1:
+        stop = start + (steps + float(rng.uniform(0, 1))) * step
+    elif kind > 1:
+        for _ in range(rng.integers(1, 4)):
+            stop = math.nextafter(stop, math.inf if kind == 2 else -math.inf)
+    return parse_sweep(f"{start!r}:{max(stop, start)!r}:{step!r}")
+
+
+def test_sweep_values_are_the_takewhile_list():
+    # the axis makes its values when read; they must be the list it once held
+    rng = np.random.default_rng(20261019)
+    specs = [random_sweep_spec(rng) for _ in range(3000)]
+    specs += [parse_sweep(spec) for spec in (
+        "0.01:pi/4:0.01", "0.01:pi/2:0.01", "0.0001:1.5:0.0001", "1e-300:1e-299:1e-300",
+        "0.5:0.5000001:1e-13")]
+    for spec in specs:
+        values = sweep_values(spec)
+        expected = bf_sweep_values(spec)
+        assert len(values) == len(expected)
+        assert list(values) == expected
+        assert values[-1] == expected[-1] and values[len(values) // 2] == expected[len(values) // 2]
+        assert values[1:4] == expected[1:4]
+
+
+def test_sweep_axis_does_not_hold_its_values():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        values = sweep_values(parse_sweep("0.5:0.5000001:1e-13"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == SWEEP_MAX_POINTS + 1 and peak < 16 * 1024
 
 
 def test_cli_runs_a_tiny_scale_alpha_axis(tmp_path):
@@ -277,8 +327,19 @@ def test_sweep_row_without_valid_round_reports_truncation(capsys):
     sweep_err = capsys.readouterr().err
     assert main(["--epsilon", "5"]) == 1
     assert sweep_err == capsys.readouterr().err == (
-        "error: schedule truncated: gamma_1 = 2.485281 leaves [0, 1] at delta=0.785398 "
-        "(printed); valid_upto=0. Reduce --n or pass --auto-delta.\n"
+        "error: schedule truncated: gamma_1 = 2.4852813742385704 leaves [0, 1] at "
+        "delta=0.7853981633974483 (printed); valid_upto=0. Reduce --n or pass --auto-delta.\n"
+    )
+
+
+def test_truncation_message_prints_the_values_it_tested(capsys):
+    # one float past the boundary gamma_3 exceeds 1 by one float, which six
+    # decimals would print as 1.000000
+    delta = math.nextafter(validity_region(3, 1e-3, resolution=0.0), math.inf)
+    assert main(["--n", "3", "--delta", repr(delta)]) == 1
+    assert capsys.readouterr().err == (
+        "error: schedule truncated: gamma_3 = 1.0000000000000002 leaves [0, 1] at "
+        f"delta={delta!r} (printed); valid_upto=2. Reduce --n or pass --auto-delta.\n"
     )
 
 

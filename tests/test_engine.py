@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsshare import engine
 from nsshare.engine import (
@@ -19,10 +21,14 @@ from nsshare.measurements import charlie_setting, gamma_sequence
 from nsshare.states import TripartiteState, build_gghz
 
 from conftest import (
+    BF_MARGINAL_FAMILIES,
     SX,
     bf_behavior,
     bf_behavior_stack,
+    bf_family_residuals,
+    bf_gghz,
     bf_luders,
+    bf_no_signaling_residuals,
     random_density,
     signaling_probs,
 )
@@ -331,6 +337,75 @@ def test_behavior_table_rejects_signaling():
         else:
             with pytest.raises(ValueError, match="^table is signaling: P"):
                 BehaviorTable(probs)
+
+
+# family label -> the parties whose outcomes its marginals keep
+FAMILY_PARTIES = {label: tuple(sorted({0, 1, 2} - {o - 3 for o in outcome_axes}))
+                  for outcome_axes, _, label in BF_MARGINAL_FAMILIES}
+
+
+@pytest.mark.parametrize("label, forbidden", [
+    (label, axis) for _, input_axes, label in BF_MARGINAL_FAMILIES for axis in input_axes])
+def test_signaling_gate_holds_for_every_family(label, forbidden):
+    # at input `forbidden` = 0, the family's parties' outcome parity gains mass
+    # spread evenly over the other outcomes: its marginal moves by the shift,
+    # a pair family's single-party ones stay put and a single-party family's
+    # pair ones move by half the shift, so the family is the worst one
+    parties = FAMILY_PARTIES[label]
+    index = np.indices((2,) * 6)
+    parity = (-1.0) ** sum(index[3 + party] for party in parties)
+    pattern = np.where(index[forbidden] == 0, parity, 0.0) / 2 ** (3 - len(parties))
+    for shift, passes in ((0.99e-10, True), (1.01e-10, False)):
+        probs = np.full((2,) * 6, 0.125) + shift * pattern
+        if passes:
+            BehaviorTable(probs)
+        else:
+            message = f"table is signaling: {label} varies by 1.010e-10 (tolerance 1e-10)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                BehaviorTable(probs)
+
+
+def assert_residuals_match_the_oracle(probs):
+    residuals, labels = no_signaling_residuals(probs)
+    expected, expected_labels = bf_no_signaling_residuals(probs)
+    assert np.max(np.abs(residuals - expected), initial=0.0) <= 1e-15
+    families = np.sort(bf_family_residuals(probs), axis=0)
+    clear = families[-1] - families[-2] > 1e-12
+    assert [label for label, c in zip(labels, clear) if c] == [
+        label for label, c in zip(expected_labels, clear) if c]
+    # every table gets the same bits alone as in the stack
+    singles = np.array([no_signaling_residuals(probs[n:n + 1])[0][0] for n in range(len(probs))])
+    assert np.array_equal(singles.view(np.int64), residuals.view(np.int64))
+
+
+NS_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@NS_SETTINGS
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_no_signaling_residuals_match_the_oracle_on_random_stacks(n, seed):
+    # each block a random distribution over its 8 outcomes: signaling at random
+    rng = np.random.default_rng(seed)
+    assert_residuals_match_the_oracle(
+        rng.dirichlet(np.ones(8), size=(n, 8)).reshape((n,) + (2,) * 6))
+
+
+@NS_SETTINGS
+@given(st.floats(0.0, np.pi / 2), st.floats(0.01, np.pi / 2 - 0.01), st.floats(0.0, 1.0),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
+                          st.floats(-14.0, -2.0)), min_size=1, max_size=4))
+def test_no_signaling_residuals_match_the_oracle_on_shifted_ghz_tables(alpha, theta, gamma,
+                                                                        shifts):
+    # a GHZ table, then tables that each move mass 10**power from one entry of
+    # a block to another
+    base = bf_behavior(bf_gghz(alpha), theta, gamma).reshape(8, 8)
+    stack = [base.copy()]
+    for block, source, target, power in shifts:
+        shifted = base.copy()
+        shifted[block, source] -= 10.0 ** power
+        shifted[block, target] += 10.0 ** power
+        stack.append(shifted)
+    assert_residuals_match_the_oracle(np.array(stack).reshape((-1,) + (2,) * 6))
 
 
 def test_run_stack_refuses_a_signaling_stack(monkeypatch):
