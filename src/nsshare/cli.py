@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
 from .states import build_gghz
 
 CSV_HEADER = "k,gamma_k,ns2_oracle,ns2_closed_form,discrepancy,violated,lp_feasible"
+# a report row is one tuple of these fields, in CSV column order
+ROW_KEYS = ("k", "gamma", "ns2_oracle", "ns2_closed_form", "discrepancy", "violated",
+            "lp_feasible")
+_CSV_ROW = "{},{:.9g},{:.9g},{:.9g},{:.9g},{},{}".format
+_CSV_BOOL = {None: "", True: "true", False: "false"}
 
 # a sweep axis may hold at most this many steps, (stop - start) / step
 SWEEP_MAX_POINTS = 10**6
@@ -45,6 +50,14 @@ _ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)
 
 class ConfigError(ValueError):
     pass
+
+
+def _checked(key: str, check: Callable, value):
+    """check(value), refusing an integer beyond the float range with the key's name."""
+    try:
+        return check(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is too large for a float") from None
 
 
 def parse_angle(value) -> float:
@@ -158,7 +171,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-            if not math.isfinite(value):
+            if not _checked(name, math.isfinite, value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n!r}")
@@ -167,8 +180,7 @@ class ExperimentConfig:
         if self.recursion not in RECURSION_VARIANTS + ("both",):
             raise ConfigError(f"recursion must be printed, normalized or both, got {self.recursion!r}")
         for name in _CONFIG_SWEEPS:  # a config built in code skips build_config
-            if getattr(self, name) is not None:
-                parse_sweep(getattr(self, name))
+            _checked(name, parse_sweep, getattr(self, name))
         if self.auto_delta and self.sweep_delta is not None:
             raise ConfigError("auto_delta and sweep_delta are mutually exclusive")
         for name in ("out_csv", "out_json"):
@@ -209,12 +221,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    for key in _CONFIG_ANGLES:
+    for key in _CONFIG_ANGLES + _CONFIG_SWEEPS:
         if key in merged:
-            merged[key] = parse_angle(merged[key])
-    for key in _CONFIG_SWEEPS:
-        if key in merged and merged[key] is not None:
-            merged[key] = parse_sweep(merged[key])
+            parse = parse_angle if key in _CONFIG_ANGLES else parse_sweep
+            merged[key] = _checked(key, parse, merged[key])
     epsilon = merged.get("epsilon")
     if isinstance(epsilon, str):  # a config file may give "2e-3"; validate checks the rest
         try:
@@ -224,16 +234,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig(**merged)
     config.validate()
     return config
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def _bool(value) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
 
 
 def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, rounds: int):
@@ -281,9 +281,10 @@ def _round_rows(schedule, thetas, alphas, rounds: int,
                 certify: Callable[[BehaviorTable], bool] | None) -> Iterator[tuple]:
     """Yields (theta, alpha, rows of rounds 1..rounds) per pair, theta-major.
 
-    The pairs run in that order through engine stacks of at most THETA_CHUNK
-    members, so a sweep's memory grows with neither its theta nor its alpha
-    axis.  A stack builds each of its alphas' initial states once.
+    Each row is a tuple of the ROW_KEYS fields.  The pairs run in that order
+    through engine stacks of at most THETA_CHUNK members, so a sweep's memory
+    grows with neither its theta nor its alpha axis.  A stack builds each of
+    its alphas' initial states once.
     """
     pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
     while chunk := list(islice(pairs, THETA_CHUNK)):
@@ -292,41 +293,19 @@ def _round_rows(schedule, thetas, alphas, rounds: int,
         chunk_thetas = [thetas[i] for i, _ in chunk]
         chunk_alphas = [alphas[j] for _, j in chunk]
         initials = [states[j] for _, j in chunk]
-        oracles, closed_forms, tables = [], [], []
+        columns = []  # per round: an iterator over its members' rows
         for k, round_tables in enumerate(run_stack(initials, chunk_thetas, schedule, rounds),
                                          start=1):
-            oracles.append(ns2_values(round_tables).tolist())
-            closed_forms.append(
-                closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas).tolist())
-            if certify:
-                tables.append(round_tables)
-        for n, (theta, alpha) in enumerate(zip(chunk_thetas, chunk_alphas)):
-            rows = []
-            for k in range(1, rounds + 1):
-                oracle, closed = oracles[k - 1][n], closed_forms[k - 1][n]
-                verdict = certify(BehaviorTable._from_checked(tables[k - 1][n])) if certify else None
-                rows.append({
-                    "k": k,
-                    "gamma": schedule.gammas[k - 1],
-                    "ns2_oracle": oracle,
-                    "ns2_closed_form": closed,
-                    "discrepancy": abs(oracle - closed),
-                    "violated": is_violation(oracle),
-                    "lp_feasible": verdict,
-                })
-            yield theta, alpha, rows
-
-
-def _csv_line(entry: dict) -> str:
-    return ",".join([
-        str(entry["k"]),
-        _fmt(entry["gamma"]),
-        _fmt(entry["ns2_oracle"]),
-        _fmt(entry["ns2_closed_form"]),
-        _fmt(entry["discrepancy"]),
-        _bool(entry["violated"]),
-        _bool(entry["lp_feasible"]),
-    ])
+            oracle = ns2_values(round_tables)
+            closed = closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas)
+            verdicts = (certify(BehaviorTable._from_checked(probs)) for probs in round_tables
+                        ) if certify else repeat(None)
+            columns.append(zip(repeat(k), repeat(schedule.gammas[k - 1]), oracle.tolist(),
+                               closed.tolist(), abs(oracle - closed).tolist(),
+                               is_violation(oracle).tolist(), verdicts))
+        # zip(*columns) draws member by member, rounds 1..rounds, so the
+        # certifier sees the tables in report order, which its warm start follows
+        yield from zip(chunk_thetas, chunk_alphas, zip(*columns))
 
 
 def _params_dict(config: ExperimentConfig) -> dict:
@@ -361,36 +340,44 @@ def run_experiment(config: ExperimentConfig) -> dict:
     certify = _warm_certifier() if config.certify else None
     variants_summary = {}
     for variant in config.variants:
-        sweep = {"points": 0, "rows": 0, "violations": 0,
-                 "max_violating_k": None, "max_violating": None, "max_ns2": None}
+        points = row_count = violations = 0
+        best_ns2, best_violating = -math.inf, (0, -math.inf)  # below every row's ns2, (k, ns2)
+        max_ns2 = max_violating = None
         for delta, schedule, theta, alpha, rows in _grid(config, variant, certify):
-            sweep["points"] += 1
-            sweep["rows"] += len(rows)
+            points += 1
+            row_count += len(rows)
             if csv_lines is not None:
-                csv_lines.extend(_csv_line(row) for row in rows)
-            for row in rows:
-                record = {"delta": delta, "theta": theta, "alpha": alpha,
-                          "k": row["k"], "ns2": row["ns2_oracle"]}
-                if sweep["max_ns2"] is None or record["ns2"] > sweep["max_ns2"]["ns2"]:
-                    sweep["max_ns2"] = record
-                if row["violated"]:
-                    sweep["violations"] += 1
-                    best = sweep["max_violating"]
-                    if best is None or (record["k"], record["ns2"]) > (best["k"], best["ns2"]):
-                        sweep["max_violating"], sweep["max_violating_k"] = record, row["k"]
+                csv_lines.extend(_CSV_ROW(k, gamma, ns2, closed, gap, _CSV_BOOL[violated],
+                                          _CSV_BOOL[verdict])
+                                 for k, gamma, ns2, closed, gap, violated, verdict in rows)
+            for k, _, ns2, _, _, violated, _ in rows:
+                if ns2 > best_ns2:
+                    best_ns2 = ns2
+                    max_ns2 = {"delta": delta, "theta": theta, "alpha": alpha, "k": k, "ns2": ns2}
+                if violated:
+                    violations += 1
+                    if (k, ns2) > best_violating:
+                        best_violating = (k, ns2)
+                        max_violating = {"delta": delta, "theta": theta, "alpha": alpha,
+                                         "k": k, "ns2": ns2}
+        max_violating_k = max_violating["k"] if max_violating else None
         if config.is_sweep:
-            variants_summary[variant] = sweep
+            variants_summary[variant] = {
+                "points": points, "rows": row_count, "violations": violations,
+                "max_violating_k": max_violating_k, "max_violating": max_violating,
+                "max_ns2": max_ns2,
+            }
             continue
         # the one-point grid: its schedule and rows, in the point shape
         point = {
             "delta": delta,
             "gammas": list(schedule.gammas),
             "valid_upto": schedule.valid_upto,
-            "rounds": rows,
-            "max_violating_k": sweep["max_violating_k"],
+            "rounds": [dict(zip(ROW_KEYS, row)) for row in rows],
+            "max_violating_k": max_violating_k,
         }
         if config.certify:
-            point["certifier_verdicts"] = {str(row["k"]): row["lp_feasible"] for row in rows}
+            point["certifier_verdicts"] = {str(row[0]): row[-1] for row in rows}
         variants_summary[variant] = point
     mode = "sweep" if config.is_sweep else "point"
     summary = {"mode": mode, "params": _params_dict(config), "variants": variants_summary}
@@ -452,6 +439,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.certify_table:
+            # it runs nothing, so a run flag would be silently ignored
+            ignored = [f"--{key.replace('_', '-')}" for key in ("config",) + _CONFIG_KEYS
+                       if key != "out_json" and getattr(args, key) is not None]
+            if ignored:
+                raise ConfigError(f"--certify-table takes only --out-json, got {', '.join(ignored)}")
             return _certify_table_command(args.certify_table, args.out_json)
         config = build_config(args)
         summary = run_experiment(config)

@@ -121,10 +121,8 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     swap, a new party order), and the identity comes first.  Built on first
     use, so runs that certify nothing never allocate it.
     """
-    (_, x, y, z), signs = _NS2_TERMS
-    base = np.zeros((2,) * 6, dtype=np.int8)  # the inequality's coefficient of each entry
-    for term, coefficient in enumerate((1, 1, 1, -1, 1)):
-        base[x[term], y[term], z[term]] += coefficient * signs[term].astype(np.int8)
+    # the inequality's coefficient of each entry, exact integers in -2..2
+    base = ns2_values(np.eye(64).reshape((64,) + (2,) * 6)).astype(np.int8)
     a, b, c = (_party_relabelings(party) for party in "ABC")
     local_maps = a[:, b[:, c]].reshape(512, 64)
     orders = list(permutations(range(3)))
@@ -133,7 +131,7 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     images = np.zeros((len(orders), 512, 64), dtype=np.int8)
     for order_images, order in zip(images, orders):
         move = np.transpose(entries, order + tuple(p + 3 for p in order)).reshape(64)
-        np.put_along_axis(order_images, local_maps[:, move], base.reshape(64), axis=1)
+        np.put_along_axis(order_images, local_maps[:, move], base, axis=1)
     images = images.reshape(-1, 64)
 
     local = np.array(list(product(range(8), repeat=3)), dtype=np.uint8)
@@ -161,7 +159,7 @@ def ns2_value(table: BehaviorTable) -> float:
     return float(ns2_values(table.probs[None])[0])
 
 
-def is_violation(value: float) -> bool:
+def is_violation(value: float | np.ndarray) -> bool | np.ndarray:
     return value > NS2_BOUND + VIOLATION_GUARD
 
 

@@ -183,6 +183,20 @@ def bf_sweep_values(spec):
     return list(takewhile(lambda v: v <= end, values))
 
 
+def bf_csv_line(k, gamma, ns2_oracle, ns2_closed_form, discrepancy, violated, lp_feasible):
+    """A report row's CSV line as the program once joined it, field by field."""
+    def fmt(value):
+        return f"{value:.9g}"
+
+    def flag(value):
+        if value is None:
+            return ""
+        return "true" if value else "false"
+
+    return ",".join([str(k), fmt(gamma), fmt(ns2_oracle), fmt(ns2_closed_form),
+                     fmt(discrepancy), flag(violated), flag(lp_feasible)])
+
+
 def signaling_probs():
     """Normalized but signaling: Alice's outcome copies Bob's input y."""
     probs = np.zeros((2,) * 6)

@@ -5,6 +5,7 @@ lines.  Expected values are frozen from independent oracle runs (brute-force
 density-matrix evaluation cross-checked against 40-digit arithmetic).
 """
 
+import hashlib
 import json
 import time
 
@@ -232,6 +233,11 @@ def test_criterion_08_claim_audit_deliverable(tmp_path):
         ))
     assert outputs[0][0] == outputs[1][0], "CSV reports differ between runs"
     assert outputs[0][1] == outputs[1][1], "JSON reports differ between runs"
+    # the reports' bytes, including the summary's tie-breaking across delta rows
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == (
+        "215ab7f8b94a8230bf9acec64823961844957c58120c452be119e802ec925382")
+    assert hashlib.sha256(outputs[0][1]).hexdigest() == (
+        "23a1a5f2172c8d403ab8b7729ebbd5e27c911b15e5b9bb9b532b3bae77c3cb29")
 
     data = json.loads(outputs[0][1].decode())
     printed = data["variants"]["printed"]

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nsshare import cli, engine
 from nsshare.cli import (
@@ -26,6 +28,7 @@ from nsshare.states import build_gghz
 
 from conftest import (
     bf_closed_form,
+    bf_csv_line,
     bf_sweep_values,
     signaling_probs,
     svetlichny_probs,
@@ -176,6 +179,9 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert config.epsilon == 2e-3  # a numeric string is a number
 
 
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
 @pytest.mark.parametrize("entries, message", [
     ({"certify": "false"}, "certify must be true or false, got 'false'"),
     ({"certify": 0}, "certify must be true or false, got 0"),
@@ -191,9 +197,18 @@ def test_config_file_and_flag_precedence(tmp_path):
     ({"epsilon": True}, "epsilon must be a finite number, got True"),
     ({"out_csv": 5}, "out_csv must be a nonempty path when given, got 5"),
     ({"out_json": 7}, "out_json must be a nonempty path when given, got 7"),
+    ({"alpha": HUGE}, "alpha is too large for a float"),
+    ({"theta": -HUGE}, "theta is too large for a float"),
+    ({"delta": HUGE}, "delta is too large for a float"),
+    ({"epsilon": HUGE}, "epsilon is too large for a float"),
+    ({"sweep_delta": [0.1, HUGE, 0.1]}, "sweep_delta is too large for a float"),
+    ({"sweep_theta": [0.1, 0.2, HUGE]}, "sweep_theta is too large for a float"),
+    ({"sweep_alpha": [-HUGE, 0.2, 0.1]}, "sweep_alpha is too large for a float"),
 ], ids=["certify-string", "certify-int", "auto_delta-string", "auto_delta-int",
         "n-fraction", "n-float", "n-bool", "n-string", "alpha-zero-denominator",
-        "epsilon-null", "epsilon-list", "epsilon-bool", "out_csv-int", "out_json-int"])
+        "epsilon-null", "epsilon-list", "epsilon-bool", "out_csv-int", "out_json-int",
+        "alpha-huge", "theta-huge", "delta-huge", "epsilon-huge", "sweep_delta-huge",
+        "sweep_theta-huge", "sweep_alpha-huge"])
 def test_config_file_values_are_type_checked(tmp_path, capsys, monkeypatch, entries, message):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(entries))
@@ -219,6 +234,14 @@ def test_unreadable_json_file_is_named(tmp_path, capsys, flag, content):
     path.write_bytes(content)
     assert main([flag, str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_config_integer_beyond_float_range_is_refused_when_built_in_code():
+    for name in ("alpha", "epsilon"):
+        with pytest.raises(ConfigError, match=f"^{name} is too large for a float$"):
+            ExperimentConfig(**{name: HUGE}).validate()
+    with pytest.raises(ConfigError, match="^sweep_theta is too large for a float$"):
+        ExperimentConfig(sweep_theta=(0.1, HUGE, 0.1)).validate()
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -426,6 +449,25 @@ def test_chunked_theta_alpha_grid_writes_the_same_reports(tmp_path, monkeypatch)
                for order in orders)
 
 
+def test_sweep_summary_keeps_the_first_of_tied_rows(monkeypatch):
+    # the claim-audit grid has no exact ties, so its pinned reports cannot
+    # show which of two equal rows the summary keeps
+    def grid(config, variant, certify):
+        for delta in (0.1, 0.2):
+            rows = ((1, 0.5, 3.5, 3.0, 0.5, True, None), (2, 0.9, 3.25, 3.0, 0.25, True, None),
+                    (3, 1.0, 2.0, 3.0, 1.0, False, None))
+            yield delta, None, 0.3, 0.4, rows
+
+    monkeypatch.setattr(cli, "_grid", grid)
+    summary = run_experiment(ExperimentConfig(n=3, sweep_delta=(0.1, 0.2, 0.1)))
+    sweep = summary["variants"]["printed"]
+    first = {"delta": 0.1, "theta": 0.3, "alpha": 0.4}
+    assert sweep["max_ns2"] == {**first, "k": 1, "ns2": 3.5}
+    assert sweep["max_violating"] == {**first, "k": 2, "ns2": 3.25}
+    assert (sweep["points"], sweep["rows"], sweep["violations"], sweep["max_violating_k"]) == (
+        2, 6, 4, 2)
+
+
 def test_alpha_axis_memory_does_not_grow(monkeypatch):
     # every alpha once kept its own engine stack alive, about 3.4 kB each
     import tracemalloc
@@ -522,6 +564,24 @@ def test_cli_certify_table_nonlocal(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert set(data) == {"table", "ns2", "feasible", "certificate", "functional", "bound", "margin"}
     assert data["feasible"] is False and data["bound"] == 3.0 and len(data["functional"]) == 64
+
+
+def test_cli_certify_table_refuses_run_flags(tmp_path, capsys):
+    path, config_path = tmp_path / "table.json", tmp_path / "config.json"
+    write_table(str(path), np.full((2,) * 6, 0.125))
+    config_path.write_text("{}")
+    csv_path, report = tmp_path / "x.csv", tmp_path / "verdict.json"
+    code = main(["--certify-table", str(path), "--out-csv", str(csv_path), "--n", "3",
+                 "--sweep-theta", "0.1:0.2:0.1", "--out-json", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --certify-table takes only --out-json, "
+                            "got --n, --sweep-theta, --out-csv\n")
+    assert main(["--certify-table", str(path), "--config", str(config_path), "--certify"]) == 1
+    assert capsys.readouterr().err == ("error: --certify-table takes only --out-json, "
+                                       "got --config, --certify\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "table.json"]
 
 
 def test_cli_certify_table_local(tmp_path, capsys):
@@ -680,3 +740,18 @@ def test_closed_form_column_matches_audit(tmp_path):
         k = int(fields[0])
         expected = bf_closed_form(k, math.pi / 4, 0.9, list(schedule.gammas))
         assert float(fields[3]) == pytest.approx(expected, abs=1e-8)
+
+
+report_floats = st.floats(allow_nan=False, allow_infinity=False)
+verdicts = st.sampled_from([None, True, False, np.bool_(True), np.bool_(False)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 20), report_floats, report_floats, report_floats, report_floats,
+       verdicts, verdicts)
+@example(1, -0.0, 5e-324, 1e300, -1e-300, None, None)
+@example(20, 2.2250738585072014e-308, -1e300, 1e-300, 0.0, np.bool_(True), False)
+def test_csv_row_format_matches_the_joined_fields(k, gamma, ns2, closed, gap, violated, verdict):
+    row = (k, gamma, ns2, closed, gap, violated, verdict)
+    line = cli._CSV_ROW(k, gamma, ns2, closed, gap, cli._CSV_BOOL[violated], cli._CSV_BOOL[verdict])
+    assert line == bf_csv_line(*row)

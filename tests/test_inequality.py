@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -216,6 +217,16 @@ def test_ns2_relabelings_count_and_bound(rng):
     assert np.array_equal(maxima, np.full(768, 3.0))
     names = [symmetry_name(symmetry) for symmetry in symmetries]
     assert names[0] == "identity" and len(set(names)) == 768
+
+
+def test_symmetry_orbit_bytes_are_pinned():
+    # the orbit's images and their symmetries, as built when the inequality's
+    # coefficients came from a loop over its five correlators
+    functionals, symmetries = symmetry_orbit()
+    assert hashlib.sha256(functionals.tobytes()).hexdigest() == (
+        "f169e4c75dfdf99581a5a721b45a989981a137a070cbfd429a0a45d0482b436a")
+    assert hashlib.sha256(symmetries.tobytes()).hexdigest() == (
+        "d97146d2b9ce86ff1975949120d3cd04f714c1e07b7dfe5bc755d1e65cfc5630")
 
 
 def test_ns2_relabelings_match_flipped_tables(rng):
