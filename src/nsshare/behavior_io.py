@@ -16,24 +16,36 @@ from .engine import TABLE_KEYS, BehaviorTable
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write-then-rename so readers never observe a partial file; an error names path."""
+    directory, tmp_path = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.strerror:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it gives twice."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def read_json(path: str):
-    """json.load of a file; a malformed, too deep or undecodable file is refused by name."""
+    """json.load of a file, refusing by name bad, too deep or undecodable JSON or a repeated key."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 

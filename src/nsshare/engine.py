@@ -14,23 +14,24 @@ acts on each member of the stack exactly as it would on that member alone, so
 a table of the stack is bit-identical to the same table computed with N = 1;
 behavior, luders_update and run_sequence are those N = 1 calls.
 
-A table entry is the 4,096-term sum over (p, q, r, s, t, u) of
-((rho[pqrstu] X[x,a,s,p]) Y[y,b,t,q]) Z[z,c,u,r], and _behavior_stack returns
-the bits of numpy's unoptimized einsum of it: that einsum adds the terms one
-at a time, from +0, in C order over (p, q, r, s, t, u), and so does the
-kernel.  Alice's and Bob's effects have exact zeros, which leave 4, 16 or 64
-nonzero terms per entry (1,600 per table), and the kernel skips the rest.
-A skipped term is +0 or -0 (rho and Z are finite), and adding it changes
-nothing: the running sum starts at +0 and a rounded sum is -0 only when both
-addends are, so the sum never holds -0.
+A table entry is the 64-term sum over (p, q, r, s, t, u) of
+((rho[pqrstu] X[x,a,s,p]) Y[y,b,t,q]) Z[z,c,u,r], 4,096 terms per table, and
+_behavior_stack returns the bits of numpy's unoptimized einsum of it: that
+einsum adds an entry's terms one at a time, from +0, in C order over
+(p, q, r, s, t, u), and so does the kernel.  Alice's and Bob's effects have
+exact zeros, which leave 4, 16 or 64 nonzero terms per entry (1,600 per
+table), and the kernel skips the rest.  A skipped term is +0 or -0 (rho and
+Z are finite), and adding it changes nothing: the running sum starts at +0
+and a rounded sum is -0 only when both addends are, so the sum never holds -0.
 
-The no-signaling check gathers, for each of the six marginal families, the
-table entries of its marginals, adds each marginal's 2 or 4 terms in a fixed
-order, and takes the largest |difference| of a marginal between two settings
-of the inputs that must not matter: 16 such differences per pair family, 24
-per single-party one.  That is the marginal's max - min over those settings.
-Every step is elementwise over the stack, with no reduction along a table's
-axes and no BLAS call, so a table's residual has the same bits in any stack.
+The no-signaling check adds each marginal's 2 or 4 table entries in a fixed
+order and takes, per marginal family, the largest |difference| of a marginal
+between two settings of the inputs that must not matter: 16 such differences
+per pair family, 24 per single-party one.  That is the marginal's max - min
+over those settings.  The kernel and the check share one plan, _sum_plan: a
+gather of fixed rows, then each output's terms added one by one.  Every step
+is elementwise over the stack, with no reduction along a table's axes and no
+BLAS call, so a table of the stack has the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -65,41 +66,57 @@ _AB_EFFECTS = np.array([[(IDENTITY_2 + _SIGMA_Z) / 2, (IDENTITY_2 - _SIGMA_Z) / 
 BEHAVIOR_CHUNK = 32
 
 
+def _sum_plan(terms_of) -> tuple[np.ndarray, tuple]:
+    """A gather index and groups that make output o the sum of the terms terms_of[o].
+
+    The outputs are grouped by term count; a group (outputs, count) takes
+    count blocks of the index, one per term position in list order, of one
+    row per output, and the groups follow one another.
+    """
+    counts = [len(terms) for terms in terms_of]
+    groups = tuple((np.flatnonzero(np.equal(counts, n)), n) for n in sorted(set(counts)))
+    return np.concatenate([np.array([terms_of[o] for o in outputs]).T.ravel()
+                           for outputs, _ in groups]), groups
+
+
+def _add_terms(terms: np.ndarray, groups: tuple, out: np.ndarray) -> None:
+    """out[o] = the sum of output o's terms, gathered by a _sum_plan index, for its groups.
+
+    terms is C-ordered with the gathered rows outermost, so that add.reduce
+    adds each output's terms one by one in list order (along an inner axis it
+    would sum pairwise).
+    """
+    row = 0
+    for outputs, count in groups:
+        block = terms[row:row + count * len(outputs)].reshape(count, len(outputs), -1)
+        out[outputs] = np.add.reduce(block, axis=0)
+        row += count * len(outputs)
+
+
 @lru_cache(maxsize=1)
 def _behavior_plan() -> tuple:
     """The nonzero terms of all 64 entries, (rho_index, x_factor, y_factor, z_index, groups).
 
-    Row i of the four term arrays is one term: rho_index into the flat state,
-    x_factor and y_factor from Alice's and Bob's effects, z_index into
-    Charlie's flat (z, c, i, j) effects.  The rows run group by group, the
-    entries grouped by their term count; a group (entries, count) holds count
-    blocks, one per term position in C order, each of one row per entry.
-    Built on first use.
+    Row i of the four term arrays is one term of _sum_plan's index: rho_index
+    into the flat state, x_factor and y_factor from Alice's and Bob's effects,
+    z_index into Charlie's flat (z, c, i, j) effects.  An entry lists its
+    terms in C order over (p, q, r, s, t, u).  Built on first use.
     """
     # every (entry, term) pair, the entry in C order over (x, y, z, a, b, c) and
     # the term in C order over (p, q, r, s, t, u), which is also its rho index
-    x, y, z, a, b, c, p, q, r, s, t, u = np.indices((2,) * 12).reshape(12, 64, 64)
+    x, y, z, a, b, c, p, q, r, s, t, u = np.indices((2,) * 12).reshape(12, 4096)
     x_factor, y_factor = _AB_EFFECTS[x, a, s, p], _AB_EFFECTS[y, b, t, q]
     z_index = ((z * 2 + c) * 2 + u) * 2 + r
-    live = (x_factor != 0.0) & (y_factor != 0.0)
-    counts = live.sum(axis=1)
-    rows, groups = [], []
-    for count in sorted(set(counts.tolist())):
-        entries = np.flatnonzero(counts == count)
-        # nonzero lists each entry's terms in C order; transposed, term position leads
-        index = np.nonzero(live[entries])[1].reshape(len(entries), count).T
-        rows.append((np.broadcast_to(entries, index.shape).ravel(), index.ravel()))
-        groups.append((entries, count))
-    entry, term = (np.concatenate(column) for column in zip(*rows))
-    plan = (term, x_factor[entry, term, None], y_factor[entry, term, None], z_index[entry, term])
+    live = ((x_factor != 0.0) & (y_factor != 0.0)).reshape(64, 64)
+    index, groups = _sum_plan([np.flatnonzero(live[e]) + 64 * e for e in range(64)])
+    plan = (index % 64, x_factor[index, None], y_factor[index, None], z_index[index])
     for array in plan:
         array.setflags(write=False)
-    return plan + (tuple(groups),)
+    return plan + (groups,)
 
 
 _MARGINAL_FAMILIES = (
-    # (outcome axes summed out, input axes that must not matter, label); the
-    # 2-term families come first, which _no_signaling_plan's row order needs
+    # (outcome axes summed out, input axes that must not matter, label)
     ((5,), (2,), "P(ab|xy) vs z"),
     ((4,), (1,), "P(ac|xz) vs y"),
     ((3,), (0,), "P(bc|yz) vs x"),
@@ -111,66 +128,45 @@ _MARGINAL_FAMILIES = (
 
 @lru_cache(maxsize=1)
 def _no_signaling_plan() -> tuple:
-    """The six families' marginals and their differences, (terms, left, right, starts, groups).
+    """The six families' marginals and their differences, (index, left, right, starts, groups).
 
     A marginal sums the table entries of one setting of its family's kept
     inputs and outcomes and of the inputs that must not matter, in C order
-    over the summed outcomes.  terms lists those entries group by group, a
-    group (count, size) holding the size marginals of count terms as count
-    blocks, one per term position, of one row per marginal: 96 marginals of
-    the pair families, then 48 of the single-party ones.  Row i of left and
-    right is one difference, marginal left[i] minus marginal right[i] at two
-    settings of the inputs that must not matter; a family's differences run
-    from its entry in starts to the next.  Built on first use.
+    over the summed outcomes; index and groups are _sum_plan's for the 144
+    marginals, family by family.  Difference i is marginal left[i] minus
+    marginal right[i]; a family's run from its entry in starts to the next.
+    Built on first use.
     """
-    index = np.arange(64).reshape((2,) * 6)
-    blocks, left, right, starts = {}, [], [], []
-    marginal = 0
+    entries = np.arange(64).reshape((2,) * 6)
+    marginals, pairs, starts = [], [], []
     for outcome_axes, input_axes, _ in _MARGINAL_FAMILIES:
         kept = [axis for axis in range(6) if axis not in outcome_axes + input_axes]
         # [kept setting, setting of the inputs that must not matter, term]
-        family = index.transpose(kept + list(input_axes) + list(outcome_axes)).reshape(
+        family = entries.transpose(kept + list(input_axes) + list(outcome_axes)).reshape(
             2 ** len(kept), 2 ** len(input_axes), 2 ** len(outcome_axes))
-        kept_settings, settings, count = family.shape
-        blocks.setdefault(count, []).append(family.reshape(-1, count))
-        starts.append(len(left))
-        for first in range(marginal, marginal + kept_settings * settings, settings):
-            for i, j in combinations(range(first, first + settings), 2):
-                left.append(i)
-                right.append(j)
-        marginal += kept_settings * settings
-    terms = np.concatenate([np.concatenate(block).T.ravel() for block in blocks.values()])
-    plan = (terms, np.array(left), np.array(right), np.array(starts))
+        starts.append(len(pairs))
+        for settings in family:
+            first = len(marginals)
+            marginals.extend(settings)
+            pairs.extend(combinations(range(first, len(marginals)), 2))
+    index, groups = _sum_plan(marginals)
+    plan = (index, *np.array(pairs).T.copy(), np.array(starts))
     for array in plan:
         array.setflags(write=False)
-    return plan + (tuple((count, sum(map(len, block))) for count, block in blocks.items()),)
+    return plan + (groups,)
 
 
 def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Largest input-dependence over all single- and two-party marginals, per table.
 
     probs is a stack of shape (N, 2, 2, 2, 2, 2, 2).  Returns the N residuals
-    and, per table, the label of its worst marginal family (the first on ties).
-    A family's residual is the largest |difference| of a marginal between two
-    settings of the inputs that must not matter, which is the marginal's
-    max - min over those settings.  Each step is elementwise over the tables,
-    so a table's residual has the same bits in any stack.
+    and, per table, the label of its worst marginal family (the first on ties),
+    as the module docstring describes.
     """
-    terms, left, right, starts, groups = _no_signaling_plan()
+    index, left, right, starts, groups = _no_signaling_plan()
     n = len(probs)
-    # rows of N, term rows outermost, so that each marginal adds its terms in
-    # their fixed order and the family maxima are elementwise across rows
-    gathered = np.take(probs.reshape(n, 64).T, terms, axis=0)
-    marginals = np.empty((sum(size for _, size in groups), n))
-    row = column = 0
-    for count, size in groups:
-        block = gathered[row:row + count * size].reshape(count, size, n)
-        total = marginals[column:column + size]
-        np.add(block[0], block[1], out=total)
-        for term in block[2:]:
-            total += term
-        row += count * size
-        column += size
+    marginals = np.empty((sum(len(outputs) for outputs, _ in groups), n))
+    _add_terms(np.take(probs.reshape(n, 64).T, index, axis=0), groups, marginals)
     spread = np.take(marginals, left, axis=0)
     spread -= np.take(marginals, right, axis=0)
     np.abs(spread, out=spread)
@@ -190,18 +186,11 @@ def _check_tables(probs: np.ndarray) -> None:
     worst marginal family with its residual.
     """
     flat = probs.reshape(len(probs), 64)
-    infinite = ~np.isfinite(flat)
-    if infinite.any():
-        n, i = np.argwhere(infinite)[0]
-        raise ValueError(
-            f"behavior entry ({TABLE_KEYS[i]}) must be finite, got {float(flat[n, i])!r}"
-        )
-    low = flat < ENTRY_FLOOR
-    if low.any():
-        n, i = np.argwhere(low)[0]
-        raise ValueError(
-            f"behavior entry ({TABLE_KEYS[i]}) must be >= {ENTRY_FLOOR}, got {float(flat[n, i])!r}"
-        )
+    for bad, rule in ((~np.isfinite(flat), "must be finite"),
+                      (flat < ENTRY_FLOOR, f"must be >= {ENTRY_FLOOR}")):
+        if bad.any():
+            n, i = np.argwhere(bad)[0]
+            raise ValueError(f"behavior entry ({TABLE_KEYS[i]}) {rule}, got {float(flat[n, i])!r}")
     sums = probs.sum(axis=(4, 5, 6)).reshape(len(probs), 8)
     off = np.abs(sums - 1.0) > NORMALIZATION_ATOL
     if off.any():
@@ -266,26 +255,18 @@ def _behavior_stack(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """
     rho_index, x_factor, y_factor, z_index, groups = _behavior_plan()
     n = len(rhos)
-    tables = np.empty((n, 64))
-    rho_flat, z_flat = rhos.reshape(n, 64), effects.reshape(n, 16)
+    tables = np.empty((64, n))
+    rho_t, z_t = rhos.reshape(n, 64).T, effects.reshape(n, 16).T
     for start in range(0, n, BEHAVIOR_CHUNK):
         chunk = slice(start, start + BEHAVIOR_CHUNK)
-        rho_t, z_t = rho_flat[chunk].T, z_flat[chunk].T
-        shape = (len(rho_index), rho_t.shape[1])
-        # the term arrays are C-ordered, term rows outermost, so that add.reduce
-        # adds each entry's terms one by one, from its identity +0, as einsum does
-        # (along an inner axis it sums pairwise); "clip" spares take a buffered
-        # copy, and the indices are valid
-        terms = np.take(rho_t, rho_index, axis=0, out=np.empty(shape), mode="clip")
+        shape = (len(rho_index), min(BEHAVIOR_CHUNK, n - start))
+        # "clip" spares take a buffered copy, and the indices are valid
+        terms = np.take(rho_t[:, chunk], rho_index, axis=0, out=np.empty(shape), mode="clip")
         terms *= x_factor
         terms *= y_factor
-        terms *= np.take(z_t, z_index, axis=0, out=np.empty(shape), mode="clip")
-        row = 0
-        for entries, count in groups:
-            block = terms[row:row + count * len(entries)].reshape(count, len(entries), -1)
-            tables[chunk, entries] = np.add.reduce(block, axis=0).T
-            row += count * len(entries)
-    return tables.reshape((n,) + (2,) * 6)
+        terms *= np.take(z_t[:, chunk], z_index, axis=0, out=np.empty(shape), mode="clip")
+        _add_terms(terms, groups, tables[:, chunk])
+    return np.ascontiguousarray(tables.T).reshape((n,) + (2,) * 6)
 
 
 def _luders_stack(rhos: np.ndarray, roots: np.ndarray) -> np.ndarray:

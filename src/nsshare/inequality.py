@@ -26,40 +26,14 @@ VIOLATION_GUARD = 1e-12
 
 _PARTY_AXES = {"A": (0, 3), "B": (1, 4), "C": (2, 5)}  # (input axis, outcome axis)
 
-
-def _sign_tensor(parties: str) -> np.ndarray:
-    signs = np.ones((2, 2, 2))
-    for a, b, c in product((0, 1), repeat=3):
-        parity = sum((a, b, c)[_PARTY_AXES[p][1] - 3] for p in parties)
-        signs[a, b, c] = -1.0 if parity % 2 else 1.0
-    return signs
-
-
-_SIGNS = {
-    parties: _sign_tensor(parties)
-    for parties in ("A", "B", "C", "AB", "AC", "BC", "ABC")
-}
-
-
-def _gather(terms) -> tuple[tuple, np.ndarray]:
-    """Block index and sign tensors that pick out the given (parties, inputs) correlators."""
-    index = np.zeros((3, len(terms)), dtype=int)  # excluded parties' inputs fixed to 0
-    for j, (parties, inputs) in enumerate(terms):
-        for party, input_bit in zip(parties, inputs):
-            index[_PARTY_AXES[party][0], j] = int(input_bit)
-    return (slice(None), *index), np.stack([_SIGNS[parties] for parties, _ in terms])
-
-
-def _correlators(probs: np.ndarray, gather: tuple[tuple, np.ndarray]) -> np.ndarray:
-    """Correlators of every table in a stack (N, 2, 2, 2, 2, 2, 2), unchecked: shape (N, terms)."""
-    index, signs = gather
-    blocks = probs[index] * signs  # shape (N, terms, 2, 2, 2) over (a, b, c)
-    return blocks.reshape(len(probs), len(signs), 8).sum(axis=2)
-
-
-_NS2_CORRELATORS = (("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
-                    ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1)))
-_NS2_TERMS = _gather(_NS2_CORRELATORS)
+# the five correlators: the parties whose outcomes they multiply and the
+# inputs xyz of their block, an excluded party's input fixed to 0
+_NS2_CORRELATORS = (("AB", "000"), ("AC", "000"), ("BC", "001"), ("ABC", "110"), ("ABC", "111"))
+_OUTCOMES = dict(zip("ABC", np.indices((2, 2, 2)).reshape(3, 8)))  # a block's 8 entries
+# each correlator's entries of the flat table and their signs, shape (5, 8)
+_NS2_INDEX = np.array([8 * int(inputs, 2) + np.arange(8) for _, inputs in _NS2_CORRELATORS])
+_NS2_SIGNS = np.array([(-1.0) ** sum(_OUTCOMES[party] for party in parties)
+                       for parties, _ in _NS2_CORRELATORS])
 
 
 def _party_relabelings(party: str) -> np.ndarray:
@@ -150,7 +124,10 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
 
 def ns2_values(probs: np.ndarray) -> np.ndarray:
     """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2)."""
-    ab, ac, bc, abc0, abc1 = _correlators(probs, _NS2_TERMS).T
+    # take's (N, 5, 8) result is C-ordered, so sum adds each correlator's 8
+    # terms pairwise, the same bits for a table in any stack
+    terms = np.take(probs.reshape(len(probs), 64), _NS2_INDEX, axis=1) * _NS2_SIGNS
+    ab, ac, bc, abc0, abc1 = terms.sum(axis=2).T
     return ab + ac + bc - abc0 + abc1
 
 

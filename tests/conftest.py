@@ -19,6 +19,11 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+# stacks of one, around the behavior kernel's chunk of 32 states, an audit
+# row, a large stack
+KERNEL_SIZES = (1, 2, 31, 32, 33, 157, 2048)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
@@ -132,6 +137,49 @@ def bf_ns2(probs):
         - bf_corr3(probs, 1, 1, 0)
         + bf_corr3(probs, 1, 1, 1)
     )
+
+
+# The inequality's evaluation as it stood before it gathered a (5, 8) entry
+# table: a fancy-indexed gather of sign-weighted blocks, kept (bar the names) as
+# the oracle for the bits of ns2_values.
+BF_PARTY_AXES = {"A": (0, 3), "B": (1, 4), "C": (2, 5)}  # (input axis, outcome axis)
+
+
+def bf_sign_tensor(parties):
+    signs = np.ones((2, 2, 2))
+    for a, b, c in product((0, 1), repeat=3):
+        parity = sum((a, b, c)[BF_PARTY_AXES[p][1] - 3] for p in parties)
+        signs[a, b, c] = -1.0 if parity % 2 else 1.0
+    return signs
+
+
+BF_SIGNS = {parties: bf_sign_tensor(parties) for parties in ("AB", "AC", "BC", "ABC")}
+
+
+def bf_gather(terms):
+    """Block index and sign tensors that pick out the given (parties, inputs) correlators."""
+    index = np.zeros((3, len(terms)), dtype=int)  # excluded parties' inputs fixed to 0
+    for j, (parties, inputs) in enumerate(terms):
+        for party, input_bit in zip(parties, inputs):
+            index[BF_PARTY_AXES[party][0], j] = int(input_bit)
+    return (slice(None), *index), np.stack([BF_SIGNS[parties] for parties, _ in terms])
+
+
+def bf_correlators(probs, gather):
+    """Correlators of every table in a stack (N, 2, 2, 2, 2, 2, 2): shape (N, terms)."""
+    index, signs = gather
+    blocks = probs[index] * signs  # shape (N, terms, 2, 2, 2) over (a, b, c)
+    return blocks.reshape(len(probs), len(signs), 8).sum(axis=2)
+
+
+BF_NS2_TERMS = bf_gather((("AB", (0, 0)), ("AC", (0, 0)), ("BC", (0, 1)),
+                          ("ABC", (1, 1, 0)), ("ABC", (1, 1, 1))))
+
+
+def bf_ns2_values(probs):
+    """The five-term combination for every table in a stack (N, 2, 2, 2, 2, 2, 2)."""
+    ab, ac, bc, abc0, abc1 = bf_correlators(probs, BF_NS2_TERMS).T
+    return ab + ac + bc - abc0 + abc1
 
 
 def bf_closed_form(k, alpha, theta, gammas):

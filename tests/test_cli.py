@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -218,6 +222,51 @@ def test_config_file_values_are_type_checked(tmp_path, capsys, monkeypatch, entr
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# any JSON value: scalars of every type, NaN and Infinity, integers beyond the
+# float range, strings that parse as angles, sweeps or variants, and nestings
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+                | st.sampled_from([HUGE, -HUGE, "pi/4", "3pi/8", "pi/0", "1e999", "nan", "-inf",
+                                   "0.1:1.2:0.1", "0:pi/2:0.5", "0.1:0.2", "both", "printed",
+                                   "2e-3", " ", "out.csv"]))
+json_values = st.recursive(json_scalars, lambda children: st.lists(children, max_size=4)
+                           | st.dictionaries(st.text(max_size=4), children, max_size=3),
+                           max_leaves=6)
+
+
+# per key, values that pass, so that a drawn object often runs
+valid_values = {
+    "n": st.integers(1, 5), "epsilon": st.floats(1e-4, 0.1) | st.just("2e-3"),
+    "auto_delta": st.booleans(), "certify": st.booleans(),
+    "recursion": st.sampled_from(["printed", "normalized", "both"]),
+    "out_csv": st.just("out.csv"), "out_json": st.just("out.json"),
+    **{key: st.floats(0.01, 1.5) | st.just("pi/8") for key in ("alpha", "theta", "delta")},
+    **{key: st.sampled_from(["0.1:0.5:0.1", [0.1, 0.5, 0.1]])
+       for key in ("sweep_delta", "sweep_theta", "sweep_alpha")},
+}
+config_objects = st.fixed_dictionaries(
+    {}, optional={key: valid_values[key] | json_values for key in cli._CONFIG_KEYS})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config_objects)
+def test_any_flat_config_object_exits_cleanly(entries):
+    # ends in exit 0, or in exit 1 with one error line; never raises
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        path = os.path.join(directory, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entries, handle)
+        patch.setattr(cli, "run_experiment", lambda config: {"variants": {}})
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["--config", path])
+    err = stderr.getvalue()
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
+
+
 # each of these used to exit 1 without naming the file
 BAD_JSON = {
     "malformed": b'{"round": 1, "probs": {',
@@ -234,6 +283,39 @@ def test_unreadable_json_file_is_named(tmp_path, capsys, flag, content):
     path.write_bytes(content)
     assert main([flag, str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_table_file_with_a_repeated_key_is_refused(tmp_path, capsys):
+    # the repeated entry used to be certified with its last value
+    path, out = tmp_path / "t.json", tmp_path / "out.json"
+    write_table(str(path), np.full((2,) * 6, 0.125))
+    path.write_text(path.read_text().replace('"probs": {', '"probs": {"000;000": 0.9, ', 1))
+    assert main(["--certify-table", str(path), "--out-json", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: duplicate key '000;000'\n")
+    assert not out.exists()
+
+
+def test_config_file_with_a_repeated_key_is_refused(tmp_path, capsys, monkeypatch):
+    # {"n": 3, "n": 1} used to run with n = 1
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 3, "n": 1}')
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the run started"))
+    assert main(["--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: duplicate key 'n'\n")
+
+
+@pytest.mark.parametrize("flag, target, reason", [
+    ("--out-csv", "reports", "[Errno 21] Is a directory"),
+    ("--out-json", "missing/x.json", "[Errno 2] No such file or directory"),
+], ids=["csv-to-a-directory", "json-into-a-missing-directory"])
+def test_report_write_failure_names_the_requested_path(tmp_path, capsys, flag, target, reason):
+    # the message used to name the temporary file the report is first written to
+    (tmp_path / "reports").mkdir()
+    path = str(tmp_path / target)
+    assert main(["--n", "1", flag, path]) == 1
+    assert capsys.readouterr() == ("", f"error: {reason}: {path!r}\n")
+    # and no temporary file is left behind
+    assert [p.name for p in tmp_path.rglob("*")] == ["reports"]
 
 
 def test_config_integer_beyond_float_range_is_refused_when_built_in_code():

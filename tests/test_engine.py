@@ -22,6 +22,7 @@ from nsshare.states import TripartiteState, build_gghz
 
 from conftest import (
     BF_MARGINAL_FAMILIES,
+    KERNEL_SIZES,
     SX,
     bf_behavior,
     bf_behavior_stack,
@@ -215,10 +216,6 @@ def test_stack_equals_single_runs_bitwise(variant):
                 for k, single in enumerate(singles):
                     assert np.array_equal(bits(tables[k][n]), bits(single.probs))
                     assert bits(values[k][n]) == bits(ns2_value(single))
-
-
-# stacks of one, around the kernel's chunk of 32 states, an audit row, a large stack
-KERNEL_SIZES = (1, 2, 31, 32, 33, 157, 2048)
 
 
 def same_bits(ours, oracle):

@@ -13,13 +13,26 @@ from nsshare.inequality import (
     is_violation,
     ns2_orbit,
     ns2_value,
+    ns2_values,
     symmetry_name,
     symmetry_orbit,
 )
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
-from conftest import I2, SX, SZ, bf_behavior, bf_closed_form, bf_ns2, bf_relabel, signaling_probs
+from conftest import (
+    BF_SIGNS,
+    I2,
+    KERNEL_SIZES,
+    SX,
+    SZ,
+    bf_behavior,
+    bf_closed_form,
+    bf_ns2,
+    bf_ns2_values,
+    bf_relabel,
+    signaling_probs,
+)
 
 # frozen oracle values for delta = theta = alpha-parameter pi/4, epsilon = 0.001
 NS2_ROUND_1 = 3.00058578643762690
@@ -95,6 +108,22 @@ def test_ns2_matches_bruteforce(rng):
         table = behavior(build_gghz(alpha), theta, gamma)
         reference = bf_ns2(bf_behavior(build_gghz(alpha).rho, theta, gamma))
         assert ns2_value(table) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_ns2_values_match_the_fancy_index_oracle_bit_for_bit(n):
+    # unnormalized entries over many scales, and exact zeros of both signs
+    rng = np.random.default_rng(n)
+    shape = (n,) + (2,) * 6
+    probs = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    probs[rng.uniform(size=shape) < 0.2] = -0.0
+    probs[rng.uniform(size=shape) < 0.1] = 0.0
+    probs[0] = -0.0
+    if n > 1:  # -0 where a three-party sign is +1: those correlators sum to -0
+        probs[1] = np.copysign(0.0, -BF_SIGNS["ABC"])
+    values, expected = ns2_values(probs), bf_ns2_values(probs)
+    assert values.shape == expected.shape == (n,)
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
 def test_closed_form_examples():
