@@ -8,6 +8,7 @@ round and is otherwise unused.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import tempfile
@@ -17,6 +18,8 @@ from .engine import TABLE_KEYS, BehaviorTable
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file; an error names path."""
+    if os.path.isdir(path):  # os.replace would call a directory given as "d/" not a directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory, tmp_path = os.path.dirname(os.path.abspath(path)), None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)

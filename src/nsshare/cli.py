@@ -12,6 +12,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -407,7 +408,9 @@ def _certify_table_command(path: str, out_json: str | None) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and shared: callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="nsshare",
         description="Sequential tripartite nonlocality sharing: simulate, audit, certify.",
@@ -435,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.certify_table:
             # it runs nothing, so a run flag would be silently ignored

@@ -263,14 +263,18 @@ def svetlichny_probs():
     return probs
 
 
-def write_table(path, probs, round_index=1):
-    """A behavior-table JSON file: {"round": k, "probs": {"xyz;abc": p}}, sorted keys."""
+def table_object(probs, round_index=1):
+    """A behavior table's JSON object: {"round": k, "probs": {"xyz;abc": p}}."""
     keys = ["".join(map(str, bits[:3])) + ";" + "".join(map(str, bits[3:]))
             for bits in product((0, 1), repeat=6)]
-    payload = {"round": round_index,
-               "probs": {key: float(p) for key, p in zip(keys, np.ravel(probs))}}
+    return {"round": round_index,
+            "probs": {key: float(p) for key, p in zip(keys, np.ravel(probs))}}
+
+
+def write_table(path, probs, round_index=1):
+    """A behavior-table JSON file: table_object(probs, round_index), sorted keys."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(json.dumps(table_object(probs, round_index), indent=2, sort_keys=True) + "\n")
 
 
 def random_density(rng, dim=8):

@@ -19,8 +19,9 @@ def load_tool():
 bench_summary = load_tool()
 
 
-def write_records(checkout: Path, values: list[float], sources=("x = 1\n",)) -> None:
-    """One untraced audit record per seed, with batch_cpu_s = values[seed],
+def write_records(checkout: Path, values: list[float], sources=("x = 1\n",),
+                  metric="batch_cpu_s", trace=0) -> None:
+    """One audit record per seed, with metric = values[seed], traced or not,
     and one src/nsshare/ module per text in sources."""
     package = checkout / "src" / "nsshare"
     package.mkdir(parents=True)
@@ -31,9 +32,9 @@ def write_records(checkout: Path, values: list[float], sources=("x = 1\n",)) -> 
     environment = {key: "test" for key in bench_summary.ENVIRONMENT_KEYS}
     for seed, value in enumerate(values):
         record = {
-            "workload": "audit", "trace": 0, "seconds": 1,
+            "workload": "audit", "trace": trace, "seconds": 1,
             "environment": dict(environment, seed=seed),
-            "metrics": {"batch_cpu_s": {"value": value, "unit": "s"}},
+            "metrics": {metric: {"value": value, "unit": "s"}},
             "failures": {"check": 0},
             "known_defects": {"failures": {}},
         }
@@ -51,6 +52,16 @@ def test_summary_quartiles_and_pairs_won(tmp_path):
     assert row["change"] == {"median": 2.0, "q1": 1.0, "q3": 3.0}
     assert summary["seeds"] == [0, 1, 2, 3, 4]
     assert summary["failed_ops"] == {"parent": 0, "change": 0}
+
+
+def test_summary_reports_the_traced_cli_main_self_time(tmp_path):
+    # the layer in which argument parsing runs
+    write_records(tmp_path / "parent", [0.06, 0.07, 0.05], metric="cli.main.self_s", trace=1)
+    write_records(tmp_path / "change", [0.02, 0.01, 0.03], metric="cli.main.self_s", trace=1)
+    summary = bench_summary.summarise(str(tmp_path / "parent"), str(tmp_path / "change"))
+    row = summary["workloads"]["audit"]["cli.main.self_s (traced)"]
+    assert row["pairs"] == 3 and row["change_better_in"] == 3 and row["better"] == "lower"
+    assert row["parent"]["median"] == 0.06 and row["change"]["median"] == 0.02
 
 
 def test_summary_records_source_line_counts(tmp_path):

@@ -36,6 +36,7 @@ from conftest import (
     bf_sweep_values,
     signaling_probs,
     svetlichny_probs,
+    table_object,
     write_table,
 )
 
@@ -267,6 +268,82 @@ def test_any_flat_config_object_exits_cleanly(entries):
         assert err.count("\n") == 1
 
 
+# valid tables to mutate: local (uniform), nonlocal (GHZ, sharp Charlie), and
+# the Svetlichny box just above the local weight
+SV_WEIGHT, UNIFORM = 0.5 + 1e-6, np.full((2,) * 6, 0.125)
+BASE_TABLES = (
+    table_object(UNIFORM),
+    table_object(behavior(build_gghz(math.pi / 4), math.pi / 4, 1.0).probs, round_index=2),
+    table_object(SV_WEIGHT * svetlichny_probs() + (1 - SV_WEIGHT) * UNIFORM),
+)
+near_keys = st.sampled_from(["000;00", "000:000", "0000;000", "000;0001", " 000;000", "222;000",
+                             "000;000 ", "round", ""]) | st.text(max_size=8)
+near_values = st.sampled_from([HUGE, -HUGE, 10**20, 2**63, 1e308, -1e-9, 1e-300, 0, 1, True,
+                               "0.125", "nan", None, [], {}, [0.125], {"p": 0.125}])
+bad_rounds = st.sampled_from([0, -1, 1.5, 2.0, True, False, "1", HUGE, -HUGE, None, [1]])
+
+
+non_objects = json_values.filter(lambda value: not isinstance(value, dict))
+
+
+@st.composite
+def table_objects(draw):
+    """A valid table after one to three mutations: dropped, renamed or unknown keys,
+    values of every JSON type, nudged entries, a bad round, or a non-object."""
+    table = json.loads(json.dumps(draw(st.sampled_from(BASE_TABLES))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop-entry", "rename-entry", "unknown-entry", "bad-value",
+                                     "nudge", "drop-top", "unknown-top", "bad-round",
+                                     "probs-not-object", "not-an-object"]))
+        probs = table.get("probs")
+        if kind == "not-an-object":
+            return draw(non_objects)
+        if kind == "drop-top":
+            table.pop(draw(st.sampled_from(["round", "probs"])), None)
+        elif kind == "unknown-top":
+            table[draw(near_keys)] = draw(json_values)
+        elif kind == "bad-round":
+            table["round"] = draw(bad_rounds | json_values)
+        elif kind == "probs-not-object":
+            table["probs"] = draw(non_objects)
+        elif isinstance(probs, dict) and probs:  # the entry mutations
+            key = draw(st.sampled_from(sorted(probs)))
+            if kind == "drop-entry":
+                del probs[key]
+            elif kind == "rename-entry":
+                probs[draw(near_keys)] = probs.pop(key)
+            elif kind == "unknown-entry":
+                probs[draw(near_keys)] = draw(near_values | json_values)
+            elif kind == "bad-value":
+                probs[key] = draw(near_values | json_values)
+            elif isinstance(probs[key], float):  # nudge, inside and outside the tolerances
+                probs[key] += draw(st.sampled_from([1e-13, -1e-13, 1e-11, -1e-11, 1e-6]))
+    return table
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_objects())
+def test_any_mutated_table_file_exits_cleanly(table):
+    # ends in exit 0 with a report, or in exit 1 with one error line and no
+    # report; never raises
+    with tempfile.TemporaryDirectory() as directory:
+        path, report = os.path.join(directory, "t.json"), os.path.join(directory, "v.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(table, handle)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--certify-table", path, "--out-json", report])
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == "" and "verdict: " in stdout.getvalue()
+            with open(report, encoding="utf-8") as handle:
+                assert json.load(handle)["table"] == path
+        else:
+            assert code == 1 and stdout.getvalue() == "" and not os.path.exists(report)
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert err.endswith("\n")
+
+
 # each of these used to exit 1 without naming the file
 BAD_JSON = {
     "malformed": b'{"round": 1, "probs": {',
@@ -306,12 +383,16 @@ def test_config_file_with_a_repeated_key_is_refused(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("flag, target, reason", [
     ("--out-csv", "reports", "[Errno 21] Is a directory"),
+    ("--out-csv", "reports/", "[Errno 21] Is a directory"),
+    ("--out-json", "reports/", "[Errno 21] Is a directory"),
     ("--out-json", "missing/x.json", "[Errno 2] No such file or directory"),
-], ids=["csv-to-a-directory", "json-into-a-missing-directory"])
+], ids=["csv-to-a-directory", "csv-to-a-directory-with-slash", "json-to-a-directory-with-slash",
+        "json-into-a-missing-directory"])
 def test_report_write_failure_names_the_requested_path(tmp_path, capsys, flag, target, reason):
-    # the message used to name the temporary file the report is first written to
+    # the message used to name the temporary file the report is first written to,
+    # and a directory given as "reports/" used to be called "Not a directory"
     (tmp_path / "reports").mkdir()
-    path = str(tmp_path / target)
+    path = os.path.join(str(tmp_path), target)
     assert main(["--n", "1", flag, path]) == 1
     assert capsys.readouterr() == ("", f"error: {reason}: {path!r}\n")
     # and no temporary file is left behind
@@ -664,6 +745,27 @@ def test_cli_certify_table_refuses_run_flags(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: --certify-table takes only --out-json, "
                                        "got --config, --certify\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "table.json"]
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; each call starts from its defaults
+    assert build_parser() is build_parser()
+    table, report = tmp_path / "t.json", tmp_path / "v.json"
+    write_table(str(table), np.full((2,) * 6, 0.125))
+    assert main(["--n", "2", "--certify", "--out-json", str(tmp_path / "run.json")]) == 0
+    capsys.readouterr()
+    assert main(["--certify-table", str(table), "--out-json", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "verdict: nonsignal-local" in captured.out
+    assert json.loads(report.read_text())["feasible"] is True
+    # a refusal lists the flags of its own call only
+    assert main(["--certify-table", str(table), "--epsilon", "0.01"]) == 1
+    assert capsys.readouterr().err == "error: --certify-table takes only --out-json, got --epsilon\n"
+    for argv in (["--n", "two"], ["--no-such-flag"], ["--n", "two"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert main(["--certify-table", str(table)]) == 0
 
 
 def test_cli_certify_table_local(tmp_path, capsys):

@@ -22,10 +22,11 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # run_stack and its kernels are not wrapped, so the engine's time shows in
-# cli.run_experiment.self_s
+# cli.run_experiment.self_s; argument parsing shows in cli.main.self_s
 LAYER_METRICS = ("certifier.lp_solves_per_verdict", "simplex.solve.calls",
                  "certifier.lp_feasible.calls", "simplex.iterations", "simplex.solve.self_s",
-                 "simplex.solve.p50_ms", "cli.run_experiment.self_s", "rounds_per_s")
+                 "simplex.solve.p50_ms", "cli.run_experiment.self_s", "cli.main.self_s",
+                 "rounds_per_s")
 ENVIRONMENT_KEYS = ("cpu_model", "nproc", "python", "numpy", "blas_threads_in_use")
 
 
