@@ -144,36 +144,25 @@ def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
                                margin=margin)
 
 
-def _warm_local(vertex_set: VertexSet, support: np.ndarray,
-                target: np.ndarray) -> DecompositionResult | None:
-    """The local verdict from the vertices in support alone, if they rebuild the target.
+@dataclass
+class WarmStart:
+    """A run's latest local LP, whose final tableau the run's next LP continues from."""
 
-    Solves constraints[:, support] w = (target, 1) by its normal equations.
-    The support comes from a simplex solution or from a subset of one, so its
-    columns are independent and the system is regular.
-    """
-    columns = vertex_set.constraints[:, support]
-    try:
-        solution = np.linalg.solve(columns.T @ columns, columns.T @ np.append(target, 1.0))
-    except np.linalg.LinAlgError:
-        return None
-    weights = np.zeros(len(vertex_set))
-    weights[support] = solution
-    return _local(vertex_set, weights, target)
+    lp: simplex.LpResult | None = None
 
 
-def lp_feasible(table: BehaviorTable, *,
-                warm: DecompositionResult | None = None) -> DecompositionResult:
+def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> DecompositionResult:
     """Decide membership of a behavior in the hybrid polytope, with a checked certificate.
 
     Each image of the inequality under the scenario's symmetries is a facet
     of the polytope, so a table that violates one is nonlocal without an LP:
-    the image is the separating functional (bound 3).  Otherwise, given warm
-    (a local verdict on a nearby table; a nonlocal one is ignored), the
-    vertices that carry its weights are tried first: if they rebuild the
-    table with weights >= 0, that is the local verdict.  Otherwise one
-    feasibility LP decides: its weights make a local verdict, its Farkas
-    dual (scaled to max-abs 1) a nonlocal one.
+    the image is the separating functional (bound 3).  Otherwise, given warm,
+    the LP is first re-solved from warm.lp's final tableau by a few dual
+    pivots; weights from it that rebuild the table are the local verdict.
+    Otherwise (it ends infeasible, stops at its pivot cap, or its weights do
+    not verify) one cold feasibility LP decides: its weights make a local
+    verdict, its Farkas dual (scaled to max-abs 1) a nonlocal one.  Each LP
+    behind a local verdict replaces warm.lp.
     Each certificate is checked with numpy before it is returned; when it
     does not hold the verdict is undecided and RuntimeError is raised.
     """
@@ -191,14 +180,20 @@ def lp_feasible(table: BehaviorTable, *,
                                f"the table by more than {VIOLATION_GUARD}")
         return verdict
 
-    if warm is not None and warm.feasible:
-        verdict = _warm_local(vertex_set, np.flatnonzero(warm.weights > 0), target)
-        if verdict is not None:
-            return verdict
+    b = np.append(target, 1.0)
+    if warm is not None and warm.lp is not None:
+        result = simplex.resolve(warm.lp, b, tol=RESIDUAL_ATOL)
+        if result is not None and result.feasible:
+            verdict = _local(vertex_set, result.x, target)
+            if verdict is not None:
+                warm.lp = result
+                return verdict
 
-    result = simplex.solve(vertex_set.constraints, np.append(target, 1.0), tol=RESIDUAL_ATOL)
+    result = simplex.solve(vertex_set.constraints, b, tol=RESIDUAL_ATOL)
     if result.feasible:
         verdict = _local(vertex_set, result.x, target)
+        if verdict is not None and warm is not None:
+            warm.lp = result
     else:
         functional = result.farkas[:-1]
         scale = float(np.max(np.abs(functional)))

@@ -26,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .behavior_io import atomic_write_text, import_behavior, read_json
-from .certifier import lp_feasible
+from .certifier import WarmStart, lp_feasible
 # run_sequence stays importable from here: perfbench/layers.py wraps cli.run_sequence
 from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
 from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
@@ -259,23 +259,15 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, roun
 
 
 def _warm_certifier() -> Callable[[BehaviorTable], bool]:
-    """lp_feasible for the tables of one run, warm-started from its latest local verdict.
+    """lp_feasible for the tables of one run, each LP continuing from the run's latest local one.
 
-    Successive tables of a run lie near the same face of the polytope, so the
-    vertices that carried the last local verdict's weights usually rebuild
-    the next table without an LP.  The state lives as long as the returned
-    function, so nothing carries over between runs.
+    Successive tables of a run lie near the same face of the polytope, so a
+    few dual pivots from the last local LP's final tableau usually decide the
+    next table.  The WarmStart lives as long as the returned function, so
+    nothing carries over between runs.
     """
-    warm = None
-
-    def certify(table: BehaviorTable) -> bool:
-        nonlocal warm
-        result = lp_feasible(table, warm=warm)
-        if result.feasible:
-            warm = result
-        return result.feasible
-
-    return certify
+    warm = WarmStart()
+    return lambda table: lp_feasible(table, warm=warm).feasible
 
 
 def _round_rows(schedule, thetas, alphas, rounds: int,
@@ -440,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.certify_table:
+        if args.certify_table is not None:
+            if not args.certify_table.strip():
+                raise ConfigError(f"--certify-table needs a file path, got {args.certify_table!r}")
             # it runs nothing, so a run flag would be silently ignored
             ignored = [f"--{key.replace('_', '-')}" for key in ("config",) + _CONFIG_KEYS
                        if key != "out_json" and getattr(args, key) is not None]

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nsshare import simplex
-from nsshare.certifier import BIPARTITIONS, hybrid_vertices, lp_feasible
+from nsshare.certifier import BIPARTITIONS, WarmStart, hybrid_vertices, lp_feasible
 from nsshare.engine import (
     NO_SIGNALING_ATOL,
     BehaviorTable,
@@ -292,13 +292,22 @@ def test_svetlichny_box_needs_the_lp(monkeypatch):
     assert not scipy_member(table.as_vector(), hybrid_vertices())
 
 
+def warm_from(table: BehaviorTable) -> WarmStart:
+    """The warm start a run holds after certifying table."""
+    warm = WarmStart()
+    lp_feasible(table, warm=warm)
+    return warm
+
+
 def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
-    warm = lp_feasible(ghz_noise_table(-1e-3))
+    warm = warm_from(ghz_noise_table(-1e-3))
+    start = warm.lp
     table = ghz_noise_table(-2e-3)
     calls = count_lp_solves(monkeypatch)
     result = lp_feasible(table, warm=warm)
     assert not calls
     assert result.feasible
+    assert warm.lp is not start  # the re-solve is the run's latest local LP
     cold = lp_feasible(table)
     assert len(calls) == 1
     # the same certificate format as an LP-found one
@@ -306,17 +315,18 @@ def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
         assert LOCAL_CERTIFICATE.fullmatch(verdict.certificate), verdict.certificate
     assert result.weights.min() >= 0.0
     assert np.max(np.abs(hybrid_vertices().vectors.T @ result.weights - table.as_vector())) < 1e-9
-    assert np.flatnonzero(result.weights).size <= np.flatnonzero(warm.weights > 0).size
+    assert np.flatnonzero(result.weights).size <= np.flatnonzero(start.x > 0).size
 
 
-@pytest.mark.parametrize("table", [uniform_table(), svetlichny_table()],
+@pytest.mark.parametrize("table", [ghz_noise_table(-1e-3), svetlichny_table()],
                          ids=["local", "nonlocal"])
 def test_warm_support_that_cannot_rebuild_the_table_falls_through_to_the_lp(
         monkeypatch, table):
-    # a single deterministic vertex cannot rebuild either table, and a
-    # nonlocal verdict has no support to try
+    # a single deterministic vertex's final tableau reaches neither table
+    # within the dual-pivot cap (the uniform table it reaches in a few), and
+    # a nonlocal verdict leaves no LP to continue from
     vertex = BehaviorTable.from_vector(hybrid_vertices().vectors[0])
-    for warm in (lp_feasible(vertex), lp_feasible(svetlichny_table())):
+    for warm in (warm_from(vertex), warm_from(svetlichny_table())):
         calls = count_lp_solves(monkeypatch)
         result = lp_feasible(table, warm=warm)
         assert len(calls) == 1
@@ -325,14 +335,56 @@ def test_warm_support_that_cannot_rebuild_the_table_falls_through_to_the_lp(
         assert result.certificate == cold.certificate
 
 
-def tampered_solve(monkeypatch, tamper):
-    original = simplex.solve
+@pytest.mark.parametrize("table", [uniform_table(), ghz_noise_table(-1.0), svetlichny_table()],
+                         ids=["uniform", "noisy-ghz", "nonlocal"])
+def test_warm_start_at_a_cap_of_zero_dual_pivots_gives_the_cold_verdict(monkeypatch, table):
+    # each table takes a dual pivot from this start (the nonlocal one cannot
+    # be reached at all), so at a cap of 0 one cold LP decides: scipy's verdict
+    warm = warm_from(ghz_noise_table(-5e-2))
+    needs = simplex.resolve(warm.lp, np.append(table.as_vector(), 1.0))
+    assert needs is None or needs.iterations > 0
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 0)
+    calls = count_lp_solves(monkeypatch)
+    result = lp_feasible(table, warm=warm)
+    assert len(calls) == 1
+    assert result.certificate == lp_feasible(table).certificate
+    assert result.feasible == scipy_member(table.as_vector(), hybrid_vertices())
+
+
+def test_warm_weights_that_do_not_verify_fall_through_to_the_lp(monkeypatch):
+    # the re-solve's weights go through the same check as the LP's: shifted
+    # weights rebuild another table, so one cold LP decides and becomes the start
+    warm = warm_from(ghz_noise_table(-1e-3))
+    table = ghz_noise_table(-2e-3)
+    tampered_solve(monkeypatch, lambda r: {"x": np.roll(r.x, 1)}, name="resolve")
+    calls = count_lp_solves(monkeypatch)
+    result = lp_feasible(table, warm=warm)
+    assert len(calls) == 1
+    assert result.certificate == lp_feasible(table).certificate
+    assert np.array_equal(warm.lp.x, result.weights)
+
+
+@pytest.mark.parametrize("excess", [1e-9, 3e-10, 1e-10, 5e-11, -1e-9])
+def test_warm_verdict_is_the_cold_one_at_the_svetlichny_boundary(excess):
+    # the Svetlichny box with white noise leaves the polytope at weight 1/2;
+    # from 1e-10 past it the cold LP finds a Farkas dual, and a re-solve must
+    # not clamp that deficit away into a local verdict
+    def mixture(weight):
+        return BehaviorTable(weight * svetlichny_probs() + (1 - weight) * uniform_table().probs)
+
+    warm = warm_from(mixture(0.499))
+    table = mixture(0.5 + excess)
+    assert lp_feasible(table, warm=warm).feasible == lp_feasible(table).feasible
+
+
+def tampered_solve(monkeypatch, tamper, name="solve"):
+    original = getattr(simplex, name)
 
     def tampering(*args, **kwargs):
         result = original(*args, **kwargs)
         return replace(result, **tamper(result))
 
-    monkeypatch.setattr(simplex, "solve", tampering)
+    monkeypatch.setattr(simplex, name, tampering)
 
 
 def negative_weight(result):

@@ -674,13 +674,17 @@ def record_verdicts(monkeypatch) -> tuple[list, list]:
     ExperimentConfig(n=6, auto_delta=True, certify=True, recursion="both"),
     ExperimentConfig(n=2, certify=True, recursion="both",
                      sweep_theta=(0.01, math.pi / 2, 0.02)),
-], ids=["point", "theta-sweep"])
+    ExperimentConfig(n=3, certify=True, recursion="both",
+                     sweep_theta=(0.01, math.pi / 2, 0.02)),
+], ids=["point", "theta-sweep", "theta-sweep-n3"])
 def test_warm_started_run_gives_the_cold_verdicts_with_fewer_lps(monkeypatch, config):
     from nsshare.certifier import lp_feasible
 
     verdicts, solves = record_verdicts(monkeypatch)
     summary = run_experiment(config)
+    # each LP continues from the run's latest local one: only the first is cold
     warm_solves = len(solves)
+    assert warm_solves == 1
     cold = [lp_feasible(table).feasible for table, _ in verdicts]
     assert [verdict for _, verdict in verdicts] == cold
     assert warm_solves < len(solves) - warm_solves
@@ -745,6 +749,16 @@ def test_cli_certify_table_refuses_run_flags(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: --certify-table takes only --out-json, "
                                        "got --config, --certify\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "table.json"]
+
+
+@pytest.mark.parametrize("path", ["", "  "])
+def test_cli_certify_table_refuses_a_blank_path(tmp_path, capsys, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--certify-table", path, "--out-json", "verdict.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --certify-table needs a file path, got {path!r}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
@@ -939,3 +953,80 @@ def test_csv_row_format_matches_the_joined_fields(k, gamma, ns2, closed, gap, vi
     row = (k, gamma, ns2, closed, gap, violated, verdict)
     line = cli._CSV_ROW(k, gamma, ns2, closed, gap, cli._CSV_BOOL[violated], cli._CSV_BOOL[verdict])
     assert line == bf_csv_line(*row)
+
+
+def at_most_three_if_an_integer(text: str) -> bool:
+    try:
+        return int(text) <= 3
+    except ValueError:
+        return True
+
+
+def a_small_grid_if_a_sweep(text: str) -> bool:
+    try:
+        return sweep_values(parse_sweep(text)).length <= 5
+    except (ConfigError, ValueError):
+        return True
+
+
+# arbitrary strings and numbers; none starts like a long flag, and none is an
+# absolute path or leaves the working directory, so a run writes only there
+arbitrary = (st.text(max_size=8) | st.integers().map(str) | st.floats().map(str)).filter(
+    lambda text: not text.startswith("--") and not os.path.isabs(text) and ".." not in text)
+# per flag, values that pass, so that a drawn argv often runs (cheaply: n <= 3,
+# at most 3 points per sweep axis)
+passing_flag_values = {
+    "--config": st.just("config.json"), "--certify-table": st.just("table.json"),
+    "--n": st.sampled_from(["1", "2", "3"]), "--epsilon": st.sampled_from(["1e-3", "0.05"]),
+    "--recursion": st.sampled_from(["printed", "normalized", "both"]),
+    "--out-csv": st.just("out.csv"), "--out-json": st.just("out.json"),
+    **{flag: st.sampled_from(["pi/4", "0.3", "pi/8"])
+       for flag in ("--alpha", "--theta", "--delta")},
+    **{flag: st.sampled_from(["0.1:0.3:0.1", "pi/8:pi/4:pi/16"])
+       for flag in ("--sweep-delta", "--sweep-theta", "--sweep-alpha")},
+}
+flag_values = {flag: values | arbitrary.filter(at_most_three_if_an_integer if flag == "--n"
+                                                else a_small_grid_if_a_sweep)
+               for flag, values in passing_flag_values.items()}
+SWITCHES = ("--auto-delta", "--certify", "--help")
+
+
+@st.composite
+def argvs(draw):
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flag_values) + list(SWITCHES)),
+                              max_size=6)):
+        argv.append(flag)
+        if flag in flag_values:
+            argv.append(draw(flag_values[flag]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argvs())
+@example(["--certify-table", ""])
+@example(["--config", "config.json", "--n", "3", "--certify", "--sweep-theta", "0.1:0.3:0.1"])
+def test_any_flag_combination_exits_cleanly(argv):
+    # ends in exit 0, in exit 1 with one error line, or in argparse's exit 2
+    # with its usage and one error line; never raises
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        with open("config.json", "w", encoding="utf-8") as handle:
+            json.dump({"n": 2}, handle)
+        write_table("table.json", np.full((2,) * 6, 0.125))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: --help, or a usage error
+                code = exc.code
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert code == 2
+        assert err.endswith("\n") and err.splitlines()[-1].startswith("nsshare: error: ")
+        assert sum("error: " in line for line in err.splitlines()) == 1

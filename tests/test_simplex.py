@@ -8,7 +8,7 @@ import conftest
 from conftest import bf_simplex_solve, svetlichny_probs
 from nsshare import simplex
 from nsshare.certifier import hybrid_vertices
-from nsshare.simplex import solve
+from nsshare.simplex import resolve, solve
 
 
 def assert_farkas(a, b, result):
@@ -212,3 +212,76 @@ def test_solve_allocates_no_tableau_sized_temporary(rng):
             tracemalloc.stop()
         assert result.iterations > 10
         assert peak - baseline < 2 * tableau_bytes
+
+
+def assert_solution(a, b, result):
+    assert result.feasible and result.farkas is None
+    assert result.x.min() >= 0.0
+    assert np.max(np.abs(a @ result.x - b)) < 1e-9
+
+
+def test_resolve_from_another_feasible_lp_agrees_with_solve(rng, monkeypatch):
+    # with the cap out of reach a re-solve gives a solution exactly when solve
+    # finds one; otherwise None (a row proves b infeasible) or a Farkas dual
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 10_000)
+    cases = list(membership_lps(rng, 12))
+    cold = [solve(a, b) for a, b in cases]
+    starts = [result for result in cold if result.feasible]
+    for start in starts:
+        for (a, b), reference in zip(cases, cold):
+            result = resolve(start, b)
+            assert (result is not None and result.feasible) == reference.feasible
+            if reference.feasible:
+                assert_solution(a, b, result)
+            elif result is not None:
+                assert_farkas(a, b, result)
+    assert len(starts) == 6 and not all(result.feasible for result in cold)
+
+
+def test_resolve_at_its_cap_never_raises_and_never_errs(rng):
+    # every start, infeasible ones too; a far or infeasible table may give
+    # None (no verdict), but a verdict given is solve's and is certified
+    cases = list(membership_lps(rng, 12))
+    cold = [solve(a, b) for a, b in cases]
+    outcomes = {None: 0, True: 0, False: 0}
+    for start in cold:
+        for (a, b), reference in zip(cases, cold):
+            result = resolve(start, b)
+            if result is None:
+                outcomes[None] += 1
+                continue
+            assert result.feasible == reference.feasible
+            if result.feasible:
+                assert_solution(a, b, result)
+            else:
+                assert_farkas(a, b, result)
+            outcomes[result.feasible] += 1
+    assert min(outcomes.values()) > 0
+
+
+def nearby_lp(rng):
+    """A feasible membership LP, and the right-hand side of a table halfway
+    to a vertex its solution leaves out, which takes dual pivots to reach."""
+    a, b = next(membership_lps(rng, 1))
+    start = solve(a, b)
+    vertex = int(np.flatnonzero(start.x == 0.0)[0])
+    return a, start, (b + a[:, vertex]) / 2
+
+
+def test_resolve_leaves_its_start_as_it_was(rng):
+    a, start, near = nearby_lp(rng)
+    before = [array.copy() for array in start.state]
+    assert_solution(a, near, resolve(start, near))
+    again = resolve(start, a @ start.x)  # the start's own table: its basis needs no pivot
+    assert again.iterations == 0
+    assert np.allclose(again.x, start.x, rtol=0.0, atol=1e-12)
+    for array, copy in zip(start.state, before):
+        assert array.tobytes() == copy.tobytes()
+
+
+def test_resolve_gives_none_at_a_cap_of_zero_dual_pivots(rng, monkeypatch):
+    a, start, near = nearby_lp(rng)
+    assert resolve(start, near).iterations > 0
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 0)
+    assert resolve(start, near) is None
+    assert_solution(a, a @ start.x, resolve(start, a @ start.x))
