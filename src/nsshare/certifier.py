@@ -83,21 +83,21 @@ def hybrid_vertices() -> VertexSet:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    """A membership verdict, returned only after its certificate was checked.
+    """A membership verdict, returned only after its evidence was checked.
 
-    Local (feasible): mixture weights over the vertices (>= 0, summing to 1),
-    their max-abs reconstruction residual (< RESIDUAL_ATOL) and the mixture
-    mass per bipartition.  Nonlocal: a functional s over the 64 table entries,
-    bound = max over the vertices of s.v and margin = s.p - bound
-    (> VIOLATION_GUARD).  The other verdict's fields are None.
+    Local (feasible): mixture weights over the vertices (>= 0, summing to 1)
+    and their max-abs reconstruction residual (< RESIDUAL_ATOL).  Nonlocal: a
+    functional s over the 64 table entries, its source, bound = max over the
+    vertices of s.v and margin = s.p - bound (> VIOLATION_GUARD).  The other
+    verdict's fields are None.  The certificate text and the mixture mass per
+    bipartition are made from the evidence when read.
     """
 
     feasible: bool
-    certificate: str
     weights: np.ndarray | None = None
     residual: float | None = None
-    group_weights: dict[str, float] | None = None
     functional: np.ndarray | None = None
+    source: str | None = None
     bound: float | None = None
     margin: float | None = None
 
@@ -108,11 +108,20 @@ class DecompositionResult:
                 array.setflags(write=False)
                 object.__setattr__(self, name, array)
 
+    @property
+    def group_weights(self) -> dict[str, float] | None:
+        if self.weights is None:
+            return None
+        masses = np.bincount(hybrid_vertices().bipartition_index, weights=self.weights)
+        return dict(zip(BIPARTITIONS, masses.tolist()))
 
-def _group_weights(weights: np.ndarray, vertex_set: VertexSet) -> dict[str, float]:
-    masses = np.bincount(vertex_set.bipartition_index, weights=weights,
-                         minlength=len(BIPARTITIONS))
-    return {name: float(mass) for name, mass in zip(BIPARTITIONS, masses)}
+    @property
+    def certificate(self) -> str:
+        if self.feasible:
+            return (f"nonsignal-local: decomposition with residual {self.residual:.3e}; "
+                    + ", ".join(f"{k} mass {v:.6f}" for k, v in self.group_weights.items()))
+        return (f"genuinely nonsignal nonlocal: {self.source}; separating functional with "
+                f"bound {self.bound:.12g}, margin {self.margin:.6e}")
 
 
 def _local(vertex_set: VertexSet, weights: np.ndarray,
@@ -122,13 +131,7 @@ def _local(vertex_set: VertexSet, weights: np.ndarray,
     if not (weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= RESIDUAL_ATOL
             and residual < RESIDUAL_ATOL):
         return None
-    groups = _group_weights(weights, vertex_set)
-    certificate = (
-        f"nonsignal-local: decomposition with residual {residual:.3e}; "
-        + ", ".join(f"{k} mass {v:.6f}" for k, v in groups.items())
-    )
-    return DecompositionResult(True, certificate, weights=weights, residual=residual,
-                               group_weights=groups)
+    return DecompositionResult(True, weights=weights, residual=residual)
 
 
 def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
@@ -138,9 +141,7 @@ def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
     margin = float(functional @ target) - bound
     if not margin > VIOLATION_GUARD:
         return None
-    certificate = (f"genuinely nonsignal nonlocal: {source}; "
-                   f"separating functional with bound {bound:.12g}, margin {margin:.6e}")
-    return DecompositionResult(False, certificate, functional=functional, bound=bound,
+    return DecompositionResult(False, functional=functional, source=source, bound=bound,
                                margin=margin)
 
 

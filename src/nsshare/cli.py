@@ -27,11 +27,11 @@ import numpy as np
 
 from .behavior_io import atomic_write_text, import_behavior, read_json
 from .certifier import WarmStart, lp_feasible
-# run_sequence stays importable from here: perfbench/layers.py wraps cli.run_sequence
+# perfbench/layers.py wraps cli.run_sequence and cli.build_gghz, so both stay importable
 from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
 from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
 from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
-from .states import build_gghz
+from .states import build_gghz, gghz_densities  # noqa: F401
 
 CSV_HEADER = "k,gamma_k,ns2_oracle,ns2_closed_form,discrepancy,violated,lp_feasible"
 # a report row is one tuple of these fields, in CSV column order
@@ -216,7 +216,7 @@ def load_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then flags (flags win on conflict)."""
     merged: dict = {}
-    if args.config:
+    if args.config is not None:
         merged.update(load_config_file(args.config))
     for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
@@ -258,41 +258,26 @@ def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, roun
     return delta, schedule
 
 
-def _warm_certifier() -> Callable[[BehaviorTable], bool]:
-    """lp_feasible for the tables of one run, each LP continuing from the run's latest local one.
-
-    Successive tables of a run lie near the same face of the polytope, so a
-    few dual pivots from the last local LP's final tableau usually decide the
-    next table.  The WarmStart lives as long as the returned function, so
-    nothing carries over between runs.
-    """
-    warm = WarmStart()
-    return lambda table: lp_feasible(table, warm=warm).feasible
-
-
-def _round_rows(schedule, thetas, alphas, rounds: int,
-                certify: Callable[[BehaviorTable], bool] | None) -> Iterator[tuple]:
+def _round_rows(schedule, thetas, alphas, rounds: int, warm: WarmStart | None) -> Iterator[tuple]:
     """Yields (theta, alpha, rows of rounds 1..rounds) per pair, theta-major.
 
     Each row is a tuple of the ROW_KEYS fields.  The pairs run in that order
     through engine stacks of at most THETA_CHUNK members, so a sweep's memory
-    grows with neither its theta nor its alpha axis.  A stack builds each of
-    its alphas' initial states once.
+    grows with neither its theta nor its alpha axis.  Given warm, each table's
+    LP continues from the run's latest local one, which lies near the same face.
     """
     pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
     while chunk := list(islice(pairs, THETA_CHUNK)):
-        states = {j: build_gghz(alphas[j]) for j in {j for _, j in chunk}}
         # the thetas stay floats, which run_stack names by repr when it refuses one
         chunk_thetas = [thetas[i] for i, _ in chunk]
         chunk_alphas = [alphas[j] for _, j in chunk]
-        initials = [states[j] for _, j in chunk]
         columns = []  # per round: an iterator over its members' rows
-        for k, round_tables in enumerate(run_stack(initials, chunk_thetas, schedule, rounds),
-                                         start=1):
+        for k, round_tables in enumerate(run_stack(gghz_densities(chunk_alphas), chunk_thetas,
+                                                   schedule, rounds), start=1):
             oracle = ns2_values(round_tables)
             closed = closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas)
-            verdicts = (certify(BehaviorTable._from_checked(probs)) for probs in round_tables
-                        ) if certify else repeat(None)
+            verdicts = (lp_feasible(BehaviorTable._from_checked(probs), warm=warm).feasible
+                        for probs in round_tables) if warm is not None else repeat(None)
             columns.append(zip(repeat(k), repeat(schedule.gammas[k - 1]), oracle.tolist(),
                                closed.tolist(), abs(oracle - closed).tolist(),
                                is_violation(oracle).tolist(), verdicts))
@@ -307,8 +292,7 @@ def _params_dict(config: ExperimentConfig) -> dict:
     return params
 
 
-def _grid(config: ExperimentConfig, variant: str,
-          certify: Callable[[BehaviorTable], bool] | None) -> Iterator[tuple]:
+def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Iterator[tuple]:
     """Yields (delta, schedule, theta, alpha, rows) over the run's (delta, alpha, theta) grid.
 
     Each axis is its sweep or the single configured value, so a point run is
@@ -322,7 +306,7 @@ def _grid(config: ExperimentConfig, variant: str,
     for delta in deltas:
         resolved_delta, schedule = _resolve_schedule(config, variant, delta, needed)
         rounds = min(config.n, schedule.valid_upto)
-        for theta, alpha, rows in _round_rows(schedule, thetas, alphas, rounds, certify):
+        for theta, alpha, rows in _round_rows(schedule, thetas, alphas, rounds, warm):
             yield resolved_delta, schedule, theta, alpha, rows
 
 
@@ -330,13 +314,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
     config.validate()
     csv_lines = [CSV_HEADER] if config.out_csv else None
-    certify = _warm_certifier() if config.certify else None
+    warm = WarmStart() if config.certify else None  # one per run: nothing carries over
     variants_summary = {}
     for variant in config.variants:
         points = row_count = violations = 0
         best_ns2, best_violating = -math.inf, (0, -math.inf)  # below every row's ns2, (k, ns2)
         max_ns2 = max_violating = None
-        for delta, schedule, theta, alpha, rows in _grid(config, variant, certify):
+        for delta, schedule, theta, alpha, rows in _grid(config, variant, warm):
             points += 1
             row_count += len(rows)
             if csv_lines is not None:
@@ -387,10 +371,11 @@ def _certify_table_command(path: str, out_json: str | None) -> int:
     result = lp_feasible(table)
     verdict = "nonsignal-local" if result.feasible else "genuinely nonsignal nonlocal"
     print(f"ns2 = {value:.9g} (bound 3); verdict: {verdict}")
-    print(result.certificate)
+    certificate = result.certificate
+    print(certificate)
     if out_json:
         payload = {"table": path, "ns2": value, "feasible": result.feasible,
-                   "certificate": result.certificate}
+                   "certificate": certificate}
         if result.feasible:
             payload.update(residual=result.residual, group_weights=result.group_weights)
         else:
@@ -432,14 +417,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, path in (("--certify-table", args.certify_table), ("--config", args.config)):
+            if path is not None and not path.strip():
+                raise ConfigError(f"{flag} needs a file path, got {path!r}")
         if args.certify_table is not None:
-            if not args.certify_table.strip():
-                raise ConfigError(f"--certify-table needs a file path, got {args.certify_table!r}")
             # it runs nothing, so a run flag would be silently ignored
             ignored = [f"--{key.replace('_', '-')}" for key in ("config",) + _CONFIG_KEYS
                        if key != "out_json" and getattr(args, key) is not None]
             if ignored:
                 raise ConfigError(f"--certify-table takes only --out-json, got {', '.join(ignored)}")
+            ExperimentConfig(out_json=args.out_json).validate()  # a run's rule for its report
             return _certify_table_command(args.certify_table, args.out_json)
         config = build_config(args)
         summary = run_experiment(config)

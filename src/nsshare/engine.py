@@ -299,17 +299,18 @@ def behavior(state: TripartiteState, theta: float, gamma_k: float) -> BehaviorTa
     return BehaviorTable(_behavior_stack(state.rho[None], effects)[0])
 
 
-def run_stack(initials, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np.ndarray]:
-    """Behavior tables of rounds 1..rounds for every member (initials[n], thetas[n]).
+def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np.ndarray]:
+    """Behavior tables of rounds 1..rounds for every member (rhos[n], thetas[n]).
 
-    Member n starts from the TripartiteState initials[n] and measures at
-    Charlie angle thetas[n]; all share the schedule and evolve together as one
-    (N, 8, 8) stack.  Yields, round by round, an array of shape
-    (N, 2, 2, 2, 2, 2, 2) whose tables passed the BehaviorTable checks; the
-    states behind them passed the TripartiteState checks.
+    rhos is the (N, 8, 8) stack of initial density operators, checked once by
+    check_densities; member n starts from rhos[n] and measures at Charlie angle
+    thetas[n], and all share the schedule.  Yields, round by round, an array of
+    shape (N, 2, 2, 2, 2, 2, 2) whose tables passed the BehaviorTable checks;
+    the states behind them passed check_densities.
     """
-    if len(initials) != len(thetas):
-        raise ValueError(f"run_stack needs one initial state per theta, got {len(initials)} "
+    rhos = check_densities(rhos)
+    if len(rhos) != len(thetas):
+        raise ValueError(f"run_stack needs one initial state per theta, got {len(rhos)} "
                          f"states for {len(thetas)} thetas")
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds!r}")
@@ -321,19 +322,17 @@ def run_stack(initials, thetas, schedule: GammaSchedule, rounds: int) -> Iterato
     for theta in thetas:
         if not 0.0 < theta < np.pi / 2:
             raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
-    rhos = np.array([initial.rho for initial in initials]).reshape(len(thetas), 8, 8)
     for k in range(rounds):
         effects, roots = charlie_setting(thetas, schedule.gammas[k])
         tables = _behavior_stack(rhos, effects)
         _check_tables(tables)
         yield tables
         if k + 1 < rounds:
-            rhos = _luders_stack(rhos, roots)
-            check_densities(rhos)
+            rhos = check_densities(_luders_stack(rhos, roots))
 
 
 def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule,
                  rounds: int) -> list[BehaviorTable]:
     """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
-    stack = run_stack((initial,), (theta,), schedule, rounds)
+    stack = run_stack(initial.rho[None], (theta,), schedule, rounds)
     return [BehaviorTable._from_checked(tables[0]) for tables in stack]

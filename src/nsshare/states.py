@@ -23,28 +23,31 @@ class TripartiteState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho)
-        if not np.issubdtype(rho.dtype, np.number):
-            raise ValueError(f"density operator must be numeric, got dtype {rho.dtype}")
-        if rho.shape != (DIM, DIM):
-            raise ValueError(f"tripartite state must be {DIM}x{DIM}, got {rho.shape}")
-        # every effect and Kraus root is real symmetric, so tr[rho E] = tr[Re(rho) E] and the
-        # Lüders map sends Re(rho) to Re(rho): an imaginary part could never show in a run
-        imag = float(np.max(np.abs(np.imag(rho))))
-        if imag > HERMITIAN_ATOL:
-            raise ValueError(f"density operator must be real, got imaginary parts up to {imag!r} "
-                             f"(tolerance {HERMITIAN_ATOL})")
-        rho = np.array(np.real(rho), dtype=float)
-        check_densities(rho[None])
+        rho = check_densities(np.asarray(self.rho)[None])[0].copy()
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
 
-def check_densities(rhos: np.ndarray) -> None:
-    """TripartiteState's finiteness, unit-trace and symmetry checks on a stack (N, 8, 8).
+def check_densities(rhos) -> np.ndarray:
+    """The stack rhos (N, 8, 8) of density operators as a C-contiguous real float array.
 
-    Raises for the first operator that fails.
+    Each operator must be numeric, 8x8, real (imaginary parts at most
+    HERMITIAN_ATOL), finite, of unit trace and symmetric.  Raises for the
+    first that fails; an input that already is such an array is not copied.
     """
+    rhos = np.asarray(rhos)
+    if not np.issubdtype(rhos.dtype, np.number):
+        raise ValueError(f"density operator must be numeric, got dtype {rhos.dtype}")
+    if rhos.shape[1:] != (DIM, DIM):
+        raise ValueError(f"tripartite state must be {DIM}x{DIM}, got {rhos.shape[1:]}")
+    # every effect and Kraus root is real symmetric, so tr[rho E] = tr[Re(rho) E] and the
+    # Lüders map sends Re(rho) to Re(rho): an imaginary part could never show in a run
+    if np.iscomplexobj(rhos):
+        imag = float(np.max(np.abs(rhos.imag), initial=0.0))
+        if imag > HERMITIAN_ATOL:
+            raise ValueError(f"density operator must be real, got imaginary parts up to "
+                             f"{imag!r} (tolerance {HERMITIAN_ATOL})")
+    rhos = np.ascontiguousarray(rhos.real, dtype=float)
     if not np.isfinite(rhos).all():
         n, i, j = np.argwhere(~np.isfinite(rhos))[0]
         raise ValueError(f"density operator entry ({i}, {j}) must be finite, got {rhos[n, i, j]}")
@@ -52,15 +55,24 @@ def check_densities(rhos: np.ndarray) -> None:
     bad = np.abs(traces - 1.0) > TRACE_ATOL
     if bad.any():
         raise ValueError(f"density operator must have unit trace, got {traces[bad.argmax()]}")
-    if np.max(np.abs(rhos - rhos.transpose(0, 2, 1))) > HERMITIAN_ATOL:
+    if np.max(np.abs(rhos - rhos.transpose(0, 2, 1)), initial=0.0) > HERMITIAN_ATOL:
         raise ValueError("density operator must be Hermitian (real symmetric)")
+    return rhos
+
+
+def gghz_densities(alphas) -> np.ndarray:
+    """Pure states cos(alpha)|000> + sin(alpha)|111>, one per alpha, as a checked stack (N, 8, 8)."""
+    alphas = np.asarray(alphas, dtype=float)
+    bad = ~((0.0 <= alphas) & (alphas <= np.pi / 2))
+    if bad.any():
+        raise ValueError(f"alpha must lie in [0, pi/2], got {float(alphas[bad][0])!r}")
+    cos, sin = np.cos(alphas), np.sin(alphas)
+    rhos = np.zeros((len(alphas), DIM, DIM))
+    rhos[:, 0, 0], rhos[:, 7, 7] = cos * cos, sin * sin
+    rhos[:, 0, 7] = rhos[:, 7, 0] = cos * sin
+    return check_densities(rhos)
 
 
 def build_gghz(alpha: float) -> TripartiteState:
     """Pure state cos(alpha)|000> + sin(alpha)|111> as a density operator."""
-    if not 0.0 <= alpha <= np.pi / 2:
-        raise ValueError(f"alpha must lie in [0, pi/2], got {alpha!r}")
-    psi = np.zeros(DIM)
-    psi[0] = np.cos(alpha)
-    psi[7] = np.sin(alpha)
-    return TripartiteState(np.outer(psi, psi))
+    return TripartiteState(gghz_densities([alpha])[0])

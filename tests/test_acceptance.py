@@ -30,7 +30,7 @@ from nsshare.inequality import (
     ns2_values,
 )
 from nsshare.measurements import gamma_sequence, validity_region
-from nsshare.states import build_gghz
+from nsshare.states import build_gghz, gghz_densities
 
 # frozen oracle values for delta = theta = pi/4, epsilon = 0.001, alpha = pi/4
 GAMMA_1 = 0.41462777593546814
@@ -260,12 +260,12 @@ def test_claim_audit_scan_soundness():
     # normalized variant produces none) must be certified outside the polytope
     deltas = [0.01 + i * 0.01 for i in range(78)]
     thetas = [0.01 + i * 0.01 for i in range(157)]
-    initial = build_gghz(np.pi / 4)
+    initials = gghz_densities([np.pi / 4] * len(thetas))
     violating_tables = []
     for delta in deltas:
         schedule = gamma_sequence(delta, 0.001, 5)
         rounds = min(5, schedule.valid_upto)
-        for tables in run_stack([initial] * len(thetas), thetas, schedule, rounds):
+        for tables in run_stack(initials, thetas, schedule, rounds):
             for probs, value in zip(tables, ns2_values(tables)):
                 if is_violation(value):
                     violating_tables.append(BehaviorTable(probs))

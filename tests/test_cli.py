@@ -695,6 +695,25 @@ def test_warm_started_run_gives_the_cold_verdicts_with_fewer_lps(monkeypatch, co
         assert reported == cold
 
 
+def test_certified_alpha_sweep_constructs_no_state(monkeypatch):
+    # a run's initial states go to the engine as one checked stack per chunk
+    from nsshare.states import TripartiteState
+
+    calls, post_init = [], TripartiteState.__post_init__
+
+    def counting(state):
+        calls.append(1)
+        post_init(state)
+
+    monkeypatch.setattr(TripartiteState, "__post_init__", counting)
+    summary = run_experiment(ExperimentConfig(n=2, certify=True, recursion="both",
+                                              sweep_alpha=(0.1, 1.5, 0.2)))
+    assert [data["rows"] for data in summary["variants"].values()] == [16, 16]
+    assert calls == []
+    build_gghz(0.3)
+    assert calls == [1]
+
+
 def test_warm_start_does_not_outlive_a_run(monkeypatch):
     # identical runs make identical LP calls: nothing is cached between them
     _, solves = record_verdicts(monkeypatch)
@@ -753,12 +772,24 @@ def test_cli_certify_table_refuses_run_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize("path", ["", "  "])
 def test_cli_certify_table_refuses_a_blank_path(tmp_path, capsys, monkeypatch, path):
+    # a blank path given to any path flag is refused before anything is read,
+    # run or written
     monkeypatch.chdir(tmp_path)
-    assert main(["--certify-table", path, "--out-json", "verdict.json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --certify-table needs a file path, got {path!r}\n"
-    assert not list(tmp_path.iterdir())
+    write_table("table.json", np.full((2,) * 6, 0.125))
+    report = f"out_json must be a nonempty path when given, got {path!r}"
+    for argv, error in (
+            (["--certify-table", path, "--out-json", "verdict.json"],
+             f"--certify-table needs a file path, got {path!r}"),
+            (["--config", path, "--out-json", "run.json"], f"--config needs a file path, got {path!r}"),
+            (["--certify-table", "table.json", "--out-json", path], report),
+            (["--n", "2", "--out-json", path], report),
+            (["--n", "2", "--out-csv", path],
+             f"out_csv must be a nonempty path when given, got {path!r}")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert os.listdir() == ["table.json"]
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
@@ -988,6 +1019,9 @@ passing_flag_values = {
 flag_values = {flag: values | arbitrary.filter(at_most_three_if_an_integer if flag == "--n"
                                                 else a_small_grid_if_a_sweep)
                for flag, values in passing_flag_values.items()}
+PATH_FLAGS = ("--config", "--certify-table", "--out-csv", "--out-json")
+for flag in PATH_FLAGS:
+    flag_values[flag] |= st.sampled_from(["", " ", "  ", "\t"])
 SWITCHES = ("--auto-delta", "--certify", "--help")
 
 
@@ -1005,10 +1039,13 @@ def argvs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argvs())
 @example(["--certify-table", ""])
+@example(["--config", ""])
+@example(["--certify-table", "table.json", "--out-json", "  "])
 @example(["--config", "config.json", "--n", "3", "--certify", "--sweep-theta", "0.1:0.3:0.1"])
 def test_any_flag_combination_exits_cleanly(argv):
     # ends in exit 0, in exit 1 with one error line, or in argparse's exit 2
-    # with its usage and one error line; never raises
+    # with its usage and one error line; never raises.  An exit 0 gave no path
+    # flag a blank value and left no file but the reports argv names.
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
         patch.chdir(directory)
         with open("config.json", "w", encoding="utf-8") as handle:
@@ -1020,10 +1057,18 @@ def test_any_flag_combination_exits_cleanly(argv):
                 code = main(argv)
             except SystemExit as exc:  # argparse: --help, or a usage error
                 code = exc.code
+        left = set(os.listdir())
     err = stderr.getvalue()
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
+        # the last value of a repeated flag is the one that counts
+        paths = {flag: value for flag, value in zip(argv, argv[1:]) if flag in PATH_FLAGS}
+        reports = {os.path.normpath(value) for flag, value in zip(argv, argv[1:])
+                   if flag in ("--out-csv", "--out-json")}
+        if "--help" not in argv:
+            assert all(value.strip() for value in paths.values()), argv
+            assert left <= {"config.json", "table.json"} | reports, (argv, left)
     elif code == 1:
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
     else:

@@ -18,7 +18,7 @@ from nsshare.engine import (
 )
 from nsshare.inequality import ns2_value, ns2_values
 from nsshare.measurements import charlie_setting, gamma_sequence
-from nsshare.states import TripartiteState, build_gghz
+from nsshare.states import TripartiteState, build_gghz, gghz_densities
 
 from conftest import (
     BF_MARGINAL_FAMILIES,
@@ -205,7 +205,7 @@ def test_stack_equals_single_runs_bitwise(variant):
         schedule = gamma_sequence(delta, 0.001, 5, variant)
         rounds = min(5, schedule.valid_upto)
         for alpha in (np.pi / 8, np.pi / 4, 3 * np.pi / 8):
-            tables = list(run_stack([build_gghz(alpha)] * len(thetas), thetas, schedule, rounds))
+            tables = list(run_stack(gghz_densities([alpha] * len(thetas)), thetas, schedule, rounds))
             assert len(tables) == rounds
             assert all(t.shape == (len(thetas),) + (2,) * 6 for t in tables)
             # numpy's sums follow the memory layout, so the layout is part of the bits
@@ -250,7 +250,7 @@ def test_behavior_kernel_matches_the_oracle_on_run_states(monkeypatch, n):
     alphas = np.concatenate([[0.0, np.pi / 2], rng.uniform(0, np.pi / 2, n)])[:n]
     thetas = rng.uniform(1e-6, np.pi / 2 - 1e-6, n)
     schedule = gamma_sequence(0.02, 0.001, 4)
-    list(run_stack([build_gghz(alpha) for alpha in alphas], thetas, schedule, 4))
+    list(run_stack(gghz_densities(alphas), thetas, schedule, 4))
     assert len(calls) == 4
     for rhos, effects, tables in calls:
         assert same_bits(tables, bf_behavior_stack(rhos, effects))
@@ -272,14 +272,56 @@ def test_run_stack_needs_one_initial_state_per_theta():
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     with pytest.raises(ValueError, match="^run_stack needs one initial state per theta, "
                                          "got 1 states for 2 thetas$"):
-        next(run_stack([build_gghz(0.3)], (0.5, 0.6), schedule, 1))
+        next(run_stack(gghz_densities([0.3]), (0.5, 0.6), schedule, 1))
+
+
+def bad_stack(name):
+    """(stack, its bad member, the message): one refused stack per TripartiteState rule."""
+    ghz = gghz_densities([0.3, 0.6])
+    if name == "state objects":  # run_stack's old call form
+        states = [build_gghz(0.3), build_gghz(0.6)]
+        return states, states[1], "density operator must be numeric, got dtype object"
+    if name == "strings":
+        return np.full((2, 8, 8), "a"), np.full((8, 8), "a"), (
+            "density operator must be numeric, got dtype <U1")
+    if name == "wrong shape":
+        return np.stack([np.eye(4) / 4] * 2), np.eye(4) / 4, (
+            "tripartite state must be 8x8, got (4, 4)")
+    if name == "imaginary":
+        ghz = ghz.astype(complex)
+        ghz[1, 0, 7] += 2e-12j
+        ghz[1, 7, 0] -= 2e-12j
+        return ghz, ghz[1], ("density operator must be real, got imaginary parts up to "
+                             "2e-12 (tolerance 1e-12)")
+    if name == "nan":
+        ghz[1, 2, 5] = ghz[1, 5, 2] = np.nan
+        return ghz, ghz[1], "density operator entry (2, 5) must be finite, got nan"
+    if name == "trace":
+        ghz[1, 0, 0] += 1e-9
+        return ghz, ghz[1], f"density operator must have unit trace, got {np.trace(ghz[1])}"
+    assert name == "asymmetric"
+    ghz[1, 0, 7] += 1e-9
+    return ghz, ghz[1], "density operator must be Hermitian (real symmetric)"
+
+
+@pytest.mark.parametrize("name", ["state objects", "strings", "wrong shape", "imaginary",
+                                  "nan", "trace", "asymmetric"])
+def test_run_stack_refuses_what_a_state_refuses(name):
+    # the stack is checked once on entry, with TripartiteState's own rules and
+    # messages, and never meets a numpy error first
+    stack, member, message = bad_stack(name)
+    with pytest.raises(ValueError) as single:
+        TripartiteState(member)
+    with pytest.raises(ValueError) as stacked:
+        next(run_stack(stack, (0.5, 0.6), gamma_sequence(np.pi / 4, 0.001, 1), 1))
+    assert str(stacked.value) == str(single.value) == message
 
 
 def test_stack_members_keep_their_own_initial_states():
     # a stack of (state, theta) members gives each member's N = 1 tables, bit for bit
     schedule = gamma_sequence(0.1, 0.001, 3)
     alphas, thetas = (0.1, 0.7, 1.2), (1.0, 0.2, 0.6)
-    stack = list(run_stack([build_gghz(a) for a in alphas], thetas, schedule, 3))
+    stack = list(run_stack(gghz_densities(alphas), thetas, schedule, 3))
     for n, (alpha, theta) in enumerate(zip(alphas, thetas)):
         singles = run_sequence(build_gghz(alpha), theta, schedule, 3)
         for tables, single in zip(stack, singles):
@@ -294,7 +336,7 @@ def test_stack_refuses_theta_axis_touching_the_ends():
         with pytest.raises(ValueError) as single:
             run_sequence(state, bad, schedule, 2)
         with pytest.raises(ValueError) as stacked:
-            next(run_stack([state] * 3, thetas, schedule, 2))
+            next(run_stack(np.stack([state.rho] * 3), thetas, schedule, 2))
         assert str(stacked.value) == str(single.value) == f"theta must lie in (0, pi/2), got {bad!r}"
 
 
@@ -412,7 +454,7 @@ def test_run_stack_refuses_a_signaling_stack(monkeypatch):
     monkeypatch.setattr(engine, "_behavior_stack", lambda rhos, effects: planted)
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     with pytest.raises(ValueError, match="^table is signaling: P"):
-        next(run_stack([build_gghz(np.pi / 4)] * 2, (0.5, 0.6), schedule, 1))
+        next(run_stack(gghz_densities([np.pi / 4] * 2), (0.5, 0.6), schedule, 1))
 
 
 def test_behavior_table_rejects_negative_entries():

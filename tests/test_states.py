@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from nsshare.states import TripartiteState, build_gghz
+from nsshare.states import TripartiteState, build_gghz, check_densities, gghz_densities
 
 from conftest import SX, SZ, bf_gghz, random_density
 
@@ -45,6 +45,35 @@ def test_gghz_alpha_out_of_range():
     for alpha in (-0.1, np.pi / 2 + 0.1):
         with pytest.raises(ValueError, match="alpha"):
             build_gghz(alpha)
+
+
+def test_gghz_densities_are_the_states_of_build_gghz_bit_for_bit(rng):
+    alphas = np.concatenate([[0.0, np.pi / 2, 1e-300], rng.uniform(0.0, np.pi / 2, 1000)])
+    stack = gghz_densities(alphas)
+    assert stack.shape == (len(alphas), 8, 8) and stack.flags.c_contiguous
+    singles = np.array([build_gghz(float(alpha)).rho for alpha in alphas])
+    oracle = np.array([bf_gghz(float(alpha)).real for alpha in alphas])
+    for reference in (singles, oracle):
+        assert np.array_equal(stack.view(np.int64), reference.view(np.int64))
+
+
+def test_gghz_densities_refuse_what_build_gghz_refuses():
+    for alpha in (np.nan, -0.1, np.pi / 2 + 1e-12, np.inf, -1e-300):
+        with pytest.raises(ValueError) as single:
+            build_gghz(alpha)
+        with pytest.raises(ValueError) as stacked:
+            gghz_densities([0.3, alpha, -1.0])
+        assert str(stacked.value) == str(single.value) == (
+            f"alpha must lie in [0, pi/2], got {alpha!r}")
+
+
+def test_check_densities_returns_a_float_stack_without_copying_it(rng):
+    rhos = np.array([random_density(rng) for _ in range(3)])
+    assert np.shares_memory(check_densities(rhos), rhos)
+    for given in (rhos.astype(complex), np.asfortranarray(rhos)):
+        checked = check_densities(given)
+        assert checked.dtype == np.float64 and checked.flags.c_contiguous
+        assert np.array_equal(checked, rhos)
 
 
 def test_gghz_purity(rng):
