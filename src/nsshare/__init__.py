@@ -35,9 +35,6 @@ from .measurements import (
     gamma_sequence,
     validity_region,
 )
-from .states import (
-    TripartiteState,
-    build_gghz,
-)
+from .states import build_gghz
 
 __version__ = "0.1.0"

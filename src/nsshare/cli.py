@@ -268,7 +268,6 @@ def _round_rows(schedule, thetas, alphas, rounds: int, warm: WarmStart | None) -
     """
     pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
     while chunk := list(islice(pairs, THETA_CHUNK)):
-        # the thetas stay floats, which run_stack names by repr when it refuses one
         chunk_thetas = [thetas[i] for i, _ in chunk]
         chunk_alphas = [alphas[j] for _, j in chunk]
         columns = []  # per round: an iterator over its members' rows

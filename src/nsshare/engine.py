@@ -12,7 +12,8 @@ run_stack evolves a stack of N sequences, each with its own initial state and
 Charlie angle, round by round, as (N, 8, 8) arrays.  Every array operation
 acts on each member of the stack exactly as it would on that member alone, so
 a table of the stack is bit-identical to the same table computed with N = 1;
-behavior, luders_update and run_sequence are those N = 1 calls.
+behavior, luders_update and run_sequence are those N = 1 calls, on a state
+given as an 8x8 array.
 
 A table entry is the 64-term sum over (p, q, r, s, t, u) of
 ((rho[pqrstu] X[x,a,s,p]) Y[y,b,t,q]) Z[z,c,u,r], 4,096 terms per table, and
@@ -44,7 +45,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .measurements import IDENTITY_2, GammaSchedule, charlie_setting
-from .states import TripartiteState, check_densities
+from .states import check_densities
 
 ENTRY_FLOOR = -1e-12
 NORMALIZATION_ATOL = 1e-12
@@ -283,20 +284,16 @@ def _luders_stack(rhos: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def luders_update(state: TripartiteState, theta: float, gamma_k: float) -> TripartiteState:
-    """One Charlie round averaged over his uniformly random input choice."""
-    if not isinstance(state, TripartiteState):
-        raise TypeError("luders_update expects a TripartiteState")
+def luders_update(rho, theta: float, gamma_k: float) -> np.ndarray:
+    """The 8x8 state rho after one Charlie round averaged over his random input choice."""
     _, roots = charlie_setting((theta,), gamma_k)
-    return TripartiteState(_luders_stack(state.rho[None], roots)[0])
+    return check_densities(_luders_stack(check_densities(np.asarray(rho)[None]), roots))[0]
 
 
-def behavior(state: TripartiteState, theta: float, gamma_k: float) -> BehaviorTable:
-    """Full behavior P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})]."""
-    if not isinstance(state, TripartiteState):
-        raise TypeError("behavior expects a TripartiteState")
+def behavior(rho, theta: float, gamma_k: float) -> BehaviorTable:
+    """Full behavior P(abc|xyz) = tr[rho (X_{a|x} (x) Y_{b|y} (x) Z_{c|z})] of an 8x8 state."""
     effects, _ = charlie_setting((theta,), gamma_k)
-    return BehaviorTable(_behavior_stack(state.rho[None], effects)[0])
+    return BehaviorTable(_behavior_stack(check_densities(np.asarray(rho)[None]), effects)[0])
 
 
 def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np.ndarray]:
@@ -312,8 +309,8 @@ def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np
     if len(rhos) != len(thetas):
         raise ValueError(f"run_stack needs one initial state per theta, got {len(rhos)} "
                          f"states for {len(thetas)} thetas")
-    if rounds < 1:
-        raise ValueError(f"rounds must be at least 1, got {rounds!r}")
+    if isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer)) or rounds < 1:
+        raise ValueError(f"rounds must be an integer of at least 1, got {rounds!r}")
     if rounds > schedule.valid_upto:
         raise ValueError(
             f"rounds={rounds} exceeds the schedule's valid prefix "
@@ -321,7 +318,7 @@ def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np
         )
     for theta in thetas:
         if not 0.0 < theta < np.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {theta!r}")
+            raise ValueError(f"theta must lie in (0, pi/2), got {float(theta)!r}")
     for k in range(rounds):
         effects, roots = charlie_setting(thetas, schedule.gammas[k])
         tables = _behavior_stack(rhos, effects)
@@ -331,8 +328,8 @@ def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np
             rhos = check_densities(_luders_stack(rhos, roots))
 
 
-def run_sequence(initial: TripartiteState, theta: float, schedule: GammaSchedule,
+def run_sequence(initial, theta: float, schedule: GammaSchedule,
                  rounds: int) -> list[BehaviorTable]:
-    """Behavior tables for rounds 1..rounds; round k+1 sees the round-k Lüders update."""
-    stack = run_stack(initial.rho[None], (theta,), schedule, rounds)
+    """Tables of rounds 1..rounds from the 8x8 state initial; round k+1 sees the round-k update."""
+    stack = run_stack(np.asarray(initial)[None], (theta,), schedule, rounds)
     return [BehaviorTable._from_checked(tables[0]) for tables in stack]

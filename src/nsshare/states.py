@@ -7,8 +7,6 @@ as I_4 (x) op.  Every state of the scenario is real symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DIM = 8
@@ -16,28 +14,19 @@ TRACE_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TripartiteState:
-    """Real symmetric 8x8 density operator for the A (x) B (x) C qubit triple."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = check_densities(np.asarray(self.rho)[None])[0].copy()
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-
-
 def check_densities(rhos) -> np.ndarray:
     """The stack rhos (N, 8, 8) of density operators as a C-contiguous real float array.
 
-    Each operator must be numeric, 8x8, real (imaginary parts at most
-    HERMITIAN_ATOL), finite, of unit trace and symmetric.  Raises for the
-    first that fails; an input that already is such an array is not copied.
+    The stack must be numeric and 3-D, and each operator 8x8, real (imaginary
+    parts at most HERMITIAN_ATOL), finite, of unit trace and symmetric.  A
+    single state is checked as rho[None].  Raises for the first rule that
+    fails; an input that already is such an array is not copied.
     """
     rhos = np.asarray(rhos)
     if not np.issubdtype(rhos.dtype, np.number):
         raise ValueError(f"density operator must be numeric, got dtype {rhos.dtype}")
+    if rhos.ndim != 3:
+        raise ValueError(f"density stack must have shape (N, {DIM}, {DIM}), got {rhos.shape}")
     if rhos.shape[1:] != (DIM, DIM):
         raise ValueError(f"tripartite state must be {DIM}x{DIM}, got {rhos.shape[1:]}")
     # every effect and Kraus root is real symmetric, so tr[rho E] = tr[Re(rho) E] and the
@@ -61,8 +50,13 @@ def check_densities(rhos) -> np.ndarray:
 
 
 def gghz_densities(alphas) -> np.ndarray:
-    """Pure states cos(alpha)|000> + sin(alpha)|111>, one per alpha, as a checked stack (N, 8, 8)."""
+    """Pure states cos(alpha)|000> + sin(alpha)|111>, one per alpha, as a stack (N, 8, 8).
+
+    Not checked here: the stack passes check_densities, which run_stack applies on entry.
+    """
     alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be a 1-D sequence, got shape {alphas.shape}")
     bad = ~((0.0 <= alphas) & (alphas <= np.pi / 2))
     if bad.any():
         raise ValueError(f"alpha must lie in [0, pi/2], got {float(alphas[bad][0])!r}")
@@ -70,9 +64,9 @@ def gghz_densities(alphas) -> np.ndarray:
     rhos = np.zeros((len(alphas), DIM, DIM))
     rhos[:, 0, 0], rhos[:, 7, 7] = cos * cos, sin * sin
     rhos[:, 0, 7] = rhos[:, 7, 0] = cos * sin
-    return check_densities(rhos)
+    return rhos
 
 
-def build_gghz(alpha: float) -> TripartiteState:
-    """Pure state cos(alpha)|000> + sin(alpha)|111> as a density operator."""
-    return TripartiteState(gghz_densities([alpha])[0])
+def build_gghz(alpha: float) -> np.ndarray:
+    """Pure state cos(alpha)|000> + sin(alpha)|111> as an 8x8 density operator."""
+    return gghz_densities([alpha])[0]

@@ -184,9 +184,9 @@ def test_criterion_07_physicality_suite():
         state = build_gghz(np.pi / 4)
         reference_ab = None
         for k in range(1, rounds + 1):
-            # positivity is the one property TripartiteState does not check itself
-            assert abs(np.trace(state.rho) - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(state.rho)[0] >= -1e-10
+            # positivity is the one property check_densities does not check
+            assert abs(np.trace(state) - 1.0) < 1e-12
+            assert np.linalg.eigvalsh(state)[0] >= -1e-10
             states_checked += 1
 
             table = behavior(state, np.pi / 4, schedule.gammas[k - 1])

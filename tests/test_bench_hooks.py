@@ -43,3 +43,20 @@ def test_bench_reads_result_attributes():
     result = lp_feasible(BehaviorTable(np.full((2,) * 6, 0.125)))
     assert type(result.feasible) is bool and result.feasible
     assert result.weights.shape == (288,)
+
+
+def test_bench_calls_the_one_state_api():
+    # perfbench's model test calls behavior on build_gghz's state and hands
+    # the table to cli.ns2_value; the tracer wraps cli.run_sequence and
+    # cli.build_gghz, which must still run one on the other's state
+    from nsshare import cli
+    from nsshare.engine import behavior
+    from nsshare.states import build_gghz
+
+    for alpha, theta, gamma in [(np.pi / 4, np.pi / 4, 0.41), (0.4, 1.1, 0.93)]:
+        table = behavior(build_gghz(alpha), theta, gamma)
+        assert table.probs.shape == (2,) * 6
+        assert isinstance(cli.ns2_value(table), float)
+    schedule = cli.gamma_sequence(np.pi / 4, 0.001, 2)
+    tables = cli.run_sequence(cli.build_gghz(0.4), 1.1, schedule, 2)
+    assert len(tables) == 2 and all(t.probs.shape == (2,) * 6 for t in tables)

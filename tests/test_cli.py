@@ -695,23 +695,24 @@ def test_warm_started_run_gives_the_cold_verdicts_with_fewer_lps(monkeypatch, co
         assert reported == cold
 
 
-def test_certified_alpha_sweep_constructs_no_state(monkeypatch):
-    # a run's initial states go to the engine as one checked stack per chunk
-    from nsshare.states import TripartiteState
+def test_certified_alpha_sweep_checks_each_stack_once(monkeypatch):
+    # a chunk's initial states are checked once, on entry to run_stack, and
+    # each Lüders round's stack once more; nothing else checks a state
+    from nsshare import engine, states
 
-    calls, post_init = [], TripartiteState.__post_init__
+    calls, check = [], states.check_densities
 
-    def counting(state):
-        calls.append(1)
-        post_init(state)
+    def counting(rhos):
+        calls.append(len(rhos))
+        return check(rhos)
 
-    monkeypatch.setattr(TripartiteState, "__post_init__", counting)
+    for module in (states, engine):
+        monkeypatch.setattr(module, "check_densities", counting)
     summary = run_experiment(ExperimentConfig(n=2, certify=True, recursion="both",
                                               sweep_alpha=(0.1, 1.5, 0.2)))
     assert [data["rows"] for data in summary["variants"].values()] == [16, 16]
-    assert calls == []
-    build_gghz(0.3)
-    assert calls == [1]
+    # per variant: one chunk of 8 alphas, its entry check and one Lüders round's
+    assert calls == [8, 8] * 2
 
 
 def test_warm_start_does_not_outlive_a_run(monkeypatch):

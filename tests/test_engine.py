@@ -18,7 +18,7 @@ from nsshare.engine import (
 )
 from nsshare.inequality import ns2_value, ns2_values
 from nsshare.measurements import charlie_setting, gamma_sequence
-from nsshare.states import TripartiteState, build_gghz, gghz_densities
+from nsshare.states import build_gghz, gghz_densities
 
 from conftest import (
     BF_MARGINAL_FAMILIES,
@@ -47,7 +47,7 @@ def test_behavior_product_state_sharp():
 
 
 def test_behavior_maximally_mixed_uniform():
-    table = behavior(TripartiteState(np.eye(8) / 8), np.pi / 4, 1.0)
+    table = behavior(np.eye(8) / 8, np.pi / 4, 1.0)
     assert np.max(np.abs(table.probs - 0.125)) < 1e-14
 
 
@@ -57,17 +57,16 @@ def test_behavior_matches_bruteforce(rng):
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
         ours = behavior(build_gghz(alpha), theta, gamma).probs
-        reference = bf_behavior(build_gghz(alpha).rho, theta, gamma)
+        reference = bf_behavior(build_gghz(alpha), theta, gamma)
         assert np.max(np.abs(ours - reference)) < 1e-13
 
 
 def test_behavior_bruteforce_on_mixed_states(rng):
     for _ in range(10):
         rho = random_density(rng)
-        state = TripartiteState(rho)
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
-        ours = behavior(state, theta, gamma).probs
+        ours = behavior(rho, theta, gamma).probs
         reference = bf_behavior(rho, theta, gamma)
         assert np.max(np.abs(ours - reference)) < 1e-13
 
@@ -78,21 +77,21 @@ def test_luders_gamma_zero_halves_coherence():
     state = build_gghz(np.pi / 4)
     for theta in (0.2, np.pi / 4, 1.3):
         updated = luders_update(state, theta, 0.0)
-        assert abs(np.trace(updated.rho) - 1.0) < 1e-12
+        assert abs(np.trace(updated) - 1.0) < 1e-12
 
 
 def test_luders_commuting_case_fixed_point():
     state = build_gghz(0.0)  # |000><000|, diagonal in sigma_3
     for gamma in (0.0, 0.5, 1.0):
         updated = luders_update(state, 0.0, gamma)
-        assert np.max(np.abs(updated.rho - state.rho)) < 1e-14
+        assert np.max(np.abs(updated - state)) < 1e-14
 
 
 def test_luders_sharp_theta_zero_idempotent(rng):
     rho = random_density(rng)
-    once = luders_update(TripartiteState(rho), 0.0, 1.0)
+    once = luders_update(rho, 0.0, 1.0)
     twice = luders_update(once, 0.0, 1.0)
-    assert np.max(np.abs(twice.rho - once.rho)) < 1e-13
+    assert np.max(np.abs(twice - once)) < 1e-13
 
 
 def test_luders_matches_bruteforce(rng):
@@ -100,7 +99,7 @@ def test_luders_matches_bruteforce(rng):
         rho = random_density(rng)
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
-        ours = luders_update(TripartiteState(rho), theta, gamma).rho
+        ours = luders_update(rho, theta, gamma)
         reference = bf_luders(rho, theta, gamma)
         assert np.max(np.abs(ours - reference)) < 5e-9  # eigh-sqrt reference is less exact
 
@@ -112,9 +111,9 @@ def test_luders_xxx_shrink_matches_heisenberg_form():
     gamma = gamma_sequence(np.pi / 4, 0.001, 1).gammas[0]
     state = build_gghz(np.pi / 4)
     xxx = np.kron(np.kron(SX, SX), SX)
-    before = np.trace(state.rho @ xxx).real
+    before = np.trace(state @ xxx).real
     assert abs(before - 1.0) < 1e-12
-    after = np.trace(luders_update(state, theta, gamma).rho @ xxx).real
+    after = np.trace(luders_update(state, theta, gamma) @ xxx).real
 
     n0 = np.array([-np.sin(theta), 0.0, np.cos(theta)])
     n1 = np.array([np.sin(theta), 0.0, np.cos(theta)])
@@ -131,7 +130,7 @@ def test_luders_preserves_trace_and_positivity(rng):
         rho = random_density(rng)
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
-        updated = luders_update(TripartiteState(rho), theta, gamma).rho
+        updated = luders_update(rho, theta, gamma)
         assert abs(np.trace(updated).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(updated).min() > -1e-10
 
@@ -183,6 +182,12 @@ def test_run_sequence_rejects_truncated_schedule():
     schedule = gamma_sequence(np.pi / 4, 0.001, 3)  # valid_upto == 2
     with pytest.raises(ValueError, match="valid"):
         run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 3)
+    # a count of rounds that is no integer is refused by the same rule as 0
+    for rounds in (0, 1.5, True, "2"):
+        with pytest.raises(ValueError, match=f"^rounds must be an integer of at least 1, "
+                                             f"got {re.escape(repr(rounds))}$"):
+            run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, rounds)
+    assert len(run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, np.int64(2))) == 2
 
 
 def test_scenario_rejects_bad_theta():
@@ -276,10 +281,10 @@ def test_run_stack_needs_one_initial_state_per_theta():
 
 
 def bad_stack(name):
-    """(stack, its bad member, the message): one refused stack per TripartiteState rule."""
+    """(stack, its bad member, the message): one refused stack per rule of check_densities."""
     ghz = gghz_densities([0.3, 0.6])
-    if name == "state objects":  # run_stack's old call form
-        states = [build_gghz(0.3), build_gghz(0.6)]
+    if name == "state objects":  # the states held as Python objects
+        states = np.array([build_gghz(0.3), build_gghz(0.6)], dtype=object)
         return states, states[1], "density operator must be numeric, got dtype object"
     if name == "strings":
         return np.full((2, 8, 8), "a"), np.full((8, 8), "a"), (
@@ -307,11 +312,11 @@ def bad_stack(name):
 @pytest.mark.parametrize("name", ["state objects", "strings", "wrong shape", "imaginary",
                                   "nan", "trace", "asymmetric"])
 def test_run_stack_refuses_what_a_state_refuses(name):
-    # the stack is checked once on entry, with TripartiteState's own rules and
-    # messages, and never meets a numpy error first
+    # the stack is checked once on entry, with the rules and messages of a
+    # single state's check, and never meets a numpy error first
     stack, member, message = bad_stack(name)
     with pytest.raises(ValueError) as single:
-        TripartiteState(member)
+        behavior(member, 0.5, 0.5)
     with pytest.raises(ValueError) as stacked:
         next(run_stack(stack, (0.5, 0.6), gamma_sequence(np.pi / 4, 0.001, 1), 1))
     assert str(stacked.value) == str(single.value) == message
@@ -336,8 +341,14 @@ def test_stack_refuses_theta_axis_touching_the_ends():
         with pytest.raises(ValueError) as single:
             run_sequence(state, bad, schedule, 2)
         with pytest.raises(ValueError) as stacked:
-            next(run_stack(np.stack([state.rho] * 3), thetas, schedule, 2))
+            next(run_stack(np.stack([state] * 3), thetas, schedule, 2))
         assert str(stacked.value) == str(single.value) == f"theta must lie in (0, pi/2), got {bad!r}"
+
+
+def test_run_stack_names_a_refused_array_theta_as_a_float():
+    schedule = gamma_sequence(np.pi / 4, 0.001, 1)
+    with pytest.raises(ValueError, match=r"^theta must lie in \(0, pi/2\), got 0\.0$"):
+        next(run_stack(gghz_densities([0.3, 0.3]), np.array([0.0, 0.5]), schedule, 1))
 
 
 def test_alice_bob_marginals_round_invariant():

@@ -65,15 +65,14 @@ def test_ns2_sharp_against_trace_oracle(rng):
     for _ in range(20):
         alpha = rng.uniform(0, np.pi / 2)
         theta = rng.uniform(0, np.pi / 2)
-        state = build_gghz(alpha)
-        rho = state.rho
+        rho = build_gghz(alpha)
         n0_sigma = -np.sin(theta) * SX + np.cos(theta) * SZ
         n1_sigma = np.sin(theta) * SX + np.cos(theta) * SZ
         xxx = np.kron(np.kron(SX, SX), n1_sigma)
         w = (np.kron(np.kron(SZ, SZ), I2) + np.kron(np.kron(SZ, I2), n0_sigma)
              + np.kron(np.kron(I2, SZ), n1_sigma) - np.kron(np.kron(SX, SX), n0_sigma) + xxx)
         reference = np.trace(rho @ w).real
-        assert ns2_value(behavior(state, theta, 1.0)) == pytest.approx(reference, abs=1e-12)
+        assert ns2_value(behavior(rho, theta, 1.0)) == pytest.approx(reference, abs=1e-12)
         assert np.trace(rho @ xxx).real == pytest.approx(np.sin(2 * alpha) * np.sin(theta),
                                                          abs=1e-12)
 
@@ -106,7 +105,7 @@ def test_ns2_matches_bruteforce(rng):
         theta = rng.uniform(0, np.pi / 2)
         gamma = rng.uniform(0, 1)
         table = behavior(build_gghz(alpha), theta, gamma)
-        reference = bf_ns2(bf_behavior(build_gghz(alpha).rho, theta, gamma))
+        reference = bf_ns2(bf_behavior(build_gghz(alpha), theta, gamma))
         assert ns2_value(table) == pytest.approx(reference, abs=1e-12)
 
 

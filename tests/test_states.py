@@ -3,20 +3,22 @@ import re
 import numpy as np
 import pytest
 
-from nsshare.states import TripartiteState, build_gghz, check_densities, gghz_densities
+from nsshare.engine import behavior, luders_update, run_stack
+from nsshare.measurements import gamma_sequence
+from nsshare.states import build_gghz, check_densities, gghz_densities
 
 from conftest import SX, SZ, bf_gghz, random_density
 
 
 def test_gghz_alpha_zero():
-    rho = build_gghz(0.0).rho
+    rho = build_gghz(0.0)
     expected = np.zeros((8, 8))
     expected[0, 0] = 1.0
     assert np.allclose(rho, expected)
 
 
 def test_gghz_maximal():
-    rho = build_gghz(np.pi / 4).rho
+    rho = build_gghz(np.pi / 4)
     expected = np.zeros((8, 8))
     for i in (0, 7):
         for j in (0, 7):
@@ -25,7 +27,7 @@ def test_gghz_maximal():
 
 
 def test_gghz_pi_over_six():
-    rho = build_gghz(np.pi / 6).rho
+    rho = build_gghz(np.pi / 6)
     assert abs(rho[0, 0] - 0.75) < 1e-15
     assert abs(rho[7, 7] - 0.25) < 1e-15
     assert abs(rho[0, 7] - np.sqrt(3) / 4) < 1e-15
@@ -38,7 +40,7 @@ def test_gghz_pi_over_six():
 def test_gghz_matches_outer_product_oracle(rng):
     for _ in range(25):
         alpha = rng.uniform(0.0, np.pi / 2)
-        assert np.max(np.abs(build_gghz(alpha).rho - bf_gghz(alpha))) < 1e-15
+        assert np.max(np.abs(build_gghz(alpha) - bf_gghz(alpha))) < 1e-15
 
 
 def test_gghz_alpha_out_of_range():
@@ -51,9 +53,11 @@ def test_gghz_densities_are_the_states_of_build_gghz_bit_for_bit(rng):
     alphas = np.concatenate([[0.0, np.pi / 2, 1e-300], rng.uniform(0.0, np.pi / 2, 1000)])
     stack = gghz_densities(alphas)
     assert stack.shape == (len(alphas), 8, 8) and stack.flags.c_contiguous
-    singles = np.array([build_gghz(float(alpha)).rho for alpha in alphas])
+    singles = np.array([build_gghz(float(alpha)) for alpha in alphas])
     oracle = np.array([bf_gghz(float(alpha)).real for alpha in alphas])
-    for reference in (singles, oracle):
+    # the stack is left unchecked because it passes the check, which returns it unchanged
+    checked = check_densities(gghz_densities(alphas))
+    for reference in (singles, oracle, checked):
         assert np.array_equal(stack.view(np.int64), reference.view(np.int64))
 
 
@@ -78,33 +82,46 @@ def test_check_densities_returns_a_float_stack_without_copying_it(rng):
 
 def test_gghz_purity(rng):
     for _ in range(50):
-        rho = build_gghz(rng.uniform(0.0, np.pi / 2)).rho
+        rho = build_gghz(rng.uniform(0.0, np.pi / 2))
         assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
 
 
 def test_gghz_zz_correlation_is_one(rng):
     zz1 = np.kron(np.kron(SZ, SZ), np.eye(2))
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
-        assert abs(np.trace(build_gghz(alpha).rho @ zz1).real - 1.0) < 1e-12
+        assert abs(np.trace(build_gghz(alpha) @ zz1).real - 1.0) < 1e-12
 
 
 def test_gghz_xxx_correlation_is_sin_two_alpha(rng):
     xxx = np.kron(np.kron(SX, SX), SX)
     for alpha in rng.uniform(0.0, np.pi / 2, size=20):
-        value = np.trace(build_gghz(alpha).rho @ xxx).real
+        value = np.trace(build_gghz(alpha) @ xxx).real
         assert abs(value - np.sin(2 * alpha)) < 1e-12
 
 
+def check_one(rho):
+    return check_densities(np.asarray(rho)[None])[0]
+
+
+def refusal(rho) -> str:
+    """The one ValueError message with which check_densities, behavior and luders_update refuse rho."""
+    messages = set()
+    for call in (check_one, lambda r: behavior(r, 0.5, 0.5), lambda r: luders_update(r, 0.5, 0.5)):
+        with pytest.raises(ValueError) as error:
+            call(rho)
+        messages.add(str(error.value))
+    assert len(messages) == 1, messages
+    return messages.pop()
+
+
 def test_state_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        TripartiteState(np.eye(8) / 7)
+    assert re.search("trace", refusal(np.eye(8) / 7))
 
 
 def test_state_rejects_non_hermitian():
     rho = np.eye(8, dtype=complex) / 8
     rho[0, 1] = 0.3
-    with pytest.raises(ValueError, match="Hermitian"):
-        TripartiteState(rho)
+    assert re.search("Hermitian", refusal(rho))
 
 
 def test_state_refuses_imaginary_parts():
@@ -114,16 +131,19 @@ def test_state_refuses_imaginary_parts():
         rho[0, 1], rho[1, 0] = 1j * imag, -1j * imag
         message = (f"density operator must be real, got imaginary parts up to {imag!r} "
                    "(tolerance 1e-12)")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            TripartiteState(rho)
+        assert refusal(rho) == message
 
 
 def test_state_takes_complex_input_without_imaginary_part_as_real(rng):
     for rho in (np.eye(8) / 8, random_density(rng), bf_gghz(0.3).real):
-        state = TripartiteState(rho.astype(complex))
-        assert state.rho.dtype == np.float64
-        assert np.array_equal(state.rho, TripartiteState(rho).rho)
-    assert np.array_equal(TripartiteState(bf_gghz(0.3)).rho, build_gghz(0.3).rho)
+        state = check_one(rho.astype(complex))
+        assert state.dtype == np.float64
+        assert np.array_equal(state, check_one(rho))
+        assert np.array_equal(behavior(rho.astype(complex), 0.5, 0.5).probs,
+                              behavior(rho, 0.5, 0.5).probs)
+        assert np.array_equal(luders_update(rho.astype(complex), 0.5, 0.5),
+                              luders_update(rho, 0.5, 0.5))
+    assert np.array_equal(check_one(bf_gghz(0.3)), build_gghz(0.3))
 
 
 def test_state_refuses_non_finite_entries():
@@ -131,22 +151,41 @@ def test_state_refuses_non_finite_entries():
     for value in (np.nan, np.inf, -np.inf):
         rho = np.eye(8) / 8
         rho[2, 5] = rho[5, 2] = value
-        message = rf"^density operator entry \(2, 5\) must be finite, got {value!r}$"
-        with pytest.raises(ValueError, match=message):
-            TripartiteState(rho)
-    with pytest.raises(ValueError, match=r"^density operator entry \(0, 0\) must be finite"):
-        TripartiteState(np.full((8, 8), np.nan))
+        assert refusal(rho) == f"density operator entry (2, 5) must be finite, got {value!r}"
+    assert refusal(np.full((8, 8), np.nan)).startswith("density operator entry (0, 0) must be finite")
 
 
 def test_state_refuses_non_numeric_entries():
     # strings would meet numpy's own ufunc error, None would pass as a NaN entry
     for entries, dtype in (([["a"] * 8] * 8, "<U1"), ([[None] * 8] * 8, "object"),
                            (np.eye(8, dtype=bool), "bool")):
-        message = rf"^density operator must be numeric, got dtype {re.escape(dtype)}$"
-        with pytest.raises(ValueError, match=message):
-            TripartiteState(entries)
+        assert refusal(entries) == f"density operator must be numeric, got dtype {dtype}"
 
 
 def test_state_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="8x8"):
-        TripartiteState(np.eye(4) / 4)
+    assert re.search("8x8", refusal(np.eye(4) / 4))
+
+
+def test_a_single_state_is_not_a_stack():
+    # one state passed where a stack belongs is named by its own shape
+    message = "density stack must have shape (N, 8, 8), got (8, 8)"
+    with pytest.raises(ValueError) as checked:
+        check_densities(build_gghz(0.3))
+    with pytest.raises(ValueError) as run:
+        next(run_stack(build_gghz(0.3), (0.5,), gamma_sequence(np.pi / 4, 0.001, 1), 1))
+    assert str(checked.value) == str(run.value) == message
+    # a stack of the wrong member shape keeps the member message
+    with pytest.raises(ValueError, match=r"^tripartite state must be 8x8, got \(4, 4\)$"):
+        check_densities(np.stack([np.eye(4) / 4] * 2))
+
+
+def test_gghz_densities_refuse_alphas_that_are_not_one_dimensional():
+    for alphas, shape in ((0.3, "()"), ([[0.3, 0.6]], "(1, 2)")):
+        with pytest.raises(ValueError) as error:
+            gghz_densities(alphas)
+        assert str(error.value) == f"alphas must be a 1-D sequence, got shape {shape}"
+
+
+def test_one_state_calls_return_float_8x8_arrays(rng):
+    for rho in (build_gghz(0.3), luders_update(random_density(rng), 0.5, 0.5)):
+        assert type(rho) is np.ndarray and rho.shape == (8, 8) and rho.dtype == np.float64
