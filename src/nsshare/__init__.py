@@ -25,7 +25,6 @@ from .inequality import (
     NS2_BOUND,
     closed_form_ns2,
     is_violation,
-    ns2_orbit,
     ns2_value,
     ns2_values,
 )

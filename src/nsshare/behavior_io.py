@@ -13,6 +13,8 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from .engine import TABLE_KEYS, BehaviorTable
 
 
@@ -79,6 +81,6 @@ def import_behavior(path: str) -> BehaviorTable:
         except OverflowError:  # an integer literal beyond the float range
             raise ValueError(f"{path}: probability ({key}) is too large for a float") from None
     try:
-        return BehaviorTable.from_vector(values)
+        return BehaviorTable(np.reshape(values, (2,) * 6))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

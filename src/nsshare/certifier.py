@@ -22,7 +22,7 @@ from . import simplex
 # no_signaling_residual stays importable from here: perfbench/layers.py wraps
 # certifier.no_signaling_residual
 from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
-from .inequality import VIOLATION_GUARD, is_violation, ns2_orbit, symmetry_name, symmetry_orbit
+from .inequality import VIOLATION_GUARD, is_violation, symmetry_name, symmetry_orbit
 
 RESIDUAL_ATOL = 1e-9
 
@@ -40,9 +40,6 @@ class VertexSet:
     vectors: np.ndarray
     bipartition_index: np.ndarray
     constraints: np.ndarray
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
 
 def _bipartite_boxes(responses: np.ndarray) -> np.ndarray:
@@ -168,11 +165,11 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
     does not hold the verdict is undecided and RuntimeError is raised.
     """
     vertex_set = hybrid_vertices()
-    values = ns2_orbit(table)
-    target = table.as_vector()
+    functionals, symmetries = symmetry_orbit()
+    target = table.probs.reshape(64)
+    values = functionals @ target
     worst = int(np.argmax(values))
     if is_violation(values[worst]):
-        functionals, symmetries = symmetry_orbit()
         source = (f"relabeling {symmetry_name(symmetries[worst])} "
                   f"gives NS2 = {values[worst]:.12g} > 3")
         verdict = _nonlocal(vertex_set, functionals[worst], target, source)

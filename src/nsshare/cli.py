@@ -128,9 +128,6 @@ class SweepAxis(Sequence):
             return [self.start + j * self.step for j in i]
         return self.start + i * self.step
 
-    def __iter__(self) -> Iterator[float]:
-        return (self.start + i * self.step for i in range(self.length))
-
 
 def sweep_values(spec: tuple[float, float, float]) -> SweepAxis:
     """start, start + step, ... up to stop: at most the SWEEP_MAX_POINTS steps parse_sweep allows.

@@ -89,7 +89,7 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     every image is again a valid inequality with bound 3.  Returns the 768
     distinct images as functionals of the 64 table entries, shape (768, 64),
     and a symmetry that makes each, shape (768, 6) (see symmetry_name): row r
-    of the first dotted with as_vector() is the inequality's value on the
+    of the first dotted with probs.reshape(64) is the inequality's value on the
     table that row r of the second relabels.  Each image comes with a
     symmetry of the fewest operations (an outcome flip at one input, an input
     swap, a new party order), and the identity comes first.  Built on first
@@ -140,21 +140,11 @@ def is_violation(value: float | np.ndarray) -> bool | np.ndarray:
     return value > NS2_BOUND + VIOLATION_GUARD
 
 
-def ns2_orbit(table: BehaviorTable) -> np.ndarray:
-    """The value of every image of the inequality in symmetry_orbit() on a table, shape (768,).
-
-    Hybrid-model behaviors obey the same bound 3 in each, so exceeding it in
-    any image rules membership out.
-    """
-    return symmetry_orbit()[0] @ table.as_vector()
-
-
 def closed_form_ns2(k: int, alpha: float | np.ndarray, theta: float | np.ndarray,
                     gammas) -> float | np.ndarray:
-    """Predicted inequality value on the generalized GHZ state at round k.
+    """Predicted inequality value on the generalized GHZ state at round k >= 1 (prod_{j<1} = 1).
 
-    k = 1:  1 + (1 + gamma_1) [cos t + sin t sin 2a]
-    k >= 2: 1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
+    1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
 
     alpha and theta may each be one angle or an array of them; the value has
     their broadcast shape, and each (alpha, theta) value is the same bit for
@@ -169,8 +159,6 @@ def closed_form_ns2(k: int, alpha: float | np.ndarray, theta: float | np.ndarray
     if any(not 0.0 <= g <= 1.0 for g in used):
         raise ValueError(f"gamma_1..gamma_{k} must lie in [0, 1], got {used!r}")
     base = np.cos(theta) + np.sin(theta) * np.sin(2 * alpha)
-    if k == 1:
-        return 1.0 + (1.0 + used[0]) * base
     prod = 1.0
     for g in used[:-1]:
         prod *= 1.0 + np.sqrt((1.0 - g) * (1.0 + g))

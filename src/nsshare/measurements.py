@@ -108,10 +108,8 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
     q = 0.0
     for k in range(1, n + 1):
         bracket = q + 2.0 * t * (1.0 - q)
-        if variant == "printed":
-            g = (1.0 + epsilon) * 2.0 ** (k - 1) * bracket / sin_d
-        else:
-            g = (1.0 + epsilon) * bracket / sin_d
+        scale = 2.0 ** (k - 1) if variant == "printed" else 1.0
+        g = (1.0 + epsilon) * scale * bracket / sin_d
         gammas.append(float(g))
         if not 0.0 <= g <= 1.0:
             break

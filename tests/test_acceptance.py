@@ -25,9 +25,9 @@ from nsshare.engine import (
 from nsshare.inequality import (
     closed_form_ns2,
     is_violation,
-    ns2_orbit,
     ns2_value,
     ns2_values,
+    symmetry_orbit,
 )
 from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz, gghz_densities
@@ -140,10 +140,10 @@ def test_criterion_05_validity_region_property():
 def test_criterion_06_certifier_soundness_suite():
     start = time.perf_counter()
     vertices = hybrid_vertices()
-    assert len(vertices) == 288
+    assert len(vertices.vectors) == 288
 
-    for i in range(len(vertices)):
-        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]))
+    for i in range(len(vertices.vectors)):
+        result = lp_feasible(BehaviorTable(vertices.vectors[i].reshape((2,) * 6)))
         assert result.feasible and result.residual < 1e-9, i
 
     uniform = BehaviorTable(np.full((2, 2, 2, 2, 2, 2), 0.125))
@@ -158,7 +158,7 @@ def test_criterion_06_certifier_soundness_suite():
             for gamma in np.linspace(0.0, 1.0, 10):
                 checked += 1
                 table = behavior(state, float(theta), float(gamma))
-                if ns2_orbit(table).max() > 3.0 + 1e-12:
+                if (symmetry_orbit()[0] @ table.probs.reshape(64)).max() > 3.0 + 1e-12:
                     violating += 1
                     result = lp_feasible(table)
                     assert not result.feasible, (alpha, theta, gamma)

@@ -60,3 +60,32 @@ def test_bench_calls_the_one_state_api():
     schedule = cli.gamma_sequence(np.pi / 4, 0.001, 2)
     tables = cli.run_sequence(cli.build_gghz(0.4), 1.1, schedule, 2)
     assert len(tables) == 2 and all(t.probs.shape == (2,) * 6 for t in tables)
+
+
+def test_bench_reads_the_certified_tables_in_place(monkeypatch):
+    # workloads.py reads .probs, and .probs.reshape(64), from each table that
+    # it sees through cli.lp_feasible: in a certified run every one is the
+    # engine's table, read-only and of shape (2,)*6
+    from nsshare import cli
+    from nsshare.engine import run_stack
+    from nsshare.states import gghz_densities
+
+    seen = []
+    original = cli.lp_feasible
+
+    def recording(table, **kwargs):
+        seen.append(table)
+        return original(table, **kwargs)
+
+    monkeypatch.setattr(cli, "lp_feasible", recording)
+    config = cli.ExperimentConfig(n=2, certify=True, sweep_theta=(0.5, 0.7, 0.2))
+    cli.run_experiment(config)
+    thetas = list(cli.sweep_values(config.sweep_theta))
+    schedule = cli.gamma_sequence(config.delta, config.epsilon, config.n)
+    rounds = list(run_stack(gghz_densities([config.alpha] * len(thetas)), thetas, schedule, 2))
+    # the run certifies member by member, rounds 1..n each
+    expected = [tables[member] for member in range(len(thetas)) for tables in rounds]
+    assert len(seen) == len(expected) == 4
+    for table, probs in zip(seen, expected):
+        assert table.probs.shape == (2,) * 6 and not table.probs.flags.writeable
+        assert np.array_equal(table.probs, probs)

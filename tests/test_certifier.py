@@ -18,7 +18,6 @@ from nsshare.engine import (
 )
 from nsshare.inequality import (
     is_violation,
-    ns2_orbit,
     ns2_value,
     symmetry_name,
     symmetry_orbit,
@@ -49,15 +48,15 @@ def ghz_noise_table(distance: float) -> BehaviorTable:
 
 
 def scipy_member(table_vector, vertices):
-    a_eq = np.vstack([vertices.vectors.T, np.ones((1, len(vertices)))])
+    a_eq = np.vstack([vertices.vectors.T, np.ones((1, len(vertices.vectors)))])
     b_eq = np.append(table_vector, 1.0)
-    result = linprog(np.zeros(len(vertices)), A_eq=a_eq, b_eq=b_eq,
+    result = linprog(np.zeros(len(vertices.vectors)), A_eq=a_eq, b_eq=b_eq,
                      bounds=(0, None), method="highs")
     return result.status == 0
 
 
 def test_vertex_count_is_288():
-    assert len(hybrid_vertices()) == 288
+    assert len(hybrid_vertices().vectors) == 288
 
 
 def test_vertex_provenance_structure():
@@ -102,7 +101,7 @@ def test_membership_constraints_are_built_once_and_read_only(monkeypatch):
 def test_vertices_normalized_and_nonsignaling_exactly():
     vertices = hybrid_vertices()
     for vector in vertices.vectors:
-        table = BehaviorTable.from_vector(vector)
+        table = BehaviorTable(vector.reshape((2,) * 6))
         sums = table.probs.sum(axis=(3, 4, 5))
         assert np.array_equal(sums, np.ones((2, 2, 2)))
         residual, _ = no_signaling_residual(table)
@@ -141,11 +140,11 @@ def test_check_no_signaling_uniform():
 def test_every_vertex_self_feasible():
     vertices = hybrid_vertices()
     for i in (0, 17, 42, 95, 96, 160, 191, 192, 230, 287):
-        result = lp_feasible(BehaviorTable.from_vector(vertices.vectors[i]))
+        result = lp_feasible(BehaviorTable(vertices.vectors[i].reshape((2,) * 6)))
         assert result.feasible
         assert result.residual < 1e-12
         # the recovered mixture concentrates on copies of the same vertex
-        same = [j for j in range(len(vertices))
+        same = [j for j in range(len(vertices.vectors))
                 if np.array_equal(vertices.vectors[j], vertices.vectors[i])]
         assert result.weights[same].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -163,7 +162,7 @@ def test_uniform_feasible_with_group_structure():
 
 def test_group_weights_are_the_mixture_mass_per_bipartition(rng):
     vertices = hybrid_vertices()
-    weights = rng.random(len(vertices))
+    weights = rng.random(len(vertices.vectors))
     table = BehaviorTable(((weights / weights.sum()) @ vertices.vectors).reshape((2,) * 6))
     result = lp_feasible(table)
     for position, name in enumerate(BIPARTITIONS):
@@ -191,8 +190,8 @@ def assert_separates(result, table):
     s, bound = result.functional, result.bound
     assert s.shape == (64,)
     assert np.max(hybrid_vertices().vectors @ s) <= bound + 1e-12
-    assert s @ table.as_vector() - bound > 1e-12
-    assert result.margin == pytest.approx(s @ table.as_vector() - bound, abs=1e-15)
+    assert s @ table.probs.reshape(64) - bound > 1e-12
+    assert result.margin == pytest.approx(s @ table.probs.reshape(64) - bound, abs=1e-15)
 
 
 def count_lp_solves(monkeypatch) -> list:
@@ -215,7 +214,7 @@ def test_sharp_ghz_table_infeasible(monkeypatch):
     assert "genuinely nonsignal nonlocal: relabeling identity" in result.certificate
     assert result.bound == 3.0  # the inequality itself, unscaled
     assert not calls  # a violated relabeling decides without the LP
-    assert not scipy_member(table.as_vector(), hybrid_vertices())
+    assert not scipy_member(table.probs.reshape(64), hybrid_vertices())
 
 
 def test_two_round_tables_infeasible():
@@ -223,7 +222,7 @@ def test_two_round_tables_infeasible():
     for table in run_sequence(build_gghz(np.pi / 4), np.pi / 4, schedule, 2):
         result = lp_feasible(table)
         assert_separates(result, table)
-        assert not scipy_member(table.as_vector(), hybrid_vertices())
+        assert not scipy_member(table.probs.reshape(64), hybrid_vertices())
 
 
 def test_mixture_crossing_the_boundary():
@@ -251,13 +250,14 @@ def test_violation_just_above_the_bound_is_infeasible(distance):
     # the certificate names one of them
     flipped = BehaviorTable(bf_relabel(table.probs, (0, 1, 2), (3, 0, 3)))  # flip a and c
     assert not is_violation(ns2_value(flipped))
-    assert ns2_orbit(flipped).max() == pytest.approx(ns2_value(table), abs=1e-14)
     functionals, symmetries = symmetry_orbit()
+    assert (functionals @ flipped.probs.reshape(64)).max() == pytest.approx(ns2_value(table),
+                                                                             abs=1e-14)
     names = [symmetry_name(symmetry) for symmetry in symmetries]
     result = lp_feasible(flipped)
     assert not result.feasible
     source = result.certificate.split("relabeling ")[1].split(" gives NS2")[0]
-    assert is_violation(functionals[names.index(source)] @ flipped.as_vector())
+    assert is_violation(functionals[names.index(source)] @ flipped.probs.reshape(64))
 
 
 def test_input_relabeled_ghz_table_is_screened_by_its_orbit_image(monkeypatch):
@@ -275,21 +275,21 @@ def test_input_relabeled_ghz_table_is_screened_by_its_orbit_image(monkeypatch):
         assert "relabeling swap y gives NS2" in result.certificate
         assert result.bound == 3.0
     assert not calls
-    assert not scipy_member(BehaviorTable(sharp[:, ::-1].copy()).as_vector(), hybrid_vertices())
+    assert not scipy_member(sharp[:, ::-1].reshape(64), hybrid_vertices())
 
 
 def test_svetlichny_box_needs_the_lp(monkeypatch):
     # no image of the inequality exceeds 2 on the Svetlichny box, which lies
     # outside the polytope: the feasibility LP alone must find that
     table = svetlichny_table()
-    assert ns2_orbit(table).max() == pytest.approx(2.0, abs=1e-12)
+    assert (symmetry_orbit()[0] @ table.probs.reshape(64)).max() == pytest.approx(2.0, abs=1e-12)
     calls = count_lp_solves(monkeypatch)
     result = lp_feasible(table)
     assert_separates(result, table)
     assert "LP Farkas dual" in result.certificate
     assert np.max(np.abs(result.functional)) == 1.0
     assert len(calls) == 1
-    assert not scipy_member(table.as_vector(), hybrid_vertices())
+    assert not scipy_member(table.probs.reshape(64), hybrid_vertices())
 
 
 def warm_from(table: BehaviorTable) -> WarmStart:
@@ -314,7 +314,8 @@ def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
     for verdict in (result, cold):
         assert LOCAL_CERTIFICATE.fullmatch(verdict.certificate), verdict.certificate
     assert result.weights.min() >= 0.0
-    assert np.max(np.abs(hybrid_vertices().vectors.T @ result.weights - table.as_vector())) < 1e-9
+    recon = hybrid_vertices().vectors.T @ result.weights
+    assert np.max(np.abs(recon - table.probs.reshape(64))) < 1e-9
     assert np.flatnonzero(result.weights).size <= np.flatnonzero(start.x > 0).size
 
 
@@ -325,7 +326,7 @@ def test_warm_support_that_cannot_rebuild_the_table_falls_through_to_the_lp(
     # a single deterministic vertex's final tableau reaches neither table
     # within the dual-pivot cap (the uniform table it reaches in a few), and
     # a nonlocal verdict leaves no LP to continue from
-    vertex = BehaviorTable.from_vector(hybrid_vertices().vectors[0])
+    vertex = BehaviorTable(hybrid_vertices().vectors[0].reshape((2,) * 6))
     for warm in (warm_from(vertex), warm_from(svetlichny_table())):
         calls = count_lp_solves(monkeypatch)
         result = lp_feasible(table, warm=warm)
@@ -341,14 +342,14 @@ def test_warm_start_at_a_cap_of_zero_dual_pivots_gives_the_cold_verdict(monkeypa
     # each table takes a dual pivot from this start (the nonlocal one cannot
     # be reached at all), so at a cap of 0 one cold LP decides: scipy's verdict
     warm = warm_from(ghz_noise_table(-5e-2))
-    needs = simplex.resolve(warm.lp, np.append(table.as_vector(), 1.0))
+    needs = simplex.resolve(warm.lp, np.append(table.probs.reshape(64), 1.0))
     assert needs is None or needs.iterations > 0
     monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 0)
     calls = count_lp_solves(monkeypatch)
     result = lp_feasible(table, warm=warm)
     assert len(calls) == 1
     assert result.certificate == lp_feasible(table).certificate
-    assert result.feasible == scipy_member(table.as_vector(), hybrid_vertices())
+    assert result.feasible == scipy_member(table.probs.reshape(64), hybrid_vertices())
 
 
 def test_warm_weights_that_do_not_verify_fall_through_to_the_lp(monkeypatch):
@@ -428,7 +429,7 @@ def test_feasibility_matches_scipy_on_random_mixtures(rng):
     sharp = behavior(build_gghz(np.pi / 4), np.pi / 4, 1.0).probs
     for _ in range(15):
         if rng.random() < 0.5:
-            weights = rng.random(len(vertices))
+            weights = rng.random(len(vertices.vectors))
             weights /= weights.sum()
             probs = (weights @ vertices.vectors).reshape((2,) * 6)
         else:
@@ -436,7 +437,7 @@ def test_feasibility_matches_scipy_on_random_mixtures(rng):
             probs = lam * sharp + (1 - lam) * np.full((2, 2, 2, 2, 2, 2), 0.125)
         table = BehaviorTable(probs)
         ours = lp_feasible(table).feasible
-        reference = scipy_member(table.as_vector(), vertices)
+        reference = scipy_member(table.probs.reshape(64), vertices)
         assert ours == reference
 
 
@@ -448,10 +449,10 @@ def test_lp_feasible_rejects_signaling_input():
 
 def test_feasible_weights_reconstruct_table(rng):
     vertices = hybrid_vertices()
-    weights = rng.random(len(vertices))
+    weights = rng.random(len(vertices.vectors))
     weights /= weights.sum()
     table = BehaviorTable((weights @ vertices.vectors).reshape((2,) * 6))
     result = lp_feasible(table)
     assert result.feasible
     recon = vertices.vectors.T @ result.weights
-    assert np.max(np.abs(recon - table.as_vector())) < 1e-9
+    assert np.max(np.abs(recon - table.probs.reshape(64))) < 1e-9

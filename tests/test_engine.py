@@ -323,6 +323,26 @@ def test_run_stack_refuses_what_a_state_refuses(name):
     assert str(stacked.value) == str(single.value) == message
 
 
+SINGLE_STATE_CALLS = {
+    "behavior": lambda rho: behavior(rho, 0.5, 0.5),
+    "luders_update": lambda rho: luders_update(rho, 0.5, 0.5),
+    "run_sequence": lambda rho: run_sequence(rho, 0.5, gamma_sequence(np.pi / 4, 0.001, 1), 1),
+}
+
+
+@pytest.mark.parametrize("call", SINGLE_STATE_CALLS)
+@pytest.mark.parametrize("rho, message", [
+    (np.zeros(8), "tripartite state must be 8x8, got (8,)"),
+    (np.zeros((2, 8, 8)), "tripartite state must be 8x8, got (2, 8, 8)"),
+    (np.full(8, "abc"), "density operator must be numeric, got dtype <U3"),
+    (np.eye(4) / 4, "tripartite state must be 8x8, got (4, 4)"),
+], ids=["1-D", "stack", "strings", "4x4"])
+def test_single_state_calls_name_the_callers_shape(call, rho, message):
+    # the N = 1 calls check a stack of one, but a refused shape is the caller's
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SINGLE_STATE_CALLS[call](rho)
+
+
 def test_stack_members_keep_their_own_initial_states():
     # a stack of (state, theta) members gives each member's N = 1 tables, bit for bit
     schedule = gamma_sequence(0.1, 0.001, 3)
@@ -479,7 +499,7 @@ def test_behavior_table_rejects_non_finite_entries():
         probs = np.full(64, 0.125)
         probs[position] = value
         with pytest.raises(ValueError, match=rf"\({TABLE_KEYS[position]}\) must be finite"):
-            BehaviorTable.from_vector(probs)
+            BehaviorTable(probs.reshape((2,) * 6))
 
 
 def test_behavior_table_rejects_bad_normalization():
@@ -489,8 +509,15 @@ def test_behavior_table_rejects_bad_normalization():
         BehaviorTable(probs)
 
 
-def test_behavior_table_vector_round_trip(rng):
+def test_behavior_table_vector_round_trip():
+    # probs.reshape(64), which the certifier reads, is a view of the table's
+    # read-only entries, and the constructor refuses a table of any other shape
     table = quantum_table(0.7, 0.4, 0.8)
-    rebuilt = BehaviorTable.from_vector(table.as_vector())
-    assert np.array_equal(rebuilt.probs, table.probs)
+    vector = table.probs.reshape(64)
+    assert np.shares_memory(vector, table.probs) and not vector.flags.writeable
+    assert np.array_equal(BehaviorTable(vector.reshape((2,) * 6)).probs, table.probs)
+    for shape in ((64,), (2,) * 5, (1,) + (2,) * 6):
+        with pytest.raises(ValueError, match=re.escape(
+                f"behavior table must have shape (2,)*6, got {shape}")):
+            BehaviorTable(np.full(shape, 0.125))
 

@@ -11,7 +11,6 @@ from nsshare.inequality import (
     NS2_BOUND,
     closed_form_ns2,
     is_violation,
-    ns2_orbit,
     ns2_value,
     ns2_values,
     symmetry_name,
@@ -136,7 +135,7 @@ def test_closed_form_examples():
 
 
 @pytest.mark.parametrize("variant", ["printed", "normalized"])
-def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant):
+def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant, rng):
     # a run evaluates the closed form once per round over its whole theta axis;
     # each entry must carry the bits of the scalar call the reports used to make
     thetas = sweep_values((0.01, np.pi / 2, 0.01))
@@ -151,6 +150,12 @@ def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant):
             assert np.array_equal(values, singles)
             oracle = [bf_closed_form(k, alpha, theta, schedule.gammas) for theta in thetas]
             assert np.max(np.abs(values - oracle)) < 1e-12
+    # round 1 takes the general form with an empty product: the bits of
+    # 1 + (1 + gamma_1) base on seeded (alpha, theta) arrays
+    alphas, angles = rng.uniform(0, np.pi / 2, (2, 20000))
+    base = np.cos(angles) + np.sin(angles) * np.sin(2 * alphas)
+    for g in (schedule.gammas[0], *rng.uniform(0, 1, 5)):
+        assert np.array_equal(closed_form_ns2(1, alphas, angles, [g]), 1 + (1 + g) * base)
 
 
 def test_closed_form_validates():
@@ -210,16 +215,17 @@ def test_ns2_linearity(rng):
 
 def test_ns2_bounded_on_vertex_mixtures(rng):
     vertices = hybrid_vertices()
-    vertex_values = np.array([ns2_value(BehaviorTable.from_vector(v)) for v in vertices.vectors])
+    vertex_values = np.array([ns2_value(BehaviorTable(v.reshape((2,) * 6)))
+                              for v in vertices.vectors])
     assert vertex_values.max() <= 3.0 + 1e-12
     for _ in range(1000):
-        weights = rng.random(len(vertices))
+        weights = rng.random(len(vertices.vectors))
         weights /= weights.sum()
         # by linearity the mixture's value is the weighted vertex value
         assert float(weights @ vertex_values) <= 3.0 + 1e-9
     # spot-check linearity on actual mixed tables
     for _ in range(10):
-        weights = rng.random(len(vertices))
+        weights = rng.random(len(vertices.vectors))
         weights /= weights.sum()
         mixed = BehaviorTable((weights @ vertices.vectors).reshape((2,) * 6))
         assert ns2_value(mixed) <= 3.0 + 1e-9
@@ -228,14 +234,14 @@ def test_ns2_bounded_on_vertex_mixtures(rng):
 
 def test_ns2_relabelings_count_and_bound(rng):
     table = uniform_table()
-    values = ns2_orbit(table)
+    values = symmetry_orbit()[0] @ table.probs.reshape(64)
     assert values.shape == (768,)
     assert np.max(np.abs(values)) < 1e-12
     # polytope members stay below the bound in every image of the inequality
     vertices = hybrid_vertices()
-    for index in rng.integers(0, len(vertices), size=10):
-        vertex = BehaviorTable.from_vector(vertices.vectors[index])
-        assert ns2_orbit(vertex).max() <= 3.0 + 1e-12
+    for index in rng.integers(0, len(vertices.vectors), size=10):
+        vertex = BehaviorTable(vertices.vectors[index].reshape((2,) * 6))
+        assert (symmetry_orbit()[0] @ vertex.probs.reshape(64)).max() <= 3.0 + 1e-12
     # as functionals of the 64 entries the images are distinct, and each
     # attains exactly 3 on the vertices
     functionals, symmetries = symmetry_orbit()
@@ -264,7 +270,7 @@ def test_ns2_relabelings_match_flipped_tables(rng):
     for _ in range(25):
         table = behavior(build_gghz(rng.uniform(0, np.pi / 2)), rng.uniform(0, np.pi / 2),
                          rng.uniform(0, 1))
-        values = ns2_orbit(table)
+        values = symmetry_orbit()[0] @ table.probs.reshape(64)
         assert values[0] == pytest.approx(ns2_value(table), abs=1e-14)
         for r in rng.integers(0, len(symmetries), size=40):
             order, local = symmetries[r][:3], symmetries[r][3:]

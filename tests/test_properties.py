@@ -56,7 +56,7 @@ def test_vertex_mixture_verdict_is_symmetric(mixture):
     vectors = hybrid_vertices().vectors
     weights = np.array([w for _, w in mixture])
     vector = weights @ vectors[[i for i, _ in mixture]] / weights.sum()
-    assert relabeled_verdicts(BehaviorTable.from_vector(vector)) == {True}
+    assert relabeled_verdicts(BehaviorTable(vector.reshape((2,) * 6))) == {True}
 
 
 @PROPERTY_SETTINGS
@@ -97,7 +97,7 @@ def test_near_boundary_verdict_matches_inequality_and_its_certificate_holds(dist
     lam = (3.0 + distance) / (1 + 2 * np.sqrt(2))
     table = BehaviorTable(bf_relabel(lam * sharp + (1 - lam) * np.full((2,) * 6, 0.125),
                                      *symmetry))
-    target, vectors = table.as_vector(), hybrid_vertices().vectors
+    target, vectors = table.probs.reshape(64), hybrid_vertices().vectors
     result = lp_feasible(table)
     assert result.feasible is (distance < 0)
     if result.feasible:
