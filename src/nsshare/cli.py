@@ -61,6 +61,10 @@ def _checked(key: str, check: Callable, value):
         raise ConfigError(f"{key} is too large for a float") from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def parse_angle(value) -> float:
     """Angles in radians; 'pi'-literals like 'pi/4', '3pi/8' or '0.5*pi' stay exact."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -159,7 +163,7 @@ class ExperimentConfig:
     out_csv: str | None = None
     out_json: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ConfigError(f"n must be an integer, got {self.n!r}")
         for name in ("auto_delta", "certify"):
@@ -167,7 +171,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("alpha", "theta", "delta", "epsilon"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_number(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
             if not _checked(name, math.isfinite, value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -177,8 +181,11 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.recursion not in RECURSION_VARIANTS + ("both",):
             raise ConfigError(f"recursion must be printed, normalized or both, got {self.recursion!r}")
-        for name in _CONFIG_SWEEPS:  # a config built in code skips build_config
-            _checked(name, parse_sweep, getattr(self, name))
+        for name, value in zip(_CONFIG_SWEEPS, (self.sweep_delta, self.sweep_theta, self.sweep_alpha)):
+            if value is not None and not (isinstance(value, tuple) and len(value) == 3
+                                          and all(map(_is_number, value))):
+                raise ConfigError(f"{name} must be three numbers (start, stop, step), got {value!r}")
+            _checked(name, parse_sweep, value)
         if self.auto_delta and self.sweep_delta is not None:
             raise ConfigError("auto_delta and sweep_delta are mutually exclusive")
         for name in ("out_csv", "out_json"):
@@ -224,14 +231,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             parse = parse_angle if key in _CONFIG_ANGLES else parse_sweep
             merged[key] = _checked(key, parse, merged[key])
     epsilon = merged.get("epsilon")
-    if isinstance(epsilon, str):  # a config file may give "2e-3"; validate checks the rest
+    if isinstance(epsilon, str):  # a config file may give "2e-3"; the config checks the rest
         try:
             merged["epsilon"] = float(epsilon)
         except ValueError:
             raise ConfigError(f"epsilon must be a finite number, got {epsilon!r}") from None
-    config = ExperimentConfig(**merged)
-    config.validate()
-    return config
+    return ExperimentConfig(**merged)
 
 
 def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, rounds: int):
@@ -282,12 +287,6 @@ def _round_rows(schedule, thetas, alphas, rounds: int, warm: WarmStart | None) -
         yield from zip(chunk_thetas, chunk_alphas, zip(*columns))
 
 
-def _params_dict(config: ExperimentConfig) -> dict:
-    params = asdict(config)
-    del params["out_csv"], params["out_json"]
-    return params
-
-
 def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Iterator[tuple]:
     """Yields (delta, schedule, theta, alpha, rows) over the run's (delta, alpha, theta) grid.
 
@@ -308,7 +307,6 @@ def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Ite
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
-    config.validate()
     csv_lines = [CSV_HEADER] if config.out_csv else None
     warm = WarmStart() if config.certify else None  # one per run: nothing carries over
     variants_summary = {}
@@ -352,8 +350,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         if config.certify:
             point["certifier_verdicts"] = {str(row[0]): row[-1] for row in rows}
         variants_summary[variant] = point
+    params = asdict(config)
+    del params["out_csv"], params["out_json"]
     mode = "sweep" if config.is_sweep else "point"
-    summary = {"mode": mode, "params": _params_dict(config), "variants": variants_summary}
+    summary = {"mode": mode, "params": params, "variants": variants_summary}
     if config.out_csv:
         atomic_write_text(config.out_csv, "\n".join(csv_lines) + "\n")
     if config.out_json:
@@ -422,11 +422,11 @@ def main(argv=None) -> int:
                        if key != "out_json" and getattr(args, key) is not None]
             if ignored:
                 raise ConfigError(f"--certify-table takes only --out-json, got {', '.join(ignored)}")
-            ExperimentConfig(out_json=args.out_json).validate()  # a run's rule for its report
+            ExperimentConfig(out_json=args.out_json)  # a run's rule for its report
             return _certify_table_command(args.certify_table, args.out_json)
         config = build_config(args)
         summary = run_experiment(config)
-    except (ConfigError, ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for variant, data in summary["variants"].items():

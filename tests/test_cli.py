@@ -402,9 +402,9 @@ def test_report_write_failure_names_the_requested_path(tmp_path, capsys, flag, t
 def test_config_integer_beyond_float_range_is_refused_when_built_in_code():
     for name in ("alpha", "epsilon"):
         with pytest.raises(ConfigError, match=f"^{name} is too large for a float$"):
-            ExperimentConfig(**{name: HUGE}).validate()
+            ExperimentConfig(**{name: HUGE})
     with pytest.raises(ConfigError, match="^sweep_theta is too large for a float$"):
-        ExperimentConfig(sweep_theta=(0.1, HUGE, 0.1)).validate()
+        ExperimentConfig(sweep_theta=(0.1, HUGE, 0.1))
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -418,27 +418,33 @@ def test_config_rejects_unknown_key(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ExperimentConfig(n=0).validate()
+        ExperimentConfig(n=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(epsilon=0.0).validate()
+        ExperimentConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(recursion="other").validate()
+        ExperimentConfig(recursion="other")
     with pytest.raises(ConfigError):
-        ExperimentConfig(auto_delta=True, sweep_delta=(0.1, 0.2, 0.1)).validate()
+        ExperimentConfig(auto_delta=True, sweep_delta=(0.1, 0.2, 0.1))
     with pytest.raises(ConfigError):
-        ExperimentConfig(out_csv="  ").validate()
+        ExperimentConfig(out_csv="  ")
     # sweeps given in code get the checks of parse_sweep, grid bound included
     for spec in ((0.1, 0.3, 0.0), (0.3, 0.1, 0.1), (0.1, float("nan"), 0.1), (0.1, 0.3, 1e-12)):
         with pytest.raises(ConfigError, match="^sweep "):
-            ExperimentConfig(sweep_theta=spec).validate()
+            ExperimentConfig(sweep_theta=spec)
+    # and must be a tuple of three numbers: a string is no number, so none reaches the run
+    for spec in ("0.1:0.5:0.1", ("0.1", "0.5", "0.1"), (0.1, 0.5), [0.1, 0.5, 0.1],
+                 (0.1, True, 0.1)):
+        message = f"sweep_theta must be three numbers (start, stop, step), got {spec!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(sweep_theta=spec)
     # so do the angles and epsilon: a bool or a string is no number, and no TypeError escapes
     for name, value in (("epsilon", True), ("alpha", False), ("theta", "0.7"), ("delta", None),
                         ("epsilon", [1e-3]), ("alpha", np.bool_(True))):
         message = f"^{name} must be a finite number, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match=message):
-            ExperimentConfig(**{name: value}).validate()
+            ExperimentConfig(**{name: value})
     for name, value in (("theta", np.float64(0.7)), ("delta", np.int64(1)), ("epsilon", 1)):
-        ExperimentConfig(**{name: value}).validate()
+        ExperimentConfig(**{name: value})
 
 
 def test_point_run_two_rounds(tmp_path):
