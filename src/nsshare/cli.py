@@ -28,7 +28,7 @@ import numpy as np
 from .behavior_io import atomic_write_text, import_behavior, read_json
 from .certifier import WarmStart, lp_feasible
 # perfbench/layers.py wraps cli.run_sequence and cli.build_gghz, so both stay importable
-from .engine import BehaviorTable, run_sequence, run_stack  # noqa: F401
+from .engine import BehaviorTable, check_thetas, run_sequence, run_stack  # noqa: F401
 from .inequality import closed_form_ns2, is_violation, ns2_value, ns2_values
 from .measurements import RECURSION_VARIANTS, gamma_sequence, validity_region
 from .states import build_gghz, gghz_densities  # noqa: F401
@@ -164,6 +164,12 @@ class ExperimentConfig:
     out_json: str | None = None
 
     def __post_init__(self) -> None:
+        # a numpy number computes and reports as the built-in int or float of its value
+        for name in ("alpha", "theta", "delta", "epsilon") + _CONFIG_SWEEPS:
+            value = getattr(self, name)
+            values = [v.item() if isinstance(v, (np.integer, np.floating)) else v
+                      for v in (value if isinstance(value, tuple) else (value,))]
+            object.__setattr__(self, name, tuple(values) if isinstance(value, tuple) else values[0])
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise ConfigError(f"n must be an integer, got {self.n!r}")
         for name in ("auto_delta", "certify"):
@@ -194,10 +200,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a nonempty path when given, got {value!r}")
 
     @property
-    def variants(self) -> tuple[str, ...]:
-        return RECURSION_VARIANTS if self.recursion == "both" else (self.recursion,)
-
-    @property
     def is_sweep(self) -> bool:
         return any(s is not None for s in (self.sweep_delta, self.sweep_theta, self.sweep_alpha))
 
@@ -207,21 +209,14 @@ _CONFIG_SWEEPS = ("sweep_delta", "sweep_theta", "sweep_alpha")
 _CONFIG_KEYS = tuple(field.name for field in fields(ExperimentConfig))
 
 
-def load_config_file(path: str) -> dict:
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a flat JSON object")
-    for key in data:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
-    return data
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config file, then flags (flags win on conflict)."""
-    merged: dict = {}
-    if args.config is not None:
-        merged.update(load_config_file(args.config))
+    merged = read_json(args.config) if args.config is not None else {}
+    if not isinstance(merged, dict):
+        raise ConfigError(f"{args.config}: config must be a flat JSON object")
+    for key in merged:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{args.config}: unknown config key {key!r}")
     for key in _CONFIG_KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -239,70 +234,57 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
-def _resolve_schedule(config: ExperimentConfig, variant: str, delta: float, rounds: int):
-    """Schedule for one variant; --auto-delta replaces delta by the search result.
-
-    Refuses a schedule whose valid prefix is shorter than rounds.
-    """
-    if config.auto_delta:
-        delta = validity_region(config.n, config.epsilon, variant)
-        if delta is None:
-            raise ConfigError(
-                f"auto_delta: no valid delta exists for n={config.n} ({variant})"
-            )
-    schedule = gamma_sequence(delta, config.epsilon, config.n, variant)
-    if schedule.valid_upto < rounds:
-        raise ConfigError(
-            f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]!r} "
-            f"leaves [0, 1] at delta={float(delta)!r} ({variant}); "
-            f"valid_upto={schedule.valid_upto}. Reduce --n or pass --auto-delta."
-        )
-    return delta, schedule
-
-
-def _round_rows(schedule, thetas, alphas, rounds: int, warm: WarmStart | None) -> Iterator[tuple]:
-    """Yields (theta, alpha, rows of rounds 1..rounds) per pair, theta-major.
-
-    Each row is a tuple of the ROW_KEYS fields.  The pairs run in that order
-    through engine stacks of at most THETA_CHUNK members, so a sweep's memory
-    grows with neither its theta nor its alpha axis.  Given warm, each table's
-    LP continues from the run's latest local one, which lies near the same face.
-    """
-    pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
-    while chunk := list(islice(pairs, THETA_CHUNK)):
-        chunk_thetas = [thetas[i] for i, _ in chunk]
-        chunk_alphas = [alphas[j] for _, j in chunk]
-        columns = []  # per round: an iterator over its members' rows
-        for k, round_tables in enumerate(run_stack(gghz_densities(chunk_alphas), chunk_thetas,
-                                                   schedule, rounds), start=1):
-            oracle = ns2_values(round_tables)
-            closed = closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas)
-            verdicts = (lp_feasible(BehaviorTable._from_checked(probs), warm=warm).feasible
-                        for probs in round_tables) if warm is not None else repeat(None)
-            columns.append(zip(repeat(k), repeat(schedule.gammas[k - 1]), oracle.tolist(),
-                               closed.tolist(), abs(oracle - closed).tolist(),
-                               is_violation(oracle).tolist(), verdicts))
-        # zip(*columns) draws member by member, rounds 1..rounds, so the
-        # certifier sees the tables in report order, which its warm start follows
-        yield from zip(chunk_thetas, chunk_alphas, zip(*columns))
-
-
 def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Iterator[tuple]:
     """Yields (delta, schedule, theta, alpha, rows) over the run's (delta, alpha, theta) grid.
 
     Each axis is its sweep or the single configured value, so a point run is
     the one-point grid.  A point run needs all n rounds, a sweep row runs the
-    schedule's valid rounds but at least one.
+    schedule's valid rounds but at least one; a row is a tuple of the ROW_KEYS
+    fields.  The (theta, alpha) pairs run theta-major in engine stacks of at
+    most THETA_CHUNK, so a sweep's memory grows with neither axis.  Given warm,
+    each table's LP continues from the run's latest local one, near the same face.
     """
     deltas = sweep_values(config.sweep_delta) if config.sweep_delta else [config.delta]
     thetas = sweep_values(config.sweep_theta) if config.sweep_theta else [config.theta]
     alphas = sweep_values(config.sweep_alpha) if config.sweep_alpha else [config.alpha]
+    # every axis rises into an interval range, so one that leaves it does so at an end
+    if not config.auto_delta:  # the search does not use delta
+        for end in (deltas[0], deltas[-1]):
+            gamma_sequence(end, config.epsilon, 1, variant)
+    gghz_densities([alphas[0], alphas[-1]])
+    check_thetas([thetas[0], thetas[-1]])
     needed = 1 if config.is_sweep else config.n
     for delta in deltas:
-        resolved_delta, schedule = _resolve_schedule(config, variant, delta, needed)
+        if config.auto_delta:
+            delta = validity_region(config.n, config.epsilon, variant)
+            if delta is None:
+                raise ConfigError(f"auto_delta: no valid delta exists for n={config.n} "
+                                  f"({variant})")
+        schedule = gamma_sequence(delta, config.epsilon, config.n, variant)
+        if schedule.valid_upto < needed:
+            raise ConfigError(
+                f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]!r} "
+                f"leaves [0, 1] at delta={float(delta)!r} ({variant}); "
+                f"valid_upto={schedule.valid_upto}. Reduce --n or pass --auto-delta.")
         rounds = min(config.n, schedule.valid_upto)
-        for theta, alpha, rows in _round_rows(schedule, thetas, alphas, rounds, warm):
-            yield resolved_delta, schedule, theta, alpha, rows
+        pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
+        while chunk := list(islice(pairs, THETA_CHUNK)):
+            chunk_thetas = [thetas[i] for i, _ in chunk]
+            chunk_alphas = [alphas[j] for _, j in chunk]
+            columns = []  # per round: an iterator over its members' rows
+            for k, round_tables in enumerate(run_stack(gghz_densities(chunk_alphas),
+                                                       chunk_thetas, schedule, rounds), start=1):
+                oracle = ns2_values(round_tables)
+                closed = closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas)
+                verdicts = (lp_feasible(BehaviorTable._from_checked(probs), warm=warm).feasible
+                            for probs in round_tables) if warm is not None else repeat(None)
+                columns.append(zip(repeat(k), repeat(schedule.gammas[k - 1]), oracle.tolist(),
+                                   closed.tolist(), abs(oracle - closed).tolist(),
+                                   is_violation(oracle).tolist(), verdicts))
+            # zip(*columns) draws member by member, rounds 1..rounds, so the
+            # certifier sees the tables in report order, which its warm start follows
+            for theta, alpha, rows in zip(chunk_thetas, chunk_alphas, zip(*columns)):
+                yield delta, schedule, theta, alpha, rows
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -310,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     csv_lines = [CSV_HEADER] if config.out_csv else None
     warm = WarmStart() if config.certify else None  # one per run: nothing carries over
     variants_summary = {}
-    for variant in config.variants:
+    for variant in RECURSION_VARIANTS if config.recursion == "both" else (config.recursion,):
         points = row_count = violations = 0
         best_ns2, best_violating = -math.inf, (0, -math.inf)  # below every row's ns2, (k, ns2)
         max_ns2 = max_violating = None

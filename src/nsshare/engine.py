@@ -297,6 +297,13 @@ def behavior(rho, theta: float, gamma_k: float) -> BehaviorTable:
     return BehaviorTable(_behavior_stack(check_densities(_stack_of_one(rho)), effects)[0])
 
 
+def check_thetas(thetas) -> None:
+    """Refuses the first Charlie angle outside (0, pi/2)."""
+    for theta in thetas:
+        if not 0.0 < theta < np.pi / 2:
+            raise ValueError(f"theta must lie in (0, pi/2), got {float(theta)!r}")
+
+
 def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np.ndarray]:
     """Behavior tables of rounds 1..rounds for every member (rhos[n], thetas[n]).
 
@@ -317,9 +324,7 @@ def run_stack(rhos, thetas, schedule: GammaSchedule, rounds: int) -> Iterator[np
             f"rounds={rounds} exceeds the schedule's valid prefix "
             f"(valid_upto={schedule.valid_upto})"
         )
-    for theta in thetas:
-        if not 0.0 < theta < np.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {float(theta)!r}")
+    check_thetas(thetas)
     for k in range(rounds):
         effects, roots = charlie_setting(thetas, schedule.gammas[k])
         tables = _behavior_stack(rhos, effects)

@@ -54,6 +54,21 @@ def test_summary_quartiles_and_pairs_won(tmp_path):
     assert summary["failed_ops"] == {"parent": 0, "change": 0}
 
 
+@pytest.mark.parametrize("change, over", [([1.24, 1.25, 1.26], False), ([1.25, 1.26, 1.27], True)],
+                         ids=["within", "over"])
+def test_summary_marks_a_row_over_its_bound(tmp_path, capsys, change, over):
+    # batch_cpu_s has bound 0.25: a median of 1.25 against 1.0 is at it, 1.26 past it
+    write_records(tmp_path / "parent", [0.9, 1.0, 1.1])
+    write_records(tmp_path / "change", change)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(out)]
+    assert bench_summary.main(argv) == 0
+    row = json.loads(out.read_text())["workloads"]["audit"]["batch_cpu_s"]
+    assert row["bound"] == 0.25 and row["over_bound"] is over
+    assert capsys.readouterr().out.rstrip().endswith("OVER BOUND") is over
+
+
 def test_summary_reports_the_traced_cli_main_self_time(tmp_path):
     # the layer in which argument parsing runs
     write_records(tmp_path / "parent", [0.06, 0.07, 0.05], metric="cli.main.self_s", trace=1)

@@ -447,6 +447,22 @@ def test_config_validation():
         ExperimentConfig(**{name: value})
 
 
+@pytest.mark.parametrize("given, built_in", [
+    ({"n": 2, "theta": np.float32(0.7)}, {"n": 2, "theta": float(np.float32(0.7))}),
+    ({"epsilon": np.int64(1)}, {"epsilon": 1}),
+    ({"sweep_alpha": (np.int64(0), np.float32(0.5), np.float64(0.25))},
+     {"sweep_alpha": (0, float(np.float32(0.5)), 0.25)}),
+], ids=["float32-theta", "int64-epsilon", "numpy-sweep"])
+def test_numpy_numbers_run_as_built_in_numbers(tmp_path, given, built_in):
+    # a float32 angle once ran in float32, and no numpy number could be written to the JSON
+    reports = []
+    for tag, entries in (("given", given), ("built_in", built_in)):
+        paths = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        run_experiment(ExperimentConfig(out_csv=str(paths[0]), out_json=str(paths[1]), **entries))
+        reports.append([path.read_bytes() for path in paths])
+    assert reports[0] == reports[1]
+
+
 def test_point_run_two_rounds(tmp_path):
     csv_path = tmp_path / "out.csv"
     json_path = tmp_path / "out.json"
@@ -535,7 +551,7 @@ def test_truncation_message_prints_the_values_it_tested(capsys):
     )
 
 
-def test_auto_delta_keeps_schedule_valid(tmp_path):
+def test_auto_delta_keeps_schedule_valid(tmp_path, capsys):
     json_path = tmp_path / "out.json"
     config = ExperimentConfig(n=3, auto_delta=True, out_json=str(json_path))
     summary = run_experiment(config)
@@ -543,6 +559,16 @@ def test_auto_delta_keeps_schedule_valid(tmp_path):
     assert printed["valid_upto"] >= 3
     assert all(0.0 <= g <= 1.0 for g in printed["gammas"][:3])
     assert printed["delta"] == pytest.approx(validity_region(3, 1e-3), abs=0)
+    # a sweep row takes the search result too, per variant
+    summary = run_experiment(ExperimentConfig(n=3, auto_delta=True, recursion="both",
+                                              sweep_theta=(0.1, 0.3, 0.1)))
+    for variant, delta in (("printed", 0.282520237496187), ("normalized", math.pi / 4)):
+        sweep = summary["variants"][variant]
+        assert sweep["max_ns2"]["delta"] == validity_region(3, 1e-3, variant) == delta
+        assert (sweep["points"], sweep["rows"]) == (3, 9)
+    # and a search that finds no delta is refused
+    assert main(["--n", "11", "--auto-delta"]) == 1
+    assert capsys.readouterr().err == "error: auto_delta: no valid delta exists for n=11 (printed)\n"
 
 
 def test_sweep_summary_and_determinism(tmp_path):
@@ -955,6 +981,21 @@ def test_cli_refuses_theta_axis_touching_zero(capsys):
     code = main(["--n", "2", "--sweep-theta", "0:pi/2:0.5"])
     assert code == 1
     assert capsys.readouterr().err == "error: theta must lie in (0, pi/2), got 0.0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep-alpha", "0.0001:1.58:0.0001"], "alpha must lie in [0, pi/2], got 1.58"),
+    (["--sweep-theta", "0.01:1.6:0.001"], "theta must lie in (0, pi/2), got 1.6"),
+    (["--sweep-delta", "0.01:0.8:0.01"], "delta must lie in (0, pi/4], got 0.8"),
+], ids=["alpha", "theta", "delta"])
+def test_cli_refuses_an_axis_leaving_its_range_before_any_stack(tmp_path, capsys, monkeypatch,
+                                                                argv, message):
+    # each axis rises, so the refusal names its last value
+    monkeypatch.setattr(cli, "run_stack", lambda *args: pytest.fail("a stack ran"))
+    reports = [tmp_path / "out.csv", tmp_path / "out.json"]
+    assert main(argv + ["--n", "2", "--out-csv", str(reports[0]), "--out-json", str(reports[1])]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(path.exists() for path in reports)
 
 
 def test_cli_reports_config_errors(capsys):

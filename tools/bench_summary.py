@@ -4,7 +4,9 @@ Each side is a checkout whose .perfbench_run/results/ holds the records that
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace {0|1}`
 wrote there.  Untraced records (--trace 0) give, per workload and end-to-end
 metric of BENCHMARK.json, each side's median, Q1 and Q3 over its seeds, and
-how many seed pairs the change won (ties count for neither side).  Traced
+how many seed pairs the change won (ties count for neither side), and
+whether the change's median is worse than the parent's by more than the
+metric's bound times the parent's median (over_bound).  Traced
 records (--trace 1) give the same for the per-layer metrics in LAYER_METRICS.
 Each side's src/nsshare/*.py line count is recorded as src_lines.
 
@@ -101,7 +103,10 @@ def summarise(parent_dir: str, change_dir: str) -> dict:
         for metric in benchmark["end_to_end"]:
             row = compare(parent, change, workload, 0, metric["name"], metric["better"])
             if row is not None:
-                rows[metric["name"]] = dict(row, bound=metric["bound"])
+                sign = 1.0 if metric["better"] == "lower" else -1.0
+                worse_by = sign * (row["change"]["median"] - row["parent"]["median"])
+                over = worse_by > metric["bound"] * abs(row["parent"]["median"])
+                rows[metric["name"]] = dict(row, bound=metric["bound"], over_bound=over)
         for name in LAYER_METRICS:
             row = compare(parent, change, workload, 1, name, layer_better[name])
             if row is not None:
@@ -143,7 +148,8 @@ def main(argv=None) -> int:
             p, c = row["parent"], row["change"]
             print(f"{workload:14s} {name:45s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f" -> {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f"  better in {row['change_better_in']}/{row['pairs']}")
+                  f"  better in {row['change_better_in']}/{row['pairs']}"
+                  + ("  OVER BOUND" if row.get("over_bound") else ""))
     return 0
 
 
