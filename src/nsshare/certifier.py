@@ -24,7 +24,7 @@ from . import simplex
 from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
 from .inequality import VIOLATION_GUARD, is_violation, symmetry_name, symmetry_orbit
 
-RESIDUAL_ATOL = 1e-9
+RESIDUAL_ATOL = simplex.FEASIBILITY_TOL
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 
@@ -180,14 +180,14 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
 
     b = np.append(target, 1.0)
     if warm is not None and warm.lp is not None:
-        result = simplex.resolve(warm.lp, b, tol=RESIDUAL_ATOL)
+        result = simplex.resolve(warm.lp, b)
         if result is not None and result.feasible:
             verdict = _local(vertex_set, result.x, target)
             if verdict is not None:
                 warm.lp = result
                 return verdict
 
-    result = simplex.solve(vertex_set.constraints, b, tol=RESIDUAL_ATOL)
+    result = simplex.solve(vertex_set.constraints, b)
     if result.feasible:
         verdict = _local(vertex_set, result.x, target)
         if verdict is not None and warm is not None:

@@ -165,7 +165,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # a numpy number computes and reports as the built-in int or float of its value
-        for name in ("alpha", "theta", "delta", "epsilon") + _CONFIG_SWEEPS:
+        for name in ("n", "alpha", "theta", "delta", "epsilon") + _CONFIG_SWEEPS:
             value = getattr(self, name)
             values = [v.item() if isinstance(v, (np.integer, np.floating)) else v
                       for v in (value if isinstance(value, tuple) else (value,))]
@@ -247,10 +247,19 @@ def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Ite
     deltas = sweep_values(config.sweep_delta) if config.sweep_delta else [config.delta]
     thetas = sweep_values(config.sweep_theta) if config.sweep_theta else [config.theta]
     alphas = sweep_values(config.sweep_alpha) if config.sweep_alpha else [config.alpha]
-    # every axis rises into an interval range, so one that leaves it does so at an end
+
+    def refuse_truncated(delta, schedule, needed):
+        if schedule.valid_upto < needed:
+            raise ConfigError(
+                f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]!r} "
+                f"leaves [0, 1] at delta={float(delta)!r} ({variant}); "
+                f"valid_upto={schedule.valid_upto}. Reduce --n or pass --auto-delta.")
+
+    # every axis rises into an interval range, so one that leaves it does so at an end,
+    # and so, up to rounding, does gamma_1 = (1+eps) tan(delta/2) (each row checks again)
     if not config.auto_delta:  # the search does not use delta
         for end in (deltas[0], deltas[-1]):
-            gamma_sequence(end, config.epsilon, 1, variant)
+            refuse_truncated(end, gamma_sequence(end, config.epsilon, 1, variant), 1)
     gghz_densities([alphas[0], alphas[-1]])
     check_thetas([thetas[0], thetas[-1]])
     needed = 1 if config.is_sweep else config.n
@@ -261,11 +270,7 @@ def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Ite
                 raise ConfigError(f"auto_delta: no valid delta exists for n={config.n} "
                                   f"({variant})")
         schedule = gamma_sequence(delta, config.epsilon, config.n, variant)
-        if schedule.valid_upto < needed:
-            raise ConfigError(
-                f"schedule truncated: gamma_{len(schedule.gammas)} = {schedule.gammas[-1]!r} "
-                f"leaves [0, 1] at delta={float(delta)!r} ({variant}); "
-                f"valid_upto={schedule.valid_upto}. Reduce --n or pass --auto-delta.")
+        refuse_truncated(delta, schedule, needed)
         rounds = min(config.n, schedule.valid_upto)
         pairs = (divmod(m, len(alphas)) for m in range(len(thetas) * len(alphas)))
         while chunk := list(islice(pairs, THETA_CHUNK)):

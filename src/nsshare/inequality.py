@@ -24,8 +24,6 @@ from .engine import no_signaling_residual  # noqa: F401  (perfbench/layers.py wr
 NS2_BOUND = 3.0
 VIOLATION_GUARD = 1e-12
 
-_PARTY_AXES = {"A": (0, 3), "B": (1, 4), "C": (2, 5)}  # (input axis, outcome axis)
-
 # the five correlators: the parties whose outcomes they multiply and the
 # inputs xyz of their block, an excluded party's input fixed to 0
 _NS2_CORRELATORS = (("AB", "000"), ("AC", "000"), ("BC", "001"), ("ABC", "110"), ("ABC", "111"))
@@ -36,32 +34,12 @@ _NS2_SIGNS = np.array([(-1.0) ** sum(_OUTCOMES[party] for party in parties)
                        for parties, _ in _NS2_CORRELATORS])
 
 
-def _party_relabelings(party: str) -> np.ndarray:
-    """The 8 relabelings of one party as index maps of the 64 table entries, shape (8, 64).
-
-    Row 4*swap + 2*flip0 + flip1 flips the party's outcome at input 0 and/or
-    1, then swaps its inputs.  Relabeled table entry j is original entry row[j].
-    """
-    input_axis, outcome_axis = _PARTY_AXES[party]
-    rows = []
-    for swap, *flips in product((0, 1), repeat=3):
-        index = np.arange(64, dtype=np.int8).reshape((2,) * 6)
-        for input_bit, flip in enumerate(flips):
-            if flip:
-                block = [slice(None)] * 6
-                block[input_axis] = input_bit
-                index[tuple(block)] = np.flip(index[tuple(block)], axis=outcome_axis - 1)
-        if swap:
-            index = np.flip(index, axis=input_axis)
-        rows.append(index.reshape(64))
-    return np.array(rows)
-
-
 def symmetry_name(symmetry) -> str:
     """Names a symmetry: per party its outcome flips, then its input swap; then the party order.
 
     symmetry is a row of symmetry_orbit()'s table: the party order (new party
-    i is old party order[i]) and one code per party as in _party_relabelings.
+    i is old party order[i]) and one code per party, 4*swap + 2*flip0 + flip1
+    as symmetry_orbit applies it.
     """
     symmetry = np.asarray(symmetry).tolist()
     order, local = symmetry[:3], symmetry[3:]
@@ -83,41 +61,47 @@ def symmetry_name(symmetry) -> str:
 def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     """The inequality's distinct images under the scenario's symmetries.
 
-    The symmetries are, per party, an outcome flip at either input and an
-    input swap (8 relabelings), then a permutation of the parties.  Each maps
-    the hybrid polytope onto itself (the bipartitions onto each other), so
-    every image is again a valid inequality with bound 3.  Returns the 768
-    distinct images as functionals of the 64 table entries, shape (768, 64),
-    and a symmetry that makes each, shape (768, 6) (see symmetry_name): row r
-    of the first dotted with probs.reshape(64) is the inequality's value on the
-    table that row r of the second relabels.  Each image comes with a
-    symmetry of the fewest operations (an outcome flip at one input, an input
-    swap, a new party order), and the identity comes first.  Built on first
-    use, so runs that certify nothing never allocate it.
+    A symmetry is a party order (new party i is old party order[i]) and, per old
+    party, a code 4*swap + 2*flip0 + flip1: relabeled entry j (bits x y z a b c,
+    most significant first) reads the original entry whose input bit for that
+    party is input ^ swap and whose outcome bit is outcome ^ flip[input ^ swap].
+    Each symmetry maps the hybrid polytope onto itself (the bipartitions onto
+    each other), so every image is again a valid inequality with bound 3.
+    Returns the 768 distinct images as functionals of the 64 table entries,
+    shape (768, 64), and a symmetry that makes each, shape (768, 6) (see
+    symmetry_name): row r of the first dotted with probs.reshape(64) is the
+    inequality's value on the table that row r of the second relabels.  Each
+    image comes with a symmetry of the fewest operations (an outcome flip at
+    one input, an input swap, a new party order), and the identity comes
+    first.  Built on first use, so runs that certify nothing never allocate it.
     """
-    # the inequality's coefficient of each entry, exact integers in -2..2
-    base = ns2_values(np.eye(64).reshape((64,) + (2,) * 6)).astype(np.int8)
-    a, b, c = (_party_relabelings(party) for party in "ABC")
-    local_maps = a[:, b[:, c]].reshape(512, 64)
-    orders = list(permutations(range(3)))
-    entries = np.arange(64, dtype=np.int8).reshape((2,) * 6)
-    # images[order, local]: relabel by local first, then reorder the parties
-    images = np.zeros((len(orders), 512, 64), dtype=np.int8)
-    for order_images, order in zip(images, orders):
-        move = np.transpose(entries, order + tuple(p + 3 for p in order)).reshape(64)
-        np.put_along_axis(order_images, local_maps[:, move], base, axis=1)
-    images = images.reshape(-1, 64)
-
+    orders = np.array(list(permutations(range(3))), dtype=np.uint8)
     local = np.array(list(product(range(8), repeat=3)), dtype=np.uint8)
+    bits = np.arange(64, dtype=np.uint8) >> np.arange(5, -1, -1, dtype=np.uint8)[:, None] & 1
+    codes = np.arange(8, dtype=np.uint8)[:, None]
+    # the rule per [order, old party, code, entry]: an old party reads its new party's bits
+    new_party = np.argsort(orders, axis=1)
+    inputs = bits[new_party][:, :, None] ^ (codes >> 2)
+    outcomes = bits[3 + new_party][:, :, None] ^ (codes >> (1 - inputs) & 1)
+    party = np.arange(3, dtype=np.uint8)[:, None, None]
+    a, b, c = (inputs << (5 - party) | outcomes << (2 - party)).transpose(1, 0, 2, 3)
+    # each party sets only its own bits, so a code per party ORs them: row 512 * order + local
+    sources = (a[:, :, None, None] | b[:, None, :, None] | c[:, None, None, :]).reshape(-1, 64)
+
+    # relabeled entry j's coefficient (exact integers in -2..2) goes to its original entry
+    base = ns2_values(np.eye(64).reshape((64,) + (2,) * 6)).astype(np.int8)
+    images = np.zeros(sources.shape, dtype=np.int8)
+    np.put_along_axis(images, sources, base[None], axis=1)
     # operations per symmetry: each set bit of a local code, and a new party order
     costs = np.unpackbits(local, axis=1).sum(axis=1)[None, :] + (np.arange(6) > 0)[:, None]
-    first: dict[bytes, int] = {}
-    for i in np.argsort(costs.reshape(-1), kind="stable"):
-        first.setdefault(images[i].tobytes(), int(i))
-    keep = np.array(list(first.values()))
+    ranked = np.argsort(costs.reshape(-1), kind="stable")
+    # np.unique sorts stably, so each image keeps its first symmetry in cost
+    # order; a row read as one 64-byte value sorts faster than by axis=0
+    first = np.unique(images[ranked].view("V64")[:, 0], return_index=True)[1]
+    keep = ranked[np.sort(first)]
     functionals = images[keep].astype(float)
     functionals.setflags(write=False)
-    symmetries = np.hstack([np.array(orders, dtype=np.uint8)[keep // 512], local[keep % 512]])
+    symmetries = np.hstack([orders[keep // 512], local[keep % 512]])
     symmetries.setflags(write=False)
     return functionals, symmetries
 

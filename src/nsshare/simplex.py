@@ -4,8 +4,8 @@ Every row gets an artificial column, and phase 1 drives their total mass to
 its minimum in a single canonical tableau.  Entering columns follow Dantzig's
 rule until the objective stalls, then Bland's rule (which cannot cycle) takes
 over; the ratio test breaks ties on the smallest basis index.  A minimum
-within tol gives x >= 0 (the right-hand side is clamped at zero after every
-pivot).  A larger one gives the phase-1 duals y, read from the artificial
+within FEASIBILITY_TOL gives x >= 0 (the right-hand side is clamped at zero
+after every pivot).  A larger one gives the phase-1 duals y, read from the artificial
 columns of the final tableau, which hold the inverse basis: A^T y <= 0 < b.y,
 a Farkas certificate that no such x exists.  A pivot updates in place only the
 rows its entering column reaches, a third of the rows at a time (einsum forms
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+FEASIBILITY_TOL = 1e-9  # the most artificial mass a feasible result may leave
 PIVOT_TOL = 1e-10
 REDUCED_COST_TOL = 1e-10
 STALL_LIMIT = 80
@@ -62,7 +63,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> No
     basis[leave] = enter
 
 
-def _primal(tableau: np.ndarray, basis: np.ndarray, signs: np.ndarray, tol: float,
+def _primal(tableau: np.ndarray, basis: np.ndarray, signs: np.ndarray,
             iterations: int = 0) -> LpResult:
     """Phase 1 from a tableau with right-hand side >= 0, to its result."""
     m, n = len(basis), tableau.shape[1] - len(basis) - 1
@@ -101,17 +102,17 @@ def _primal(tableau: np.ndarray, basis: np.ndarray, signs: np.ndarray, tol: floa
             stall += 1
         bland = bland or stall >= STALL_LIMIT
 
-    return _result(tableau, basis, signs, tableau[:, -1], tol, iterations)
+    return _result(tableau, basis, signs, tableau[:, -1], iterations)
 
 
 def _result(tableau: np.ndarray, basis: np.ndarray, signs: np.ndarray, rhs: np.ndarray,
-            tol: float, iterations: int) -> LpResult:
+            iterations: int) -> LpResult:
     """The result at a phase-1 optimal basis whose basic variables take the values rhs."""
     m, n = len(basis), tableau.shape[1] - len(basis) - 1
     basic_cost = (basis >= n).astype(float)  # cost[basis]
     infeasibility = float(basic_cost @ rhs)
     state = (tableau, basis, signs)
-    if infeasibility > tol:
+    if infeasibility > FEASIBILITY_TOL:
         farkas = signs * (basic_cost @ tableau[:, n:n + m])
         return LpResult(None, farkas, infeasibility, iterations, state)
     x = np.zeros(n + m)
@@ -119,7 +120,7 @@ def _result(tableau: np.ndarray, basis: np.ndarray, signs: np.ndarray, rhs: np.n
     return LpResult(x[:n], None, infeasibility, iterations, state)
 
 
-def solve(a, b, tol: float = 1e-9) -> LpResult:
+def solve(a, b) -> LpResult:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or b.shape != (a.shape[0],):
@@ -132,11 +133,11 @@ def solve(a, b, tol: float = 1e-9) -> LpResult:
     np.einsum("ij,i->ij", a, signs, out=tableau[:, :n])
     np.fill_diagonal(tableau[:, n:], 1.0)
     np.abs(b, out=tableau[:, -1])
-    return _primal(tableau, np.arange(n, n + m), signs, tol)
+    return _primal(tableau, np.arange(n, n + m), signs)
 
 
-def resolve(start: LpResult, b, tol: float = 1e-9) -> LpResult | None:
-    """solve(a, b, tol) for the a of start's solve, from its final tableau, or None."""
+def resolve(start: LpResult, b) -> LpResult | None:
+    """solve(a, b) for the a of start's solve, from its final tableau, or None."""
     tableau, basis, signs = start.state
     m, n = len(basis), tableau.shape[1] - len(basis) - 1
     rhs = tableau[:, n:n + m] @ (signs * np.asarray(b, dtype=float))
@@ -159,8 +160,8 @@ def resolve(start: LpResult, b, tol: float = 1e-9) -> LpResult | None:
         _pivot(tableau, basis, leave, int(ties[row[ties].argmin()]))
     np.maximum(rhs, 0.0, out=rhs)
     if pivots == 0:  # start's basis, on which the primal loop ended
-        return _result(tableau, basis, signs, rhs, tol, 0)
+        return _result(tableau, basis, signs, rhs, 0)
     try:
-        return _primal(tableau, basis, signs, tol, pivots)
+        return _primal(tableau, basis, signs, pivots)
     except RuntimeError:
         return None

@@ -69,6 +69,19 @@ def test_summary_marks_a_row_over_its_bound(tmp_path, capsys, change, over):
     assert capsys.readouterr().out.rstrip().endswith("OVER BOUND") is over
 
 
+def test_summary_prints_source_lines_and_failed_ops_first(tmp_path, capsys):
+    write_records(tmp_path / "parent", [1.0], sources=("a\nb\nc\n",))
+    write_records(tmp_path / "change", [1.0], sources=("a\nb\n",))
+    failing = tmp_path / "change" / ".perfbench_run" / "results" / "audit-0.json"
+    failing.write_text(failing.read_text().replace('"check": 0', '"check": 2'))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--out", str(tmp_path / "bench.json")]
+    assert bench_summary.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["src lines: 3 -> 2", "failed ops: 0 -> 2"]
+    assert lines[2].startswith("audit ") and len(lines) == 3
+
+
 def test_summary_reports_the_traced_cli_main_self_time(tmp_path):
     # the layer in which argument parsing runs
     write_records(tmp_path / "parent", [0.06, 0.07, 0.05], metric="cli.main.self_s", trace=1)

@@ -88,9 +88,9 @@ def test_membership_constraints_are_built_once_and_read_only(monkeypatch):
     seen = []
     original = simplex.solve
 
-    def recording(a, b, tol):
+    def recording(a, b):
         seen.append(a)
-        return original(a, b, tol)
+        return original(a, b)
 
     monkeypatch.setattr(simplex, "solve", recording)
     for table in (uniform_table(), svetlichny_table()):

@@ -445,6 +445,14 @@ def test_config_validation():
             ExperimentConfig(**{name: value})
     for name, value in (("theta", np.float64(0.7)), ("delta", np.int64(1)), ("epsilon", 1)):
         ExperimentConfig(**{name: value})
+    # a numpy integer n is the built-in int of its value; a numpy float or bool is no integer
+    config = ExperimentConfig(n=np.int64(2))
+    assert type(config.n) is int
+    assert run_experiment(config) == run_experiment(ExperimentConfig(n=2))
+    for value, shown in ((np.float64(2.0), 2.0), (np.bool_(True), np.bool_(True))):
+        message = f"^n must be an integer, got {re.escape(repr(shown))}$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(n=value)
 
 
 @pytest.mark.parametrize("given, built_in", [
@@ -987,7 +995,11 @@ def test_cli_refuses_theta_axis_touching_zero(capsys):
     (["--sweep-alpha", "0.0001:1.58:0.0001"], "alpha must lie in [0, pi/2], got 1.58"),
     (["--sweep-theta", "0.01:1.6:0.001"], "theta must lie in (0, pi/2), got 1.6"),
     (["--sweep-delta", "0.01:0.8:0.01"], "delta must lie in (0, pi/4], got 0.8"),
-], ids=["alpha", "theta", "delta"])
+    # gamma_1 = 3 tan(delta/2) first leaves [0, 1] at the 65th of 78 delta rows
+    (["--epsilon", "2", "--sweep-delta", "0.01:0.78:0.01", "--sweep-theta", "0.001:1.5:0.001"],
+     "schedule truncated: gamma_1 = 1.2331647454566406 leaves [0, 1] at delta=0.78 (printed); "
+     "valid_upto=0. Reduce --n or pass --auto-delta."),
+], ids=["alpha", "theta", "delta", "delta-truncation"])
 def test_cli_refuses_an_axis_leaving_its_range_before_any_stack(tmp_path, capsys, monkeypatch,
                                                                 argv, message):
     # each axis rises, so the refusal names its last value

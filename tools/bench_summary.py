@@ -8,7 +8,9 @@ how many seed pairs the change won (ties count for neither side), and
 whether the change's median is worse than the parent's by more than the
 metric's bound times the parent's median (over_bound).  Traced
 records (--trace 1) give the same for the per-layer metrics in LAYER_METRICS.
-Each side's src/nsshare/*.py line count is recorded as src_lines.
+Each side's src/nsshare/*.py line count is recorded as src_lines.  The
+printout gives src_lines and failed_ops (parent -> change), then one line per
+metric row.
 
     python3 tools/bench_summary.py --parent PARENT_DIR --change CHANGE_DIR --out BENCH_6.json
 """
@@ -143,6 +145,8 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    for name in ("src_lines", "failed_ops"):
+        print(f"{name.replace('_', ' ')}: {summary[name]['parent']} -> {summary[name]['change']}")
     for workload, rows in summary["workloads"].items():
         for name, row in rows.items():
             p, c = row["parent"], row["change"]
