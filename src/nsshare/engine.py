@@ -21,9 +21,13 @@ _behavior_stack returns the bits of numpy's unoptimized einsum of it: that
 einsum adds an entry's terms one at a time, from +0, in C order over
 (p, q, r, s, t, u), and so does the kernel.  Alice's and Bob's effects have
 exact zeros, which leave 4, 16 or 64 nonzero terms per entry (1,600 per
-table), and the kernel skips the rest.  A skipped term is +0 or -0 (rho and
-Z are finite), and adding it changes nothing: the running sum starts at +0
-and a rounded sum is -0 only when both addends are, so the sum never holds -0.
+table), and the kernel skips those terms.  It also skips every term whose
+state entry is exactly zero in every member of the stack: one plan per such
+sparsity pattern, so a GGHZ stack keeps 104 terms per table in round 1 and
+416 after a Lüders round, and a dense state keeps all 1,600.  A skipped term
+is +0 or -0 (rho, X, Y and Z are finite), and adding it changes nothing: the
+running sum starts at +0 and a rounded sum is -0 only when both addends are,
+so the sum never holds -0, and an entry with no terms left is +0.
 
 The no-signaling check adds each marginal's 2 or 4 table entries in a fixed
 order and takes, per marginal family, the largest |difference| of a marginal
@@ -62,8 +66,8 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _AB_EFFECTS = np.array([[(IDENTITY_2 + _SIGMA_Z) / 2, (IDENTITY_2 - _SIGMA_Z) / 2],
                         [(IDENTITY_2 + _SIGMA_X) / 2, (IDENTITY_2 - _SIGMA_X) / 2]])
 
-# states per pass of the behavior kernel: its two term buffers of 1,600 rows,
-# made once per call, stay at 400 kB each however large the stack
+# states per pass of the behavior kernel: its two term buffers of at most 1,600
+# rows, made once per call, stay at 400 kB each or less however large the stack
 BEHAVIOR_CHUNK = 32
 
 
@@ -89,26 +93,31 @@ def _add_terms(terms: np.ndarray, groups: tuple, out: np.ndarray) -> None:
     """
     row = 0
     for outputs, count in groups:
-        block = terms[row:row + count * len(outputs)].reshape(count, len(outputs), -1)
+        # an output with no terms sums the empty block to add.reduce's +0
+        block = terms[row:row + count * len(outputs)].reshape(count, len(outputs), terms.shape[1])
         out[outputs] = np.add.reduce(block, axis=0)
         row += count * len(outputs)
 
 
-@lru_cache(maxsize=1)
-def _behavior_plan() -> tuple:
-    """The nonzero terms of all 64 entries, (rho_index, x_factor, y_factor, z_index, groups).
+@lru_cache(maxsize=8)
+def _behavior_plan(mask: bytes) -> tuple:
+    """The live terms of all 64 entries, (rho_index, x_factor, y_factor, z_index, groups).
 
-    Row i of the four term arrays is one term of _sum_plan's index: rho_index
-    into the flat state, x_factor and y_factor from Alice's and Bob's effects,
+    mask is the bytes of a bool array over the 64 flat state entries, true
+    where some state of the stack is nonzero.  A term is live where Alice's
+    factor, Bob's factor and the mask at its rho index are all nonzero.  Row i
+    of the four term arrays is one term of _sum_plan's index: rho_index into
+    the flat state, x_factor and y_factor from Alice's and Bob's effects,
     z_index into Charlie's flat (z, c, i, j) effects.  An entry lists its
-    terms in C order over (p, q, r, s, t, u).  Built on first use.
+    terms in C order over (p, q, r, s, t, u), and may list none.  Built on
+    first use of each mask.
     """
     # every (entry, term) pair, the entry in C order over (x, y, z, a, b, c) and
     # the term in C order over (p, q, r, s, t, u), which is also its rho index
     x, y, z, a, b, c, p, q, r, s, t, u = np.indices((2,) * 12).reshape(12, 4096)
     x_factor, y_factor = _AB_EFFECTS[x, a, s, p], _AB_EFFECTS[y, b, t, q]
     z_index = ((z * 2 + c) * 2 + u) * 2 + r
-    live = ((x_factor != 0.0) & (y_factor != 0.0)).reshape(64, 64)
+    live = ((x_factor != 0.0) & (y_factor != 0.0)).reshape(64, 64) & np.frombuffer(mask, bool)
     index, groups = _sum_plan([np.flatnonzero(live[e]) + 64 * e for e in range(64)])
     plan = (index % 64, x_factor[index, None], y_factor[index, None], z_index[index])
     for array in plan:
@@ -241,12 +250,15 @@ def _behavior_stack(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:
 
     rhos (N, 8, 8) and effects (N, 2, 2, 2, 2) must be finite.  Returns a
     C-contiguous (N, 2, 2, 2, 2, 2, 2) stack with the bits of the unoptimized
-    einsum (see the module docstring), BEHAVIOR_CHUNK states at a time.
+    einsum (see the module docstring), BEHAVIOR_CHUNK states at a time, from
+    the plan of the stack's nonzero state entries.
     """
-    rho_index, x_factor, y_factor, z_index, groups = _behavior_plan()
-    n, rows = len(rhos), len(rho_index)
+    n = len(rhos)
+    flat = rhos.reshape(n, 64)
+    rho_index, x_factor, y_factor, z_index, groups = _behavior_plan(flat.any(axis=0).tobytes())
+    rows = len(rho_index)
     tables = np.empty((64, n))
-    rho_t, z_t = rhos.reshape(n, 64).T, effects.reshape(n, 16).T
+    rho_t, z_t = flat.T, effects.reshape(n, 16).T
     # two arrays, not one of twice the size, which raised a run's peak RSS by 0.4 MB
     buffers = [np.empty(rows * min(BEHAVIOR_CHUNK, n)) for _ in range(2)]
     for start in range(0, n, BEHAVIOR_CHUNK):

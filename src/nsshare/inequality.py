@@ -85,21 +85,25 @@ def symmetry_orbit() -> tuple[np.ndarray, np.ndarray]:
     outcomes = bits[3 + new_party][:, :, None] ^ (codes >> (1 - inputs) & 1)
     party = np.arange(3, dtype=np.uint8)[:, None, None]
     a, b, c = (inputs << (5 - party) | outcomes << (2 - party)).transpose(1, 0, 2, 3)
-    # each party sets only its own bits, so a code per party ORs them: row 512 * order + local
-    sources = (a[:, :, None, None] | b[:, None, :, None] | c[:, None, None, :]).reshape(-1, 64)
-
-    # relabeled entry j's coefficient (exact integers in -2..2) goes to its original entry
-    base = ns2_values(np.eye(64).reshape((64,) + (2,) * 6)).astype(np.int8)
-    images = np.zeros(sources.shape, dtype=np.int8)
-    np.put_along_axis(images, sources, base[None], axis=1)
     # operations per symmetry: each set bit of a local code, and a new party order
     costs = np.unpackbits(local, axis=1).sum(axis=1)[None, :] + (np.arange(6) > 0)[:, None]
     ranked = np.argsort(costs.reshape(-1), kind="stable")
+    # each party sets only its own bits, so a code per party ORs them: row 512 * order
+    # + local, taken in cost order
+    sources = (a[:, :, None, None] | b[:, None, :, None] | c[:, None, None, :]).reshape(-1, 64)
+    sources = sources[ranked]
+
+    # relabeled entry j's coefficient (exact integers in -2..2) goes to its original
+    # entry; sources is freed before np.unique sorts
+    base = ns2_values(np.eye(64).reshape((64,) + (2,) * 6)).astype(np.int8)
+    images = np.zeros(sources.shape, dtype=np.int8)
+    np.put_along_axis(images, sources, base[None], axis=1)
+    del sources
     # np.unique sorts stably, so each image keeps its first symmetry in cost
     # order; a row read as one 64-byte value sorts faster than by axis=0
-    first = np.unique(images[ranked].view("V64")[:, 0], return_index=True)[1]
-    keep = ranked[np.sort(first)]
-    functionals = images[keep].astype(float)
+    first = np.sort(np.unique(images.view("V64")[:, 0], return_index=True)[1])
+    keep = ranked[first]
+    functionals = images[first].astype(float)
     functionals.setflags(write=False)
     symmetries = np.hstack([orders[keep // 512], local[keep % 512]])
     symmetries.setflags(write=False)

@@ -99,11 +99,12 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
     if variant not in RECURSION_VARIANTS:
         raise ValueError(f"variant must be one of {RECURSION_VARIANTS}, got {variant!r}")
 
-    t = np.sin(delta / 2) ** 2
+    # on Python floats each step is the IEEE operation numpy scalars do, at a third of the cost
+    t = float(np.sin(delta / 2) ** 2)
     if t < _T_FLOOR:
         raise ValueError(f"delta must be at least {DELTA_SEARCH_FLOOR!r}, got {delta!r}: "
                          f"below it sin(delta/2)**2 leaves the normal float range")
-    sin_d = np.sin(delta)
+    sin_d = float(np.sin(delta))
     gammas: list[float] = []
     q = 0.0
     for k in range(1, n + 1):
@@ -113,7 +114,7 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
         gammas.append(float(g))
         if not 0.0 <= g <= 1.0:
             break
-        s = np.sqrt((1.0 - g) * (1.0 + g))
+        s = math.sqrt((1.0 - g) * (1.0 + g))
         u = g * g / (2.0 * (1.0 + s))
         q = q + u - q * u
 

@@ -192,6 +192,27 @@ def bf_closed_form(k, alpha, theta, gammas):
     return 1 + base * (prod + gammas[k - 1]) / 2 ** (k - 1)
 
 
+# The sharpness recursion as it stood before it ran on Python floats: its loop
+# on numpy scalars, kept verbatim (bar the names) as the oracle for its bits.
+def bf_gamma_recursion(delta, epsilon, n, variant="printed"):
+    """gamma_1..gamma_n of gamma_sequence, up to and including the first outside [0, 1]."""
+    t = np.sin(delta / 2) ** 2
+    sin_d = np.sin(delta)
+    gammas = []
+    q = 0.0
+    for k in range(1, n + 1):
+        bracket = q + 2.0 * t * (1.0 - q)
+        scale = 2.0 ** (k - 1) if variant == "printed" else 1.0
+        g = (1.0 + epsilon) * scale * bracket / sin_d
+        gammas.append(float(g))
+        if not 0.0 <= g <= 1.0:
+            break
+        s = np.sqrt((1.0 - g) * (1.0 + g))
+        u = g * g / (2.0 * (1.0 + s))
+        q = q + u - q * u
+    return gammas
+
+
 # The no-signaling check as it stood before it gathered fixed table entries:
 # numpy reductions over each family's axes, kept (bar the names) as the oracle.
 BF_MARGINAL_FAMILIES = (

@@ -274,6 +274,70 @@ def test_behavior_kernel_never_returns_negative_zero():
     assert (tables == 0.0).all() and not np.signbit(tables).any()
 
 
+def test_behavior_kernel_plans_only_the_terms_of_the_states_nonzeros(monkeypatch):
+    # a GGHZ stack keeps 104 of the 1,600 terms in round 1 and 416 after each
+    # Lüders round; a dense state keeps all of them and the zero state none
+    sizes, plan = [], engine._behavior_plan
+
+    def recording(mask):
+        terms = plan(mask)
+        sizes.append(len(terms[0]))
+        return terms
+
+    monkeypatch.setattr(engine, "_behavior_plan", recording)
+    schedule = gamma_sequence(0.02, 0.001, 4)
+    list(run_stack(gghz_densities([0.2, np.pi / 4, 1.1]), (0.3, 0.9, 1.4), schedule, 4))
+    assert sizes == [104, 416, 416, 416]
+    effects, _ = charlie_setting((0.5,), 0.5)
+    for rho, terms in ((random_density(np.random.default_rng(3)), 1600), (np.zeros((8, 8)), 0)):
+        engine._behavior_stack(rho[None], effects)
+        assert sizes[-1] == terms
+
+
+def test_behavior_kernel_gives_a_member_its_bits_under_any_plan():
+    # a GGHZ member alone takes the 104-term plan, beside a dense random state
+    # the full one; its table has the same bits in both
+    rng = np.random.default_rng(7)
+    ghz = gghz_densities([0.7])
+    stack = np.concatenate([ghz, random_density(rng)[None]])
+    effects, _ = charlie_setting((0.4, 1.2), 0.6)
+    alone = engine._behavior_stack(ghz, effects[:1])
+    beside = engine._behavior_stack(stack, effects)
+    assert np.array_equal(bits(alone[0]), bits(beside[0]))
+    assert same_bits(beside, bf_behavior_stack(stack, effects))
+
+
+def test_behavior_kernel_matches_the_oracle_with_exact_zeros_and_negative_entries():
+    # at theta = 1e-9 and gamma_k = 1, cos(theta) == 1.0: one diagonal of each
+    # sharp Z is 0; one member has a minus sign on |111>, so a negative
+    # coherence, and the Lüders-updated stack has more negative entries
+    effects, roots = charlie_setting((1e-9, 0.5, 1e-9), 1.0)
+    assert np.cos(1e-9) == 1.0 and (effects == 0.0).any()
+    rhos = gghz_densities([0.3, 0.9, 1.2])
+    rhos[1, 0, 7] = rhos[1, 7, 0] = -rhos[1, 0, 7]
+    for stack in (rhos, engine._luders_stack(rhos, roots)):
+        assert (stack < 0.0).any()
+        tables = engine._behavior_stack(stack, effects)
+        assert same_bits(tables, bf_behavior_stack(stack, effects))
+        assert (tables == 0.0).any() and not np.signbit(tables[tables == 0.0]).any()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_behavior_kernel_matches_the_oracle_on_sparse_stacks(seed):
+    # symmetric stacks with +0 or -0 entries where a random pattern shared by
+    # the stack says, which its plan skips, and more in some members only,
+    # which it adds: each stack takes its own plan
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 70))
+    dense = rng.normal(size=(n, 8, 8))
+    zeros = (rng.random((8, 8)) < rng.uniform(0.3, 0.95)) | (rng.random((n, 8, 8)) < 0.3)
+    rhos = np.where(zeros, np.copysign(0.0, dense), dense)
+    rhos = np.where(np.tri(8, dtype=bool).T, rhos, rhos.transpose(0, 2, 1))
+    assert np.signbit(rhos[rhos == 0.0]).any() and (rhos == 0.0).all(axis=0).any()
+    effects, _ = charlie_setting(rng.uniform(1e-9, np.pi / 2 - 1e-6, n), rng.uniform())
+    assert same_bits(engine._behavior_stack(rhos, effects), bf_behavior_stack(rhos, effects))
+
+
 def test_run_stack_needs_one_initial_state_per_theta():
     schedule = gamma_sequence(np.pi / 4, 0.001, 1)
     with pytest.raises(ValueError, match="^run_stack needs one initial state per theta, "

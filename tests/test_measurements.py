@@ -6,6 +6,7 @@ import pytest
 
 from nsshare.engine import _AB_EFFECTS
 from nsshare.measurements import (
+    DELTA_MAX,
     DELTA_SEARCH_FLOOR,
     RECURSION_VARIANTS,
     charlie_setting,
@@ -13,7 +14,7 @@ from nsshare.measurements import (
     validity_region,
 )
 
-from conftest import SX, SZ, bf_ab_effect, bf_charlie_effect
+from conftest import SX, SZ, bf_ab_effect, bf_charlie_effect, bf_gamma_recursion
 
 # frozen from the recursion at delta=pi/4, epsilon=0.001 (cross-checked below
 # against a 60-digit evaluation of the raw formula)
@@ -159,6 +160,23 @@ def test_gamma_sequence_matches_highprecision_oracle():
         assert len(ours.gammas) == len(ref_gammas), delta
         for mine, ref in zip(ours.gammas, ref_gammas):
             assert abs(mine - ref) <= 1e-13 * max(1.0, abs(ref)), delta
+
+
+def test_gamma_sequence_has_the_bits_of_the_numpy_scalar_loop():
+    # seeded schedules of both variants, deltas log-uniform from pi/4 down to
+    # 1e-150 and each validity boundary: every gamma keeps its bits
+    rng = np.random.default_rng(26)
+    deltas = list(DELTA_MAX * 10.0 ** rng.uniform(-150, 0, 2000))
+    deltas += [validity_region(n, 0.001, variant) for n in range(1, 9)
+               for variant in RECURSION_VARIANTS]
+    epsilons = 10.0 ** rng.uniform(-12, -0.5, len(deltas))
+    for delta, epsilon in zip(deltas, epsilons):
+        for variant in RECURSION_VARIANTS:
+            ours = gamma_sequence(float(delta), float(epsilon), 12, variant).gammas
+            oracle = bf_gamma_recursion(float(delta), float(epsilon), 12, variant)
+            assert all(type(g) is float for g in ours)
+            assert np.array_equal(np.array(ours).view(np.int64),
+                                  np.array(oracle).view(np.int64)), (delta, epsilon, variant)
 
 
 def test_gamma_sequence_normalized_variant():

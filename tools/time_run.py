@@ -1,10 +1,10 @@
 """Run one nsshare command in a child process and report its cost and its reports.
 
 The child runs `python3 -m nsshare.cli ARGS` from this checkout's src/ with one
-BLAS thread.  Printed: its exit code, its CPU seconds (user + system) and peak
-RSS, both from RUSAGE_CHILDREN, and the sha256 of each --out-csv / --out-json
-file it wrote (a file it left as it was is "not written").  The child's own
-output goes to this process's stdout / stderr.
+BLAS thread.  Printed: its exit code, its CPU seconds (user + system), peak
+RSS and minor page faults, all from RUSAGE_CHILDREN, and the sha256 of each
+--out-csv / --out-json file it wrote (a file it left as it was is "not
+written").  The child's own output goes to this process's stdout / stderr.
 
     python3 tools/time_run.py --n 5 --recursion both --certify ... --out-csv a.csv
 """
@@ -60,6 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"exit code: {code}")
     print(f"child cpu_s: {usage.ru_utime + usage.ru_stime:.2f}")
     print(f"child peak_rss_mb: {usage.ru_maxrss / 1024:.1f}")  # ru_maxrss is in KiB on Linux
+    print(f"child minor_faults: {usage.ru_minflt}")
     for path, old in before.items():
         new = stamp(path)
         digest = sha256(path) if new is not None and new != old else "(not written)"
