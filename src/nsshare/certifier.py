@@ -21,10 +21,17 @@ import numpy as np
 from . import simplex
 # no_signaling_residual stays importable from here: perfbench/layers.py wraps
 # certifier.no_signaling_residual
-from .engine import BehaviorTable, no_signaling_residual  # noqa: F401
+from .engine import BehaviorTable, no_signaling_residual, run_stack  # noqa: F401
 from .inequality import VIOLATION_GUARD, is_violation, symmetry_name, symmetry_orbit
+from .measurements import GammaSchedule
+from .states import gghz_densities
 
 RESIDUAL_ATOL = simplex.FEASIBILITY_TOL
+# the seed LP's table: round 1 at alpha pi/4, Charlie angle 0.01 and sharpness 0.005, a
+# local table whose 38-pivot LP ends on 25 vertex columns (the LP's rank is 27).  The
+# claim audit's first table (delta 0.01, so gamma_1 = 0.0050050) takes that LP to the
+# same basis, so a certified claim audit makes the re-solves it made from its own cold LP.
+SEED_ALPHA, SEED_THETA, SEED_GAMMA = np.pi / 4, 0.01, 0.005
 
 BIPARTITIONS = ("AB|C", "AC|B", "BC|A")
 
@@ -99,11 +106,11 @@ class DecompositionResult:
     margin: float | None = None
 
     def __post_init__(self):
-        for name in ("weights", "functional"):
-            if getattr(self, name) is not None:
-                array = np.asarray(getattr(self, name), dtype=float).copy()
+        # each is the verdict's own array (the LP's x, a scaled Farkas dual) or a
+        # view of the read-only orbit, so it is kept as given and made read-only
+        for array in (self.weights, self.functional):
+            if array is not None:
                 array.setflags(write=False)
-                object.__setattr__(self, name, array)
 
     @property
     def group_weights(self) -> dict[str, float] | None:
@@ -142,9 +149,28 @@ def _nonlocal(vertex_set: VertexSet, functional: np.ndarray, target: np.ndarray,
                                margin=margin)
 
 
+@lru_cache(maxsize=1)
+def seed_lp() -> simplex.LpResult:
+    """The process's one cold LP, built on first use; each run's first re-solve starts from it.
+
+    It solves the SEED_* GGHZ table.  Every caller gets this one result, so its
+    weights, tableau, basis and signs are read-only: a resolve from it pivots a copy.
+    """
+    schedule = GammaSchedule((SEED_GAMMA,), 1)
+    probs = next(run_stack(gghz_densities([SEED_ALPHA]), [SEED_THETA], schedule, 1))[0]
+    seed = simplex.solve(hybrid_vertices().constraints, np.append(probs.reshape(64), 1.0))
+    for array in (seed.x, *seed.state):
+        array.setflags(write=False)
+    return seed
+
+
 @dataclass
 class WarmStart:
-    """A run's latest local LP, whose final tableau the run's next LP continues from."""
+    """A run's latest local LP, whose final tableau the run's next LP continues from.
+
+    Until the run has one, its LPs continue from seed_lp(), so a run's first LP
+    is a re-solve like every later one.
+    """
 
     lp: simplex.LpResult | None = None
 
@@ -155,8 +181,9 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
     Each image of the inequality under the scenario's symmetries is a facet
     of the polytope, so a table that violates one is nonlocal without an LP:
     the image is the separating functional (bound 3).  Otherwise, given warm,
-    the LP is first re-solved from warm.lp's final tableau by a few dual
-    pivots; weights from it that rebuild the table are the local verdict.
+    the LP is first re-solved from warm.lp's final tableau (the seed LP's
+    while warm.lp is None) by a few dual pivots; weights from it that rebuild
+    the table are the local verdict.
     Otherwise (it ends infeasible, stops at its pivot cap, or its weights do
     not verify) one cold feasibility LP decides: its weights make a local
     verdict, its Farkas dual (scaled to max-abs 1) a nonlocal one.  Each LP
@@ -179,8 +206,8 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
         return verdict
 
     b = np.append(target, 1.0)
-    if warm is not None and warm.lp is not None:
-        result = simplex.resolve(warm.lp, b)
+    if warm is not None:
+        result = simplex.resolve(warm.lp or seed_lp(), b)
         if result is not None and result.feasible:
             verdict = _local(vertex_set, result.x, target)
             if verdict is not None:

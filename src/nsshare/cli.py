@@ -295,7 +295,9 @@ def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Ite
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the configured run and write the CSV / JSON reports."""
     csv_lines = [CSV_HEADER] if config.out_csv else None
-    warm = WarmStart() if config.certify else None  # one per run: nothing carries over
+    # one per run, starting from the process's seed LP, so a run's LP calls
+    # depend only on its own tables
+    warm = WarmStart() if config.certify else None
     variants_summary = {}
     for variant in RECURSION_VARIANTS if config.recursion == "both" else (config.recursion,):
         points = row_count = violations = 0

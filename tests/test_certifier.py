@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from nsshare import simplex
-from nsshare.certifier import BIPARTITIONS, WarmStart, hybrid_vertices, lp_feasible
+from nsshare.certifier import BIPARTITIONS, WarmStart, hybrid_vertices, lp_feasible, seed_lp
 from nsshare.engine import (
     NO_SIGNALING_ATOL,
     BehaviorTable,
@@ -299,6 +299,36 @@ def warm_from(table: BehaviorTable) -> WarmStart:
     return warm
 
 
+def tableau_digest(lp) -> str:
+    return hashlib.sha256(b"".join(array.tobytes() for array in lp.state)).hexdigest()
+
+
+def test_seed_lp_is_built_once_and_read_only(monkeypatch):
+    seed_lp.cache_clear()
+    calls = count_lp_solves(monkeypatch)
+    tables = (uniform_table(), ghz_noise_table(-1e-3), svetlichny_table())
+    assert WarmStart().lp is None and not calls  # built when a table first reaches the LP
+    for table in tables[:2]:
+        lp_feasible(table, warm=WarmStart())
+    seed = seed_lp()
+    assert len(calls) == 1  # both tables re-solved from the seed
+    assert seed.feasible and seed.iterations == 38
+    assert not any(array.flags.writeable for array in (seed.x, *seed.state))
+    # the claim audit's first table (delta 0.01) takes a cold LP to the seed's basis
+    first = run_sequence(build_gghz(np.pi / 4), 0.01, gamma_sequence(0.01, 1e-3, 1), 1)[0]
+    cold = simplex.solve(hybrid_vertices().constraints, np.append(first.probs.reshape(64), 1.0))
+    assert np.array_equal(cold.state[1], seed.state[1])
+    assert len(calls) == 2
+    digest = tableau_digest(seed)
+    # the noisy GHZ table takes dual pivots from the seed, which pivot a copy
+    b = np.append(tables[1].probs.reshape(64), 1.0)
+    assert simplex.resolve(seed, b).iterations > 0
+    for table in tables:
+        lp_feasible(table, warm=WarmStart())
+    assert len(calls) == 3  # and the Svetlichny box's cold LP
+    assert tableau_digest(seed) == digest
+
+
 def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
     warm = warm_from(ghz_noise_table(-1e-3))
     start = warm.lp
@@ -324,15 +354,27 @@ def test_warm_support_decides_a_nearby_table_without_the_lp(monkeypatch):
 def test_warm_support_that_cannot_rebuild_the_table_falls_through_to_the_lp(
         monkeypatch, table):
     # a single deterministic vertex's final tableau reaches neither table
-    # within the dual-pivot cap (the uniform table it reaches in a few), and
-    # a nonlocal verdict leaves no LP to continue from
-    vertex = BehaviorTable(hybrid_vertices().vectors[0].reshape((2,) * 6))
-    for warm in (warm_from(vertex), warm_from(svetlichny_table())):
-        calls = count_lp_solves(monkeypatch)
-        result = lp_feasible(table, warm=warm)
-        assert len(calls) == 1
-        cold = lp_feasible(table)
-        assert result.feasible == cold.feasible
+    # within the dual-pivot cap (the uniform table it reaches in a few)
+    vertex = hybrid_vertices().vectors[0]
+    warm = WarmStart(simplex.solve(hybrid_vertices().constraints, np.append(vertex, 1.0)))
+    calls = count_lp_solves(monkeypatch)
+    result = lp_feasible(table, warm=warm)
+    assert len(calls) == 1
+    cold = lp_feasible(table)
+    assert result.feasible == cold.feasible
+    assert result.certificate == cold.certificate
+    # a nonlocal verdict leaves no LP, so the table re-solves from the seed LP,
+    # which reaches the local table; the nonlocal one still takes the cold LP
+    # and its Farkas dual
+    warm = warm_from(svetlichny_table())
+    assert warm.lp is None
+    del calls[:]
+    result = lp_feasible(table, warm=warm)
+    assert len(calls) == (0 if cold.feasible else 1)
+    assert result.feasible == cold.feasible
+    if cold.feasible:
+        assert LOCAL_CERTIFICATE.fullmatch(result.certificate), result.certificate
+    else:
         assert result.certificate == cold.certificate
 
 

@@ -690,7 +690,7 @@ def test_alpha_axis_memory_does_not_grow(monkeypatch):
 
 
 def record_verdicts(monkeypatch) -> tuple[list, list]:
-    """Records (table, verdict) for every run verdict and counts simplex.solve calls."""
+    """Records (table, result) for every run verdict and counts simplex.solve calls."""
     from nsshare import cli, simplex
 
     verdicts, solves = [], []
@@ -698,7 +698,7 @@ def record_verdicts(monkeypatch) -> tuple[list, list]:
 
     def recording(table, *args, **kwargs):
         result = certify(table, *args, **kwargs)
-        verdicts.append((table, result.feasible))
+        verdicts.append((table, result))
         return result
 
     def counting(*args, **kwargs):
@@ -718,15 +718,17 @@ def record_verdicts(monkeypatch) -> tuple[list, list]:
                      sweep_theta=(0.01, math.pi / 2, 0.02)),
 ], ids=["point", "theta-sweep", "theta-sweep-n3"])
 def test_warm_started_run_gives_the_cold_verdicts_with_fewer_lps(monkeypatch, config):
-    from nsshare.certifier import lp_feasible
+    from nsshare.certifier import lp_feasible, seed_lp
 
+    seed_lp()
     verdicts, solves = record_verdicts(monkeypatch)
     summary = run_experiment(config)
-    # each LP continues from the run's latest local one: only the first is cold
+    # each LP continues from the run's latest local one, the first from the seed LP:
+    # none is cold
     warm_solves = len(solves)
-    assert warm_solves == 1
+    assert warm_solves == 0
     cold = [lp_feasible(table).feasible for table, _ in verdicts]
-    assert [verdict for _, verdict in verdicts] == cold
+    assert [result.feasible for _, result in verdicts] == cold
     assert warm_solves < len(solves) - warm_solves
     assert True in cold and False in cold
     if not config.is_sweep:
@@ -755,16 +757,66 @@ def test_certified_alpha_sweep_checks_each_stack_once(monkeypatch):
     assert calls == [8, 8] * 2
 
 
+def test_certified_point_runs_need_no_cold_lp_once_the_seed_exists(monkeypatch, rng):
+    from nsshare.certifier import lp_feasible, seed_lp
+
+    seed_lp()
+    verdicts, solves = record_verdicts(monkeypatch)
+    for n in range(1, 9):
+        for theta, alpha in rng.uniform((0.1, 0.1), (1.5, 1.45), size=(2, 2)):
+            run_experiment(ExperimentConfig(n=n, theta=theta, alpha=alpha, auto_delta=True,
+                                            certify=True, recursion="both"))
+    assert not solves
+    cold = [lp_feasible(table).feasible for table, _ in verdicts]
+    assert [result.feasible for _, result in verdicts] == cold
+    assert len(cold) == 2 * 2 * sum(range(1, 9))
+
+
+def test_certified_run_at_a_cap_of_zero_dual_pivots_takes_one_cold_lp(monkeypatch):
+    # the run's one table is local, obeys every image of the inequality and is
+    # a dual pivot away from the seed LP, so at a cap of 0 one cold LP decides it
+    from nsshare import simplex
+    from nsshare.certifier import lp_feasible, seed_lp
+
+    seed_lp()
+    monkeypatch.setattr(simplex, "DUAL_PIVOT_LIMIT", 0)
+    verdicts, solves = record_verdicts(monkeypatch)
+    run_experiment(ExperimentConfig(n=1, certify=True, theta=0.7, alpha=0.6))
+    [(table, result)] = verdicts
+    assert len(solves) == 1
+    assert result.feasible
+    assert result.certificate == lp_feasible(table).certificate
+
+
+def record_lp_calls(monkeypatch) -> list:
+    """Records (simplex function name, right-hand side bytes) for every LP call."""
+    from nsshare import simplex
+
+    calls = []
+    for name in ("solve", "resolve"):
+        def recording(*args, name=name, original=getattr(simplex, name)):
+            calls.append((name, np.asarray(args[-1], dtype=float).tobytes()))
+            return original(*args)
+
+        monkeypatch.setattr(simplex, name, recording)
+    return calls
+
+
 def test_warm_start_does_not_outlive_a_run(monkeypatch):
-    # identical runs make identical LP calls: nothing is cached between them
-    _, solves = record_verdicts(monkeypatch)
+    # identical runs make identical LP calls: a run's LPs depend only on its own
+    # tables and the fixed seed LP, which exists before either run
+    from nsshare.certifier import seed_lp
+
+    seed_lp()
+    calls = record_lp_calls(monkeypatch)
     config = ExperimentConfig(n=4, auto_delta=True, certify=True, theta=0.7, alpha=0.6)
-    counts = []
+    sequences = []
     for _ in range(2):
-        del solves[:]
+        del calls[:]
         run_experiment(config)
-        counts.append(len(solves))
-    assert counts[0] == counts[1] > 0
+        sequences.append(list(calls))
+    assert sequences[0] == sequences[1]
+    assert [name for name, _ in sequences[0]] == ["resolve"] * 4
 
 
 def test_cli_main_end_to_end(tmp_path, capsys):
@@ -962,11 +1014,14 @@ def test_cli_certify_table_refuses_nan(tmp_path, capsys):
 
 def test_cli_exits_cleanly_on_lp_failure(tmp_path, capsys, monkeypatch):
     from nsshare import simplex
+    from nsshare.certifier import seed_lp
 
     def failing(*args, **kwargs):
         raise RuntimeError("simplex did not terminate within 0 iterations")
 
     monkeypatch.setattr(simplex, "solve", failing)
+    # the point run's table needs a cold LP only when no seed LP exists yet
+    seed_lp.cache_clear()
     # both inputs obey the inequality, so only the LP can decide them
     path = tmp_path / "table.json"
     write_table(str(path), np.full((2,) * 6, 0.125))
@@ -974,6 +1029,39 @@ def test_cli_exits_cleanly_on_lp_failure(tmp_path, capsys, monkeypatch):
     assert main(["--n", "1", "--certify", "--alpha", "0.05"]) == 1
     err = capsys.readouterr().err
     assert err.count("error: simplex did not terminate") == 2
+
+
+def test_cli_exits_cleanly_when_the_seed_lp_fails(tmp_path, capsys, monkeypatch):
+    # the seed LP is built when a table first reaches the LP: a run whose tables
+    # all violate the inequality needs none, and the next run's table does
+    from nsshare import simplex
+    from nsshare.certifier import seed_lp
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("simplex phase 1 found no pivot row")
+
+    seed_lp.cache_clear()
+    monkeypatch.setattr(simplex, "solve", failing)
+    assert main(["--n", "2", "--certify"]) == 0
+    capsys.readouterr()
+    report = tmp_path / "run.json"
+    assert main(["--n", "1", "--certify", "--alpha", "0.05", "--out-json", str(report)]) == 1
+    assert capsys.readouterr().err == "error: simplex phase 1 found no pivot row\n"
+    assert not report.exists()
+    monkeypatch.undo()
+    assert seed_lp().feasible  # the failed build was not kept
+
+
+def test_certify_table_takes_one_cold_lp_also_after_the_seed_exists(tmp_path, monkeypatch):
+    # CERTIFY_TABLE_DIGESTS pin the digits of the cold LP's certificate
+    from nsshare.certifier import seed_lp
+
+    seed_lp()
+    calls = record_lp_calls(monkeypatch)
+    path = tmp_path / "table.json"
+    write_table(str(path), np.full((2,) * 6, 0.125))
+    assert main(["--certify-table", str(path)]) == 0
+    assert [name for name, _ in calls] == ["solve"]
 
 
 def test_cli_refuses_delta_below_the_normal_float_range(capsys):

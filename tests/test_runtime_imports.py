@@ -59,6 +59,14 @@ def test_package_root_loads_neither_the_cli_nor_the_file_io():
     assert "nsshare.cli" not in loaded and "nsshare.behavior_io" not in loaded
 
 
+def test_package_root_builds_no_seed_lp():
+    probe = ROOT_PROBE + ("from nsshare.certifier import seed_lp\n"
+                          "print(seed_lp.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC)], capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0"
+
+
 def test_unread_imports_are_the_benchmark_targets():
     allowed = {(module, attribute) for module, attribute, _ in TARGETS}
     allowed.add(("nsshare", "hybrid_vertices"))
