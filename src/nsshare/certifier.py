@@ -128,9 +128,12 @@ class DecompositionResult:
                 f"bound {self.bound:.12g}, margin {self.margin:.6e}")
 
 
-def _local(vertex_set: VertexSet, weights: np.ndarray,
+def _local(vertex_set: VertexSet, result: simplex.LpResult | None,
            target: np.ndarray) -> DecompositionResult | None:
-    """The local verdict, if the weights are a convex mixture that rebuilds the target."""
+    """The local verdict, if the LP ended feasible on a convex mixture that rebuilds the target."""
+    if result is None or not result.feasible:
+        return None
+    weights = result.x
     residual = float(np.max(np.abs(vertex_set.vectors.T @ weights - target)))
     if not (weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= RESIDUAL_ATOL
             and residual < RESIDUAL_ATOL):
@@ -206,23 +209,14 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
         return verdict
 
     b = np.append(target, 1.0)
-    if warm is not None:
-        result = simplex.resolve(warm.lp or seed_lp(), b)
-        if result is not None and result.feasible:
-            verdict = _local(vertex_set, result.x, target)
-            if verdict is not None:
-                warm.lp = result
-                return verdict
-
-    result = simplex.solve(vertex_set.constraints, b)
-    if result.feasible:
-        verdict = _local(vertex_set, result.x, target)
-        if verdict is not None and warm is not None:
-            warm.lp = result
-    else:
+    result = simplex.resolve(warm.lp or seed_lp(), b) if warm is not None else None
+    verdict = _local(vertex_set, result, target)
+    if verdict is None:
+        result = simplex.solve(vertex_set.constraints, b)
+        verdict = _local(vertex_set, result, target)
+    if verdict is None and not result.feasible:
         functional = result.farkas[:-1]
         scale = float(np.max(np.abs(functional)))
-        verdict = None
         if scale > 0.0:
             verdict = _nonlocal(vertex_set, functional / scale, target,
                                 f"LP Farkas dual, phase-1 infeasibility {result.infeasibility:.3e}")
@@ -230,4 +224,6 @@ def lp_feasible(table: BehaviorTable, *, warm: WarmStart | None = None) -> Decom
         kind = "weights" if result.feasible else "Farkas dual"
         raise RuntimeError(f"undecided: the LP's {kind} do not verify as a certificate "
                            f"(phase-1 infeasibility {result.infeasibility:.3e})")
+    if warm is not None and verdict.feasible:
+        warm.lp = result
     return verdict

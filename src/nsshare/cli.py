@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import numbers
+import os
 import re
 import sys
 from bisect import bisect_right
@@ -198,6 +199,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (isinstance(value, str) and value.strip()):
                 raise ConfigError(f"{name} must be a nonempty path when given, got {value!r}")
+        if (self.out_csv and self.out_json
+                and os.path.realpath(self.out_csv) == os.path.realpath(self.out_json)):
+            raise ConfigError(f"out_csv and out_json must be two files, got {self.out_csv!r} "
+                              f"and {self.out_json!r}")
 
     @property
     def is_sweep(self) -> bool:

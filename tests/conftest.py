@@ -192,6 +192,26 @@ def bf_closed_form(k, alpha, theta, gammas):
     return 1 + base * (prod + gammas[k - 1]) / 2 ** (k - 1)
 
 
+def bf_bloch_ns2(k, alpha, theta, gammas):
+    """NS2 of round k on the GGHZ input, from Charlie's effects pulled back to round 1.
+
+    In the x-z Bloch plane Charlie's directions are n0 = (-sin theta, cos theta)
+    and n1 = (sin theta, cos theta), input 0 sharp.  Round j's Lüders channel
+    acts on an effect's Bloch vector as
+        M_j = diag(sin^2 theta, cos^2 theta) + (s_j / 2)(I - n1 n1^T),
+    s_j = sqrt(1 - gamma_j^2), and with M = M_1 M_2 ... M_(k-1)
+        NS2_k = 1 + e_z . M (n0 + gamma_k n1) + sin 2alpha e_x . M (gamma_k n1 - n0).
+    """
+    n0 = np.array([-np.sin(theta), np.cos(theta)])
+    n1 = np.array([np.sin(theta), np.cos(theta)])
+    m = np.eye(2)
+    for g in gammas[:k - 1]:
+        m = m @ (np.diag([np.sin(theta) ** 2, np.cos(theta) ** 2])
+                 + np.sqrt(1 - g * g) / 2 * (np.eye(2) - np.outer(n1, n1)))
+    gamma = gammas[k - 1]
+    return 1 + m[1] @ (n0 + gamma * n1) + np.sin(2 * alpha) * m[0] @ (gamma * n1 - n0)
+
+
 # The sharpness recursion as it stood before it ran on Python floats: its loop
 # on numpy scalars, kept verbatim (bar the names) as the oracle for its bits.
 def bf_gamma_recursion(delta, epsilon, n, variant="printed"):
@@ -264,6 +284,29 @@ def bf_csv_line(k, gamma, ns2_oracle, ns2_closed_form, discrepancy, violated, lp
 
     return ",".join([str(k), fmt(gamma), fmt(ns2_oracle), fmt(ns2_closed_form),
                      fmt(discrepancy), flag(violated), flag(lp_feasible)])
+
+
+# a certified (theta, alpha) grid, both recursions: its reports are pinned in
+# test_cli.py and its LP calls in test_certifier.py
+THETA_ALPHA_GRID = dict(n=2, certify=True, recursion="both", delta=0.78,
+                        sweep_theta=(0.05, 1.5, 0.29), sweep_alpha=(0.1, 1.5, 0.35))
+
+
+def record_lp_calls(monkeypatch) -> list:
+    """Records (simplex function name, right-hand side bytes, iterations or "gave up")
+    for every LP call."""
+    from nsshare import simplex
+
+    calls = []
+    for name in ("solve", "resolve"):
+        def recording(*args, name=name, original=getattr(simplex, name)):
+            result = original(*args)
+            calls.append((name, np.asarray(args[-1], dtype=float).tobytes(),
+                          "gave up" if result is None else result.iterations))
+            return result
+
+        monkeypatch.setattr(simplex, name, recording)
+    return calls
 
 
 def signaling_probs():

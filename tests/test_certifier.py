@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import linprog
 
 from nsshare import simplex
 from nsshare.certifier import BIPARTITIONS, WarmStart, hybrid_vertices, lp_feasible, seed_lp
+from nsshare.cli import ExperimentConfig, run_experiment
 from nsshare.engine import (
     NO_SIGNALING_ATOL,
     BehaviorTable,
@@ -25,7 +27,13 @@ from nsshare.inequality import (
 from nsshare.measurements import gamma_sequence
 from nsshare.states import build_gghz
 
-from conftest import bf_relabel, signaling_probs, svetlichny_probs
+from conftest import (
+    THETA_ALPHA_GRID,
+    bf_relabel,
+    record_lp_calls,
+    signaling_probs,
+    svetlichny_probs,
+)
 
 
 def uniform_table():
@@ -418,6 +426,28 @@ def test_warm_verdict_is_the_cold_one_at_the_svetlichny_boundary(excess):
     warm = warm_from(mixture(0.499))
     table = mixture(0.5 + excess)
     assert lp_feasible(table, warm=warm).feasible == lp_feasible(table).feasible
+
+
+# the LP calls of THETA_ALPHA_GRID and of certified --auto-delta point runs at
+# n = 4 and n = 8 (both recursions), after the seed LP: their count per kind
+# and one sha256 over every call's kind, iterations and right-hand side.  Every
+# table is decided by a re-solve (68 of them take dual pivots) or the orbit screen.
+LP_CHAIN_COUNTS = {"resolve": 138}
+LP_CHAIN_DIGEST = "e3fd6c77c098f8ede4e3e0535052f3c84f74814c34c12a35224002cf75141727"
+
+
+def test_certified_runs_make_the_pinned_lp_chain(monkeypatch):
+    seed_lp()
+    calls = record_lp_calls(monkeypatch)
+    for config in (ExperimentConfig(**THETA_ALPHA_GRID),
+                   ExperimentConfig(n=4, auto_delta=True, certify=True, recursion="both"),
+                   ExperimentConfig(n=8, auto_delta=True, certify=True, recursion="both")):
+        run_experiment(config)
+    digest = hashlib.sha256()
+    for name, rhs, iterations in calls:
+        digest.update(f"{name} {iterations}:".encode() + rhs)
+    assert Counter(name for name, _, _ in calls) == LP_CHAIN_COUNTS
+    assert digest.hexdigest() == LP_CHAIN_DIGEST
 
 
 def tampered_solve(monkeypatch, tamper, name="solve"):

@@ -31,9 +31,11 @@ from nsshare.measurements import gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
 from conftest import (
+    THETA_ALPHA_GRID,
     bf_closed_form,
     bf_csv_line,
     bf_sweep_values,
+    record_lp_calls,
     signaling_probs,
     svetlichny_probs,
     table_object,
@@ -624,12 +626,10 @@ def test_chunked_theta_axis_writes_the_same_reports(tmp_path, monkeypatch):
     assert outputs[0][0].count(b"\n") == 1 + 2 * 2 * 2 * 23  # variants x deltas x thetas x k
 
 
-# sha256 of the CSV and JSON reports of THETA_ALPHA_GRID, taken when every
+# sha256 of the CSV and JSON reports of conftest.THETA_ALPHA_GRID, taken when every
 # alpha of a row ran as its own engine stack over the theta axis
 THETA_ALPHA_DIGESTS = ("d3d2b3c542e351db23a35411bfb99199e799dd0004c97b0c899e2eca59f3e28d",
                        "af70e67c44ab2dffd36c6d6443808b4abda538e3f6e64d094522370ccf8334e8")
-THETA_ALPHA_GRID = dict(n=2, certify=True, recursion="both", delta=0.78,
-                        sweep_theta=(0.05, 1.5, 0.29), sweep_alpha=(0.1, 1.5, 0.35))
 
 
 def test_chunked_theta_alpha_grid_writes_the_same_reports(tmp_path, monkeypatch):
@@ -788,20 +788,6 @@ def test_certified_run_at_a_cap_of_zero_dual_pivots_takes_one_cold_lp(monkeypatc
     assert result.certificate == lp_feasible(table).certificate
 
 
-def record_lp_calls(monkeypatch) -> list:
-    """Records (simplex function name, right-hand side bytes) for every LP call."""
-    from nsshare import simplex
-
-    calls = []
-    for name in ("solve", "resolve"):
-        def recording(*args, name=name, original=getattr(simplex, name)):
-            calls.append((name, np.asarray(args[-1], dtype=float).tobytes()))
-            return original(*args)
-
-        monkeypatch.setattr(simplex, name, recording)
-    return calls
-
-
 def test_warm_start_does_not_outlive_a_run(monkeypatch):
     # identical runs make identical LP calls: a run's LPs depend only on its own
     # tables and the fixed seed LP, which exists before either run
@@ -816,7 +802,7 @@ def test_warm_start_does_not_outlive_a_run(monkeypatch):
         run_experiment(config)
         sequences.append(list(calls))
     assert sequences[0] == sequences[1]
-    assert [name for name, _ in sequences[0]] == ["resolve"] * 4
+    assert [name for name, _, _ in sequences[0]] == ["resolve"] * 4
 
 
 def test_cli_main_end_to_end(tmp_path, capsys):
@@ -883,6 +869,23 @@ def test_cli_certify_table_refuses_a_blank_path(tmp_path, capsys, monkeypatch, p
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
         assert os.listdir() == ["table.json"]
+
+
+def test_cli_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
+    # the JSON report would replace the CSV; nothing is run or written
+    monkeypatch.chdir(tmp_path)
+    for csv, report in (("x", "x"), ("x", "./x"), ("x", str(tmp_path / "x"))):
+        assert main(["--n", "2", "--out-csv", csv, "--out-json", report]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: out_csv and out_json must be two files, "
+                                f"got {csv!r} and {report!r}\n")
+        assert os.listdir() == []
+    # a config built in code follows the same rule
+    with pytest.raises(ConfigError, match="^out_csv and out_json must be two files, "):
+        ExperimentConfig(out_csv="sub/../run", out_json="run")
+    ExperimentConfig(out_csv="run.csv", out_json="run.json")
+    ExperimentConfig(out_json="run")
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
@@ -1061,7 +1064,7 @@ def test_certify_table_takes_one_cold_lp_also_after_the_seed_exists(tmp_path, mo
     path = tmp_path / "table.json"
     write_table(str(path), np.full((2,) * 6, 0.125))
     assert main(["--certify-table", str(path)]) == 0
-    assert [name for name, _ in calls] == ["solve"]
+    assert [name for name, _, _ in calls] == ["solve"]
 
 
 def test_cli_refuses_delta_below_the_normal_float_range(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from nsshare.certifier import hybrid_vertices
 from nsshare.cli import ConfigError, ExperimentConfig, run_experiment, sweep_values
-from nsshare.engine import BehaviorTable, behavior
+from nsshare.engine import BehaviorTable, behavior, run_stack
 from nsshare.inequality import (
     NS2_BOUND,
     closed_form_ns2,
@@ -17,7 +17,7 @@ from nsshare.inequality import (
     symmetry_orbit,
 )
 from nsshare.measurements import gamma_sequence, validity_region
-from nsshare.states import build_gghz
+from nsshare.states import build_gghz, gghz_densities
 
 from conftest import (
     BF_SIGNS,
@@ -26,6 +26,7 @@ from conftest import (
     SX,
     SZ,
     bf_behavior,
+    bf_bloch_ns2,
     bf_closed_form,
     bf_ns2,
     bf_ns2_values,
@@ -156,6 +157,35 @@ def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant, rng):
     base = np.cos(angles) + np.sin(angles) * np.sin(2 * alphas)
     for g in (schedule.gammas[0], *rng.uniform(0, 1, 5)):
         assert np.array_equal(closed_form_ns2(1, alphas, angles, [g]), 1 + (1 + g) * base)
+
+
+@pytest.mark.parametrize("variant", ["printed", "normalized"])
+def test_bloch_plane_oracle_is_the_engine_ns2(variant, rng):
+    # the exact round-k value of a GGHZ run, from 2x2 Bloch-plane maps, on
+    # seeded (alpha, theta) and deltas inside each n's validity region
+    gaps = []
+    for n in range(1, 11):
+        top = validity_region(n, 0.001, variant)
+        for delta in (top, *top * rng.uniform(0.5, 1.0, 2)):
+            schedule = gamma_sequence(delta, 0.001, n, variant)
+            assert schedule.valid_upto >= n
+            alphas, thetas = rng.uniform(0.0, np.pi / 2, (2, 8))
+            stack = run_stack(gghz_densities(alphas), thetas, schedule, n)
+            for k, tables in enumerate(stack, start=1):
+                oracle = [bf_bloch_ns2(k, alpha, theta, schedule.gammas)
+                          for alpha, theta in zip(alphas, thetas)]
+                gaps.append(np.max(np.abs(ns2_values(tables) - oracle)))
+    assert max(gaps) < 1e-14
+
+
+@pytest.mark.parametrize("variant", ["printed", "normalized"])
+def test_bloch_plane_oracle_is_the_closed_form_at_theta_pi_4(variant, rng):
+    for n in range(1, 11):
+        schedule = gamma_sequence(validity_region(n, 0.001, variant), 0.001, n, variant)
+        for alpha in rng.uniform(0.0, np.pi / 2, 4):
+            for k in range(1, n + 1):
+                assert bf_bloch_ns2(k, alpha, np.pi / 4, schedule.gammas) == pytest.approx(
+                    closed_form_ns2(k, alpha, np.pi / 4, schedule.gammas), abs=1e-14)
 
 
 def test_closed_form_validates():
