@@ -17,6 +17,8 @@ import numpy as np
 
 from .engine import TABLE_KEYS, BehaviorTable
 
+_KNOWN_KEYS = frozenset(TABLE_KEYS)
+
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file; an error names path."""
@@ -67,7 +69,7 @@ def import_behavior(path: str) -> BehaviorTable:
     if not isinstance(probs, dict):
         raise ValueError(f"{path}: 'probs' must be a mapping")
     for key in probs:
-        if key not in TABLE_KEYS:
+        if key not in _KNOWN_KEYS:
             raise ValueError(f"{path}: unknown probability key {key!r}")
     values = []
     for key in TABLE_KEYS:

@@ -47,7 +47,7 @@ SWEEP_MAX_POINTS = 10**6
 # tables and temporaries, so a stack of 256 stays near 1 MB
 THETA_CHUNK = 256
 
-_ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
+_ANGLE_RE = re.compile(r"([+-]?)(\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
 
 
 class ConfigError(ValueError):
@@ -71,39 +71,24 @@ def parse_angle(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     text = str(value).strip().lower().replace(" ", "")
-    if "pi" in text:
-        match = _ANGLE_RE.fullmatch(text)
+    match = _ANGLE_RE.fullmatch(text)
+    try:  # the pattern also admits non-numbers such as ".pi" or "e5pi", and "pi/0"
         if not match:
-            raise ConfigError(f"cannot parse angle {value!r}")
-        coefficient, denominator = match.group(1), match.group(2)
-        if coefficient in ("", "+", "-"):
-            coefficient += "1"
-        try:  # the pattern also admits non-numbers such as "." or "e5"
-            angle = float(coefficient) * math.pi
-        except ValueError:
-            raise ConfigError(f"cannot parse angle {value!r}") from None
-        if denominator:
-            if float(denominator) == 0.0:
-                raise ConfigError(f"cannot parse angle {value!r}")
-            angle /= float(denominator)
-        return angle
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse angle {value!r}") from exc
+            return float(text)
+        sign, coefficient, denominator = match.groups()
+        return float(sign + (coefficient or "1")) * math.pi / float(denominator or 1)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse angle {value!r}") from None
 
 
 def parse_sweep(value) -> tuple[float, float, float] | None:
     """Sweep spec 'start:stop:step' (each an angle literal) -> inclusive grid bounds."""
     if value is None:
         return None
-    if isinstance(value, (tuple, list)) and len(value) == 3:
-        start, stop, step = (parse_angle(v) for v in value)
-    else:
-        parts = str(value).split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"sweep spec must be start:stop:step, got {value!r}")
-        start, stop, step = (parse_angle(p) for p in parts)
+    parts = value if isinstance(value, (tuple, list)) else str(value).split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"sweep spec must be start:stop:step, got {value!r}")
+    start, stop, step = map(parse_angle, parts)
     for name, bound in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(bound):
             raise ConfigError(f"sweep {name} must be finite, got {bound!r} in {value!r}")

@@ -7,6 +7,8 @@ package output against these reference routes.
 """
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from itertools import product, takewhile
 
@@ -270,6 +272,62 @@ def bf_sweep_values(spec):
     end = stop + min(1e-12, step / 2)
     values = (start + i * step for i in range(10**6 + 1))
     return list(takewhile(lambda v: v <= end, values))
+
+
+# The angle and sweep parsers as they stood before the pattern gave the sign its
+# own group, kept verbatim (bar the names, and ValueError for ConfigError) as the
+# oracle for their outcomes, messages and bits.
+BF_ANGLE_RE = re.compile(r"([+-]?\d*\.?\d*(?:[eE][+-]?\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?")
+
+
+def bf_parse_angle(value):
+    """Angles in radians; 'pi'-literals like 'pi/4', '3pi/8' or '0.5*pi' stay exact."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    text = str(value).strip().lower().replace(" ", "")
+    if "pi" in text:
+        match = BF_ANGLE_RE.fullmatch(text)
+        if not match:
+            raise ValueError(f"cannot parse angle {value!r}")
+        coefficient, denominator = match.group(1), match.group(2)
+        if coefficient in ("", "+", "-"):
+            coefficient += "1"
+        try:  # the pattern also admits non-numbers such as "." or "e5"
+            angle = float(coefficient) * math.pi
+        except ValueError:
+            raise ValueError(f"cannot parse angle {value!r}") from None
+        if denominator:
+            if float(denominator) == 0.0:
+                raise ValueError(f"cannot parse angle {value!r}")
+            angle /= float(denominator)
+        return angle
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse angle {value!r}") from exc
+
+
+def bf_parse_sweep(value):
+    """Sweep spec 'start:stop:step' (each an angle literal) -> inclusive grid bounds."""
+    if value is None:
+        return None
+    if isinstance(value, (tuple, list)) and len(value) == 3:
+        start, stop, step = (bf_parse_angle(v) for v in value)
+    else:
+        parts = str(value).split(":")
+        if len(parts) != 3:
+            raise ValueError(f"sweep spec must be start:stop:step, got {value!r}")
+        start, stop, step = (bf_parse_angle(p) for p in parts)
+    for name, bound in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(bound):
+            raise ValueError(f"sweep {name} must be finite, got {bound!r} in {value!r}")
+    if step <= 0:
+        raise ValueError(f"sweep step must be positive, got {step!r}")
+    if stop < start:
+        raise ValueError(f"sweep range must satisfy start <= stop, got {value!r}")
+    if (stop - start) / step > 10**6:
+        raise ValueError(f"sweep {value!r} has more than {10**6} points")
+    return (start, stop, step)
 
 
 def bf_csv_line(k, gamma, ns2_oracle, ns2_closed_form, discrepancy, violated, lp_feasible):

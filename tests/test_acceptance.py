@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nsshare.certifier import hybrid_vertices, lp_feasible
-from nsshare.cli import ExperimentConfig, run_experiment
+from nsshare.cli import ExperimentConfig, main, run_experiment
 from nsshare.engine import (
     BehaviorTable,
     behavior,
@@ -253,6 +253,35 @@ def test_criterion_08_claim_audit_deliverable(tmp_path):
     _passed(8, f"n=5 audit over {printed['points']} grid points, both variants: "
                f"byte-identical reports; max violating k: printed={printed['max_violating_k']}, "
                f"normalized={normalized['max_violating_k']} ({elapsed:.0f}s)")
+
+
+def report_digests(argv, base_dir):
+    """sha256 of the CSV and JSON reports of one run of the command line argv."""
+    paths = [str(base_dir / "report.csv"), str(base_dir / "report.json")]
+    assert main(argv + ["--out-csv", paths[0], "--out-json", paths[1]]) == 0
+    digests = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            digests.append(hashlib.sha256(handle.read()).hexdigest())
+    return digests
+
+
+def test_certified_claim_audit_reports(tmp_path, capsys):
+    # the claim audit with an LP verdict for each of its 90,589 tables
+    argv = ["--n", "5", "--alpha", "pi/4", "--epsilon", "0.001", "--recursion", "both",
+            "--sweep-delta", "0.01:pi/4:0.01", "--sweep-theta", "0.01:pi/2:0.01", "--certify"]
+    assert report_digests(argv, tmp_path) == [
+        "8c9af3a9e5bbfab73a64e8e3b9bae1d2e76aed5a444ada234239f283b8b9d4ed",
+        "f5852095069868ed2e45e39f20ee510bbb320b26495d7049d13a81002e1bbfa3"]
+    capsys.readouterr()
+
+
+def test_alpha_sweep_reports(tmp_path, capsys):
+    argv = ["--n", "2", "--sweep-alpha", "0.0001:1.5:0.0001"]
+    assert report_digests(argv, tmp_path) == [
+        "4843ea8b83ffd9d573d1d3b8a6c001db1bb3963e3bf590d505d17ca6ed7d74d8",
+        "d707d9cfac039c2e2be9f6d0193038c03f9430f31f7b44138a3a0f415701d1b0"]
+    capsys.readouterr()
 
 
 def test_claim_audit_scan_soundness():

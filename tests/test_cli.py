@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import tempfile
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsshare import cli, engine
+from nsshare import cli, engine, measurements
 from nsshare.cli import (
     CSV_HEADER,
     SWEEP_MAX_POINTS,
@@ -27,13 +28,15 @@ from nsshare.cli import (
     sweep_values,
 )
 from nsshare.engine import behavior
-from nsshare.measurements import gamma_sequence, validity_region
+from nsshare.measurements import DELTA_MAX, RECURSION_VARIANTS, gamma_sequence, validity_region
 from nsshare.states import build_gghz
 
 from conftest import (
     THETA_ALPHA_GRID,
     bf_closed_form,
     bf_csv_line,
+    bf_parse_angle,
+    bf_parse_sweep,
     bf_sweep_values,
     record_lp_calls,
     signaling_probs,
@@ -90,6 +93,68 @@ def test_parse_sweep_refuses_oversized_grid():
         with pytest.raises(ConfigError, match=message):
             parse_sweep(spec)
     assert parse_sweep("0:1:2e-6") == (0.0, 1.0, 2e-6)
+
+
+ANGLE_EDGES = ("pi/0", ".pi", "+e5pi", "2pi3", "1_000", "-0pi", "pi/" + "9" * 400, "0pi/0",
+               "-2pi/0.0", "-.pi/2", "+pi", "-pi", "pi/4.", "1e400pi", "-1e400pi/" + "9" * 400,
+               "PI / 2", " 3*pi/8 ", "nan", "-inf", "1e-400", "0x10", "", "pi", "pipi", "2*pi*2",
+               True, False, None, 0, -0.0, 7, 0.25, float("nan"), float("inf"), 10**400,
+               -10**400, b"pi", ["pi"])
+ANGLE_TOKENS = ("pi", "PI", "*", "/", "+", "-", ".", "e", "E", "_", " ", "0", "1", "2", "4",
+                "9", "00", "inf", "nan", "x", ":")
+
+
+def random_angle(rand):
+    """A literal of random tokens, or one shaped like sign, coefficient, pi, denominator."""
+    if rand.random() < 0.5:
+        return "".join(rand.choices(ANGLE_TOKENS, k=rand.randrange(7)))
+    coefficient = rand.choice(("", "0", "1", "2", "3.5", ".5", "1.", "1e3", "2E-2", "1e400",
+                               "e5", ".", "1_0", "-1"))
+    denominator = rand.choice(("", "/0", "/0.", "/1", "/4", "/8.0", "/3.", "/1e3", "/", "/-2"))
+    return (rand.choice(("", "+", "-")) + coefficient + rand.choice(("", "*"))
+            + rand.choice(("pi", "Pi")) + denominator)
+
+
+def parse_outcome(parse, value, refusal):
+    """("value", float.hex of each bound) or the kind of refusal and its message."""
+    try:
+        result = parse(value)
+    except refusal as exc:
+        return "refused", str(exc)
+    except OverflowError as exc:
+        return "overflow", str(exc)
+    if isinstance(result, tuple):
+        return "value", tuple(map(float.hex, result))
+    return "value", None if result is None else result.hex()
+
+
+def test_parsers_match_the_oracle_on_a_seeded_corpus():
+    rand = random.Random(2029)
+    angles = list(ANGLE_EDGES) + [random_angle(rand) for _ in range(20000)]
+    for value in angles:
+        assert (parse_outcome(parse_angle, value, ConfigError)
+                == parse_outcome(bf_parse_angle, value, ValueError)), value
+
+    bounds = ("0", "0.1", "0.01", "pi/4", "pi/2", "1", "2pi", "-pi", "1e-7", "1e-300", "-0",
+              0.5, 1e-6, float("inf"))
+    specs = [None, "0.1:0.3:0.1", "0.01:pi/4:0.01", "0:1:2e-6", "0:1:5e-7", "0.3:0.1:0.1",
+             ["0:1", "2:3"], ("0.1",), [], [0.1, 0.2, 0.3, 0.4]]
+    for _ in range(5000):
+        parts = [rand.choice(bounds) if rand.random() < 0.7 else random_angle(rand)
+                 for _ in range(rand.choice((3, 3, 3, 2, 4, 1)))]
+        shape = rand.random()
+        if shape < 0.6:
+            specs.append(":".join(map(str, parts)))
+        else:
+            specs.append(tuple(parts) if shape < 0.8 else parts)
+    for value in specs:
+        got = parse_outcome(parse_sweep, value, ConfigError)
+        if isinstance(value, (tuple, list)) and len(value) != 3:
+            # the oracle split such a sequence's repr on ":", and refused a piece of it
+            # as an angle when the repr held two colons; now the shape is refused
+            assert got == ("refused", f"sweep spec must be start:stop:step, got {value!r}")
+        else:
+            assert got == parse_outcome(bf_parse_sweep, value, ValueError), value
 
 
 def test_build_config_refuses_non_finite_values():
@@ -579,6 +644,23 @@ def test_auto_delta_keeps_schedule_valid(tmp_path, capsys):
     # and a search that finds no delta is refused
     assert main(["--n", "11", "--auto-delta"]) == 1
     assert capsys.readouterr().err == "error: auto_delta: no valid delta exists for n=11 (printed)\n"
+
+
+def test_auto_delta_probes_pi_over_4_once(monkeypatch, tmp_path, capsys):
+    probes = []
+    search = measurements.gamma_sequence
+
+    def counting(delta, epsilon, n, variant="printed"):
+        probes.append((delta, variant))
+        return search(delta, epsilon, n, variant)
+
+    monkeypatch.setattr(measurements, "gamma_sequence", counting)
+    out_json = str(tmp_path / "out.json")
+    assert main(["--n", "3", "--auto-delta", "--recursion", "both", "--out-json", out_json]) == 0
+    capsys.readouterr()
+    # pi/4 is valid for the normalized recursion and invalid for the printed one
+    for variant in RECURSION_VARIANTS:
+        assert probes.count((DELTA_MAX, variant)) == 1, variant
 
 
 def test_sweep_summary_and_determinism(tmp_path):
