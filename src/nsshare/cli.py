@@ -12,6 +12,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -267,10 +268,11 @@ def _grid(config: ExperimentConfig, variant: str, warm: WarmStart | None) -> Ite
             chunk_thetas = [thetas[i] for i, _ in chunk]
             chunk_alphas = [alphas[j] for _, j in chunk]
             columns = []  # per round: an iterator over its members' rows
-            for k, round_tables in enumerate(run_stack(gghz_densities(chunk_alphas),
-                                                       chunk_thetas, schedule, rounds), start=1):
+            stack = run_stack(gghz_densities(chunk_alphas), chunk_thetas, schedule, rounds)
+            closed_rows = closed_form_ns2(np.array(chunk_alphas), chunk_thetas,
+                                          schedule.gammas[:rounds])
+            for k, (round_tables, closed) in enumerate(zip(stack, closed_rows), start=1):
                 oracle = ns2_values(round_tables)
-                closed = closed_form_ns2(k, np.array(chunk_alphas), chunk_thetas, schedule.gammas)
                 verdicts = (lp_feasible(BehaviorTable._from_checked(probs), warm=warm).feasible
                             for probs in round_tables) if warm is not None else repeat(None)
                 columns.append(zip(repeat(k), repeat(schedule.gammas[k - 1]), oracle.tolist(),
@@ -340,6 +342,27 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return summary
 
 
+def _check_reports(config: ExperimentConfig, flag: str, source: str | None) -> None:
+    """Before anything runs, refuses a report that replaces the input file or cannot be written.
+
+    source is the file flag names, or None.  A report whose directory is
+    missing, or that is a directory, gets the error atomic_write_text would
+    raise for it once the run is done.
+    """
+    for key in ("out_csv", "out_json"):
+        path = getattr(config, key)
+        if path is None:
+            continue
+        # a report that does not exist yet is no input; this spares most runs two realpaths
+        if (source is not None and os.path.exists(path)
+                and os.path.realpath(path) == os.path.realpath(source)):
+            raise ConfigError(f"{key} and {flag} must be two files, got {path!r} and {source!r}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _certify_table_command(path: str, out_json: str | None) -> int:
     table = import_behavior(path)
     value = ns2_value(table)
@@ -401,9 +424,12 @@ def main(argv=None) -> int:
                        if key != "out_json" and getattr(args, key) is not None]
             if ignored:
                 raise ConfigError(f"--certify-table takes only --out-json, got {', '.join(ignored)}")
-            ExperimentConfig(out_json=args.out_json)  # a run's rule for its report
+            # a run's rules for its report
+            _check_reports(ExperimentConfig(out_json=args.out_json), "--certify-table",
+                           args.certify_table)
             return _certify_table_command(args.certify_table, args.out_json)
         config = build_config(args)
+        _check_reports(config, "--config", args.config)
         summary = run_experiment(config)
     except (ValueError, OSError, RuntimeError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -166,12 +166,12 @@ def _no_signaling_plan() -> tuple:
     return plan + (groups,)
 
 
-def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest input-dependence over all single- and two-party marginals, per table.
 
     probs is a stack of shape (N, 2, 2, 2, 2, 2, 2).  Returns the N residuals
-    and, per table, the label of its worst marginal family (the first on ties),
-    as the module docstring describes.
+    and, per table, the index into _MARGINAL_FAMILIES of its worst marginal
+    family (the first on ties), as the module docstring describes.
     """
     index, left, right, starts, groups = _no_signaling_plan()
     n = len(probs)
@@ -182,7 +182,7 @@ def no_signaling_residuals(probs: np.ndarray) -> tuple[np.ndarray, list[str]]:
     np.abs(spread, out=spread)
     residuals = np.maximum.reduceat(spread, starts, axis=0)
     worst = residuals.argmax(axis=0)
-    return residuals[worst, np.arange(n)], [_MARGINAL_FAMILIES[i][2] for i in worst]
+    return residuals[worst, np.arange(n)], worst
 
 
 def _check_tables(probs: np.ndarray) -> None:
@@ -208,12 +208,12 @@ def _check_tables(probs: np.ndarray) -> None:
         raise ValueError(
             f"block ({TABLE_KEYS[8 * block][:3]};abc) sums to {float(sums[n, block])!r}, expected 1"
         )
-    residuals, labels = no_signaling_residuals(probs)
+    residuals, worst = no_signaling_residuals(probs)
     signaling = residuals >= NO_SIGNALING_ATOL
     if signaling.any():
         n = signaling.argmax()
-        raise ValueError(f"table is signaling: {labels[n]} varies by {residuals[n]:.3e} "
-                         f"(tolerance {NO_SIGNALING_ATOL})")
+        raise ValueError(f"table is signaling: {_MARGINAL_FAMILIES[worst[n]][2]} varies by "
+                         f"{residuals[n]:.3e} (tolerance {NO_SIGNALING_ATOL})")
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ class BehaviorTable:
 
 def no_signaling_residual(table: BehaviorTable) -> tuple[float, str]:
     """no_signaling_residuals of one table: (residual, label of the worst marginal family)."""
-    residuals, labels = no_signaling_residuals(table.probs[None])
-    return float(residuals[0]), labels[0]
+    residuals, worst = no_signaling_residuals(table.probs[None])
+    return float(residuals[0]), _MARGINAL_FAMILIES[worst[0]][2]
 
 
 def _behavior_stack(rhos: np.ndarray, effects: np.ndarray) -> np.ndarray:

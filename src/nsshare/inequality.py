@@ -128,26 +128,26 @@ def is_violation(value: float | np.ndarray) -> bool | np.ndarray:
     return value > NS2_BOUND + VIOLATION_GUARD
 
 
-def closed_form_ns2(k: int, alpha: float | np.ndarray, theta: float | np.ndarray,
-                    gammas) -> float | np.ndarray:
-    """Predicted inequality value on the generalized GHZ state at round k >= 1 (prod_{j<1} = 1).
+def closed_form_ns2(alpha: float | np.ndarray, theta: float | np.ndarray, gammas) -> np.ndarray:
+    """Predicted inequality value on the GGHZ state at each round k >= 1 (row k-1, prod_{j<1} = 1).
 
     1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
 
-    alpha and theta may each be one angle or an array of them; the value has
+    alpha and theta may each be one angle or an array of them; a row has
     their broadcast shape, and each (alpha, theta) value is the same bit for
     bit whichever arrays it comes from.
     Exact at t = pi/4; away from it the true value picks up cos(2t) cross
     terms that this form omits (run reports record the difference).
     """
     gammas = tuple(float(g) for g in gammas)
-    if k < 1 or k > len(gammas):
-        raise ValueError(f"k must lie in 1..{len(gammas)}, got {k!r}")
-    used = gammas[:k]
-    if any(not 0.0 <= g <= 1.0 for g in used):
-        raise ValueError(f"gamma_1..gamma_{k} must lie in [0, 1], got {used!r}")
+    if not gammas:
+        raise ValueError("gammas must hold at least gamma_1, got ()")
+    if any(not 0.0 <= g <= 1.0 for g in gammas):
+        raise ValueError(f"gamma_1..gamma_{len(gammas)} must lie in [0, 1], got {gammas!r}")
     base = np.cos(theta) + np.sin(theta) * np.sin(2 * alpha)
+    rows = []
     prod = 1.0
-    for g in used[:-1]:
+    for k, g in enumerate(gammas, start=1):
+        rows.append(1.0 + base * (prod + g) / 2.0 ** (k - 1))
         prod *= 1.0 + np.sqrt((1.0 - g) * (1.0 + g))
-    return 1.0 + base * (prod + used[-1]) / 2.0 ** (k - 1)
+    return np.array(rows)

@@ -113,14 +113,11 @@ def gamma_sequence(delta: float, epsilon: float, n: int, variant: str = "printed
         g = (1.0 + epsilon) * scale * bracket / sin_d
         gammas.append(float(g))
         if not 0.0 <= g <= 1.0:
-            break
+            return GammaSchedule(tuple(gammas), k - 1)
         s = math.sqrt((1.0 - g) * (1.0 + g))
         u = g * g / (2.0 * (1.0 + s))
         q = q + u - q * u
-
-    # the loop stops at the first out-of-range entry, so only the last can be one
-    valid_upto = len(gammas) if 0.0 <= gammas[-1] <= 1.0 else len(gammas) - 1
-    return GammaSchedule(tuple(gammas), valid_upto)
+    return GammaSchedule(tuple(gammas), n)
 
 
 def validity_region(n: int, epsilon: float, variant: str = "printed",

@@ -194,6 +194,33 @@ def bf_closed_form(k, alpha, theta, gammas):
     return 1 + base * (prod + gammas[k - 1]) / 2 ** (k - 1)
 
 
+# The closed form as it stood when a run called it once per round: kept
+# verbatim (bar the name) as the oracle for the bits of every round's value.
+def bf_closed_form_per_round(k: int, alpha: float | np.ndarray, theta: float | np.ndarray,
+                             gammas) -> float | np.ndarray:
+    """Predicted inequality value on the generalized GHZ state at round k >= 1 (prod_{j<1} = 1).
+
+    1 + [cos t + sin t sin 2a] (prod_{j<k}(1 + sqrt(1-gamma_j^2)) + gamma_k) / 2^(k-1)
+
+    alpha and theta may each be one angle or an array of them; the value has
+    their broadcast shape, and each (alpha, theta) value is the same bit for
+    bit whichever arrays it comes from.
+    Exact at t = pi/4; away from it the true value picks up cos(2t) cross
+    terms that this form omits (run reports record the difference).
+    """
+    gammas = tuple(float(g) for g in gammas)
+    if k < 1 or k > len(gammas):
+        raise ValueError(f"k must lie in 1..{len(gammas)}, got {k!r}")
+    used = gammas[:k]
+    if any(not 0.0 <= g <= 1.0 for g in used):
+        raise ValueError(f"gamma_1..gamma_{k} must lie in [0, 1], got {used!r}")
+    base = np.cos(theta) + np.sin(theta) * np.sin(2 * alpha)
+    prod = 1.0
+    for g in used[:-1]:
+        prod *= 1.0 + np.sqrt((1.0 - g) * (1.0 + g))
+    return 1.0 + base * (prod + used[-1]) / 2.0 ** (k - 1)
+
+
 def bf_bloch_ns2(k, alpha, theta, gammas):
     """NS2 of round k on the GGHZ input, from Charlie's effects pulled back to round 1.
 

@@ -55,7 +55,7 @@ def test_criterion_01_round1_closed_form_equivalence():
         theta = rng.uniform(0.01, np.pi / 2 - 0.01)
         gamma_1 = rng.uniform(0.0, 1.0)
         table = behavior(build_gghz(alpha), theta, gamma_1)
-        difference = abs(ns2_value(table) - closed_form_ns2(1, alpha, theta, [gamma_1]))
+        difference = abs(ns2_value(table) - closed_form_ns2(alpha, theta, [gamma_1])[0])
         worst = max(worst, difference)
         assert difference < 1e-10
     elapsed = time.perf_counter() - start
@@ -69,7 +69,7 @@ def test_criterion_02_sharp_measurement_maximum():
     value = ns2_value(table)
     assert abs(value - SHARP_MAX) < 1e-9
     assert abs(value - 3.828427124746190) < 1e-9
-    assert abs(closed_form_ns2(1, np.pi / 4, np.pi / 4, [1.0]) - SHARP_MAX) < 1e-12
+    assert abs(closed_form_ns2(np.pi / 4, np.pi / 4, [1.0])[0] - SHARP_MAX) < 1e-12
     _passed(2, f"sharp maximum 1 + 2*sqrt(2) reproduced ({value:.12f})")
 
 

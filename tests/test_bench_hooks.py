@@ -6,6 +6,10 @@ is silently left unwrapped, so a refactor of src/ must keep every one.
 
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -89,3 +93,21 @@ def test_bench_reads_the_certified_tables_in_place(monkeypatch):
     for table, probs in zip(seen, expected):
         assert table.probs.shape == (2,) * 6 and not table.probs.flags.writeable
         assert np.array_equal(table.probs, probs)
+
+
+# an audit row no longer calls engine.behavior, which this perfbench test
+# counts; it is mended with the N = 1 wrappers (ROADMAP item 9)
+KNOWN_PERFBENCH_FAILURE = "perfbench/test_perfbench.py::test_traced_audit_row_matches_untraced"
+
+
+def test_perfbench_own_tests_pass_but_the_known_failure():
+    root = LAYERS.parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-m", "pytest", "perfbench", "-q", "-p",
+                          "no:cacheprovider"], cwd=root, env=env, capture_output=True, text=True)
+    failing = re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    assert set(failing) <= {KNOWN_PERFBENCH_FAILURE}, run.stdout
+    assert run.returncode == (1 if failing else 0), run.stdout + run.stderr
+    passed = re.search(r"\b(\d+) passed\b", run.stdout)
+    assert passed and int(passed[1]) >= 20, run.stdout

@@ -134,10 +134,12 @@ def test_check_no_signaling_quantum_table():
 
 
 def test_check_no_signaling_flags_offender():
-    residuals, labels = no_signaling_residuals(signaling_probs()[None])
+    residuals, worst = no_signaling_residuals(signaling_probs()[None])
     assert not residuals[0] < NO_SIGNALING_ATOL
     assert residuals[0] == pytest.approx(1.0)
-    assert "vs y" in labels[0]
+    assert worst.tolist() == [1]  # "P(ac|xz) vs y"
+    assert no_signaling_residual(BehaviorTable._from_checked(signaling_probs()))[1] == (
+        "P(ac|xz) vs y")
 
 
 def test_check_no_signaling_uniform():

@@ -970,6 +970,61 @@ def test_cli_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch):
     ExperimentConfig(out_json="run")
 
 
+def refuse_every_run(monkeypatch):
+    """Make any engine stack or LP the CLI starts fail the test."""
+    monkeypatch.setattr(cli, "run_stack", lambda *args: pytest.fail("an engine stack ran"))
+    monkeypatch.setattr(cli, "lp_feasible", lambda *args, **kw: pytest.fail("an LP ran"))
+
+
+def test_cli_refuses_a_report_that_replaces_its_input(tmp_path, capsys, monkeypatch):
+    # the report would replace the table or config the run reads; nothing is
+    # run or written
+    monkeypatch.chdir(tmp_path)
+    write_table("t.json", np.full((2,) * 6, 0.125))
+    with open("c.json", "w") as handle:
+        handle.write('{"n": 2}')
+    with open("d.json", "w") as handle:
+        handle.write('{"n": 2, "out_json": "./d.json"}')
+    inputs = {}
+    for name in sorted(os.listdir()):
+        with open(name, "rb") as handle:
+            inputs[name] = handle.read()
+    refuse_every_run(monkeypatch)
+    for argv, report in (
+            (["--certify-table", "t.json", "--out-json", "t.json"], "t.json"),
+            (["--certify-table", "t.json", "--out-json", str(tmp_path / "t.json")],
+             str(tmp_path / "t.json")),
+            (["--config", "c.json", "--out-json", "c.json"], "c.json"),
+            (["--config", "c.json", "--out-csv", "./c.json"], "./c.json"),
+            (["--config", "d.json"], "./d.json")):
+        key = "out_csv" if "--out-csv" in argv else "out_json"
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {key} and {argv[0]} must be two files, "
+                                           f"got {report!r} and {argv[1]!r}\n")
+        assert sorted(os.listdir()) == sorted(inputs)
+        for name, data in inputs.items():
+            with open(name, "rb") as handle:
+                assert handle.read() == data
+
+
+def test_cli_refuses_a_report_it_cannot_write_before_the_run(tmp_path, capsys, monkeypatch):
+    # the claim audit used to run to its end before its report could not be written
+    monkeypatch.chdir(tmp_path)
+    write_table("t.json", np.full((2,) * 6, 0.125))
+    os.mkdir("reports")
+    refuse_every_run(monkeypatch)
+    audit = ["--n", "5", "--recursion", "both", "--sweep-delta", "0.01:pi/4:0.01",
+             "--sweep-theta", "0.01:pi/2:0.01"]
+    for argv, reason in (
+            (audit + ["--out-csv", "nodir/a.csv"], "[Errno 2] No such file or directory"),
+            (audit + ["--out-json", "reports"], "[Errno 21] Is a directory"),
+            (["--certify-table", "t.json", "--out-json", "nodir/v.json"],
+             "[Errno 2] No such file or directory")):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}: {argv[-1]!r}\n")
+        assert sorted(os.listdir()) == ["reports", "t.json"] and not os.listdir("reports")
+
+
 def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     # main builds its parser once per process; each call starts from its defaults
     assert build_parser() is build_parser()
@@ -1056,6 +1111,32 @@ def test_certified_run_checks_each_round_stack_once(tmp_path, monkeypatch, argv,
     assert main(["--n", "2", "--certify", "--recursion", "both",
                  "--out-json", str(tmp_path / "run.json"), *argv]) == 0
     assert calls == stacks
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["--n", "8", "--auto-delta"], 1),
+    # one claim-audit row: 157 thetas, one engine stack per variant
+    (["--n", "5", "--delta", "0.3", "--sweep-theta", "0.01:pi/2:0.01"], 157),
+])
+def test_run_evaluates_the_closed_form_once_per_engine_stack(tmp_path, monkeypatch, argv,
+                                                             points):
+    # each call gives every round of the stack's schedule
+    calls = []
+    original = cli.closed_form_ns2
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "closed_form_ns2", counting)
+    report = tmp_path / "run.json"
+    assert main([*argv, "--recursion", "both", "--out-json", str(report)]) == 0
+    assert len(calls) == 2
+    variants = json.loads(report.read_text())["variants"]
+    for (*_, gammas), variant in zip(calls, ("printed", "normalized")):
+        summary = variants[variant]  # a sweep counts its rows, a point run lists them
+        rows = summary["rows"] if "rows" in summary else len(summary["rounds"])
+        assert rows == points * len(gammas)
 
 
 # sha256 of --certify-table's stdout and --out-json report, each table decided

@@ -450,9 +450,9 @@ def test_no_signaling_residual_uniform_zero():
 
 
 def test_no_signaling_residual_flags_signaling():
-    residuals, labels = no_signaling_residuals(signaling_probs()[None])
+    residuals, worst = no_signaling_residuals(signaling_probs()[None])
     assert residuals[0] == pytest.approx(1.0)
-    assert "vs y" in labels[0] or "vs y,z" in labels[0]
+    assert BF_MARGINAL_FAMILIES[worst[0]][2] == "P(ac|xz) vs y"
 
 
 def test_behavior_table_rejects_signaling():
@@ -498,7 +498,8 @@ def test_signaling_gate_holds_for_every_family(label, forbidden):
 
 
 def assert_residuals_match_the_oracle(probs):
-    residuals, labels = no_signaling_residuals(probs)
+    residuals, worst = no_signaling_residuals(probs)
+    labels = [BF_MARGINAL_FAMILIES[i][2] for i in worst]
     expected, expected_labels = bf_no_signaling_residuals(probs)
     assert np.max(np.abs(residuals - expected), initial=0.0) <= 1e-15
     families = np.sort(bf_family_residuals(probs), axis=0)

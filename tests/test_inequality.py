@@ -28,6 +28,7 @@ from conftest import (
     bf_behavior,
     bf_bloch_ns2,
     bf_closed_form,
+    bf_closed_form_per_round,
     bf_ns2,
     bf_ns2_values,
     bf_relabel,
@@ -126,37 +127,35 @@ def test_ns2_values_match_the_fancy_index_oracle_bit_for_bit(n):
 
 
 def test_closed_form_examples():
-    assert closed_form_ns2(1, np.pi / 4, np.pi / 4, [1.0]) == pytest.approx(
-        1 + 2 * np.sqrt(2), abs=1e-12)
+    assert closed_form_ns2(np.pi / 4, np.pi / 4, [1.0]) == pytest.approx(
+        [1 + 2 * np.sqrt(2)], abs=1e-12)
     schedule = gamma_sequence(np.pi / 4, 0.001, 2)
-    assert closed_form_ns2(1, np.pi / 4, np.pi / 4, schedule.gammas) == pytest.approx(
-        NS2_ROUND_1, abs=1e-12)
-    assert closed_form_ns2(2, np.pi / 4, np.pi / 4, schedule.gammas) == pytest.approx(
-        NS2_ROUND_2, abs=1e-12)
+    assert closed_form_ns2(np.pi / 4, np.pi / 4, schedule.gammas) == pytest.approx(
+        [NS2_ROUND_1, NS2_ROUND_2], abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["printed", "normalized"])
 def test_closed_form_over_a_theta_axis_is_the_per_theta_value(variant, rng):
-    # a run evaluates the closed form once per round over its whole theta axis;
-    # each entry must carry the bits of the scalar call the reports used to make
+    # a run evaluates the closed form once per engine stack over its whole theta
+    # axis; each entry must carry the bits of the scalar call the reports used to make
     thetas = sweep_values((0.01, np.pi / 2, 0.01))
     assert len(thetas) == 157
     schedule = gamma_sequence(validity_region(5, 0.001, variant), 0.001, 5, variant)
     assert schedule.valid_upto == 5
     for alpha in (np.pi / 8, np.pi / 4, 0.6):
-        for k in range(1, 6):
-            values = closed_form_ns2(k, alpha, thetas, schedule.gammas)
-            singles = [closed_form_ns2(k, alpha, theta, schedule.gammas) for theta in thetas]
-            assert values.shape == (157,)
-            assert np.array_equal(values, singles)
+        values = closed_form_ns2(alpha, thetas, schedule.gammas)
+        singles = [closed_form_ns2(alpha, theta, schedule.gammas) for theta in thetas]
+        assert values.shape == (5, 157)
+        assert np.array_equal(values, np.transpose(singles))
+        for k, row in enumerate(values, start=1):
             oracle = [bf_closed_form(k, alpha, theta, schedule.gammas) for theta in thetas]
-            assert np.max(np.abs(values - oracle)) < 1e-12
+            assert np.max(np.abs(row - oracle)) < 1e-12
     # round 1 takes the general form with an empty product: the bits of
     # 1 + (1 + gamma_1) base on seeded (alpha, theta) arrays
     alphas, angles = rng.uniform(0, np.pi / 2, (2, 20000))
     base = np.cos(angles) + np.sin(angles) * np.sin(2 * alphas)
     for g in (schedule.gammas[0], *rng.uniform(0, 1, 5)):
-        assert np.array_equal(closed_form_ns2(1, alphas, angles, [g]), 1 + (1 + g) * base)
+        assert np.array_equal(closed_form_ns2(alphas, angles, [g])[0], 1 + (1 + g) * base)
 
 
 @pytest.mark.parametrize("variant", ["printed", "normalized"])
@@ -183,18 +182,39 @@ def test_bloch_plane_oracle_is_the_closed_form_at_theta_pi_4(variant, rng):
     for n in range(1, 11):
         schedule = gamma_sequence(validity_region(n, 0.001, variant), 0.001, n, variant)
         for alpha in rng.uniform(0.0, np.pi / 2, 4):
-            for k in range(1, n + 1):
+            rows = closed_form_ns2(alpha, np.pi / 4, schedule.gammas)
+            assert rows.shape == (n,)
+            for k, value in enumerate(rows, start=1):
                 assert bf_bloch_ns2(k, alpha, np.pi / 4, schedule.gammas) == pytest.approx(
-                    closed_form_ns2(k, alpha, np.pi / 4, schedule.gammas), abs=1e-14)
+                    value, abs=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["printed", "normalized"])
+def test_closed_form_rows_keep_the_bits_of_the_per_round_call(variant, rng):
+    # row k - 1 of the one call is round k's value as the per-round call gave
+    # it, on seeded schedules inside each n's validity region and at gamma 0 and 1
+    for n in range(1, 11):
+        top = validity_region(n, 0.001, variant)
+        schedules = [gamma_sequence(delta, 0.001, n, variant).gammas
+                     for delta in (top, *top * rng.uniform(0.5, 1.0, 2))]
+        schedules += [(0.0,) * n, (1.0,) * n, tuple(rng.choice([0.0, 1.0], n))]
+        alphas, thetas = rng.uniform(0.0, np.pi / 2, (2, 33))
+        for gammas in schedules:
+            assert len(gammas) == n
+            for alpha, theta in ((float(alphas[0]), float(thetas[0])), (alphas, thetas),
+                                 (np.pi / 4, thetas)):
+                rows = closed_form_ns2(alpha, theta, gammas)
+                assert rows.shape == (n,) + np.shape(theta)
+                for k, row in enumerate(rows, start=1):
+                    assert np.array_equal(row, bf_closed_form_per_round(k, alpha, theta, gammas))
 
 
 def test_closed_form_validates():
-    with pytest.raises(ValueError):
-        closed_form_ns2(2, 0.5, 0.5, [0.4])
-    with pytest.raises(ValueError):
-        closed_form_ns2(1, 0.5, 0.5, [1.4])
-    with pytest.raises(ValueError):
-        closed_form_ns2(0, 0.5, 0.5, [0.4])
+    for gammas in ([1.4], [0.4, -0.1]):
+        with pytest.raises(ValueError, match=r"^gamma_1\.\.gamma_\d must lie in \[0, 1\], got "):
+            closed_form_ns2(0.5, 0.5, gammas)
+    with pytest.raises(ValueError, match=r"^gammas must hold at least gamma_1, got \(\)$"):
+        closed_form_ns2(0.5, 0.5, [])
 
 
 def test_compare_round1_exact(rng):

@@ -1,4 +1,5 @@
 import re
+from itertools import takewhile
 
 import mpmath as mp
 import numpy as np
@@ -172,11 +173,14 @@ def test_gamma_sequence_has_the_bits_of_the_numpy_scalar_loop():
     epsilons = 10.0 ** rng.uniform(-12, -0.5, len(deltas))
     for delta, epsilon in zip(deltas, epsilons):
         for variant in RECURSION_VARIANTS:
-            ours = gamma_sequence(float(delta), float(epsilon), 12, variant).gammas
+            schedule = gamma_sequence(float(delta), float(epsilon), 12, variant)
             oracle = bf_gamma_recursion(float(delta), float(epsilon), 12, variant)
-            assert all(type(g) is float for g in ours)
-            assert np.array_equal(np.array(ours).view(np.int64),
+            assert all(type(g) is float for g in schedule.gammas)
+            assert np.array_equal(np.array(schedule.gammas).view(np.int64),
                                   np.array(oracle).view(np.int64)), (delta, epsilon, variant)
+            # the valid prefix: the oracle's leading entries inside [0, 1]
+            valid = len(list(takewhile(lambda g: 0.0 <= g <= 1.0, oracle)))
+            assert schedule.valid_upto == valid, (delta, epsilon, variant)
 
 
 def test_gamma_sequence_normalized_variant():

@@ -23,13 +23,15 @@ def test_time_run_prints_every_line_of_a_point_run(tmp_path):
     run = run_tool(tmp_path, "--n", "1", "--out-csv", str(csv), f"--out-json={out_json}")
     assert run.returncode == 0 and run.stderr == ""
     lines = run.stdout.splitlines()
-    # the child's own output comes first, then the tool's lines in order
+    # the child's own output comes first, then the tool's lines in order, as
+    # --repeat 1 prints them
     assert lines[:3] == ["printed: max violating k = 1", f"wrote {csv}", f"wrote {out_json}"]
-    assert lines[3] == "exit code: 0"
-    cost = [re.fullmatch(pattern, line) for pattern, line in zip(
-        (r"child cpu_s: (\d+\.\d\d)", r"child peak_rss_mb: (\d+\.\d)",
-         r"child minor_faults: (\d+)"), lines[4:7])]
-    assert all(cost) and all(float(match[1]) > 0.0 for match in cost)
+    run_line = re.fullmatch(r"run 1: exit code 0, cpu_s (\d+\.\d\d), minor_faults (\d+)", lines[3])
+    assert run_line and float(run_line[1]) > 0.0 and int(run_line[2]) > 0
+    assert lines[4] == f"child cpu_s: median {run_line[1]}"
+    rss = re.fullmatch(r"child peak_rss_mb: (\d+\.\d)", lines[5])
+    assert rss and float(rss[1]) > 0.0
+    assert lines[6] == f"child minor_faults: median {run_line[2]}"
     assert lines[7:] == [f"sha256 {path}: {hashlib.sha256(path.read_bytes()).hexdigest()}"
                          for path in (csv, out_json)]
 
@@ -40,8 +42,11 @@ def test_time_run_names_a_report_the_child_did_not_write(tmp_path):
     run = run_tool(tmp_path, "--n", "0", "--out-csv", str(csv))
     lines = run.stdout.splitlines()
     assert run.stderr == "error: n must be at least 1, got 0\n"
-    assert run.returncode == 1 and lines[0] == "exit code: 1"
-    assert re.fullmatch(r"child minor_faults: \d+", lines[3])
+    assert run.returncode == 1
+    assert re.fullmatch(r"run 1: exit code 1, cpu_s \d+\.\d\d, minor_faults \d+", lines[0])
+    assert re.fullmatch(r"child cpu_s: median \d+\.\d\d", lines[1])
+    assert re.fullmatch(r"child peak_rss_mb: \d+\.\d", lines[2])
+    assert re.fullmatch(r"child minor_faults: median \d+", lines[3])
     assert lines[4:] == [f"sha256 {csv}: (not written)"] and not csv.exists()
 
 

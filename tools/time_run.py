@@ -1,16 +1,14 @@
 """Run one nsshare command in a child process and report its cost and its reports.
 
 The child runs `python3 -m nsshare.cli ARGS` from this checkout's src/ with one
-BLAS thread.  Printed: its exit code, its CPU seconds (user + system), peak
-RSS and minor page faults, all from RUSAGE_CHILDREN, and the sha256 of each
---out-csv / --out-json file it wrote (a file it left as it was is "not
-written").  The child's own output goes to this process's stdout / stderr.
+BLAS thread, once or, given a leading `--repeat K`, K times.  Printed: each
+run's exit code, CPU seconds (user + system) and minor page faults, their
+medians and the peak RSS over all runs, all from RUSAGE_CHILDREN, then the
+sha256 of each --out-csv / --out-json file the runs wrote, once (a file a run
+left as it was is "not written").  It exits 1 if the runs wrote different
+bytes.  The child's own output goes to this process's stdout / stderr.
 
     python3 tools/time_run.py --n 5 --recursion both --certify ... --out-csv a.csv
-
-A leading `--repeat K` runs the child K times and prints each run's exit code,
-CPU seconds and minor faults, their medians and the peak RSS over all runs,
-then each report's sha256 once; it exits 1 if the runs wrote different bytes.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ def run_child(args: list[str], env: dict) -> tuple[int, float, int, dict]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    repeat = None
+    repeat = 1
     if args[:1] == ["--repeat"]:
         count = args[1] if len(args) > 1 else ""
         if not (count.isdecimal() and int(count) >= 1):
@@ -81,21 +79,15 @@ def main(argv: list[str] | None = None) -> int:
     env = dict(os.environ, **{name: "1" for name in BLAS_THREAD_VARIABLES})
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    runs = [run_child(args, env) for _ in range(repeat or 1)]
+    runs = [run_child(args, env) for _ in range(repeat)]
     # ru_maxrss is the largest child's, in KiB on Linux
     peak_rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     codes, cpus, faults, digests = zip(*runs)
-    if repeat is None:
-        print(f"exit code: {codes[0]}")
-        print(f"child cpu_s: {cpus[0]:.2f}")
-        print(f"child peak_rss_mb: {peak_rss_mb:.1f}")
-        print(f"child minor_faults: {faults[0]}")
-    else:
-        for i, (code, cpu, fault) in enumerate(zip(codes, cpus, faults), start=1):
-            print(f"run {i}: exit code {code}, cpu_s {cpu:.2f}, minor_faults {fault}")
-        print(f"child cpu_s: median {statistics.median(cpus):.2f}")
-        print(f"child peak_rss_mb: {peak_rss_mb:.1f}")
-        print(f"child minor_faults: median {statistics.median(faults):.0f}")
+    for i, (code, cpu, fault) in enumerate(zip(codes, cpus, faults), start=1):
+        print(f"run {i}: exit code {code}, cpu_s {cpu:.2f}, minor_faults {fault}")
+    print(f"child cpu_s: median {statistics.median(cpus):.2f}")
+    print(f"child peak_rss_mb: {peak_rss_mb:.1f}")
+    print(f"child minor_faults: median {statistics.median(faults):.0f}")
     differ = False
     for path in digests[0]:
         seen = list(dict.fromkeys(run[path] for run in digests))
